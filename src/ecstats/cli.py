@@ -3,7 +3,8 @@
 Subcommands: tables (mod-p census rows), bounds (certified lower bounds as
 JSON), densities (closed-form local densities), survey (height census with
 empirical-vs-theoretical blocks), verify (self-check suites).  Exit codes:
-0 success, 1 verification/compare failure, 2 usage error.
+0 success, 1 verification/compare failure, 2 usage or domain error (any
+ValueError from the package, reported in one line).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import bounds, density, ffcurve, reference_tables, survey, verify
@@ -30,13 +30,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_tables(args) -> int:
     if args.pmax < args.pmin:
-        raise _Usage("--pmax must be >= --pmin")
+        raise ValueError("--pmax must be >= --pmin")
     if args.pmin < 5:
-        raise _Usage("--pmin must be >= 5")
-    primes = primes_in(args.pmin, args.pmax)
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(ffcurve.residue_class_counts, primes))
-    rows.sort(key=lambda c: c.p)
+        raise ValueError("--pmin must be >= 5")
+    rows = [ffcurve.residue_class_counts(p) for p in primes_in(args.pmin, args.pmax)]
 
     failures = 0
     lines = []
@@ -116,7 +113,7 @@ def _cmd_survey(args) -> int:
             blocks[f"kodaira_I1_at_{ell}"] = survey.empirical_kodaira_density(
                 ell, 1, args.x).to_json()
     doc = {"schema_version": 1, "version": __version__, "x": args.x,
-           "p": args.p, "n": args.n, "seed": args.seed, "blocks": blocks}
+           "p": args.p, "n": args.n, "blocks": blocks}
     if args.csv:
         rows = survey.write_csv(
             survey.enumerate_curves(args.x, p=args.p, classify=True), args.csv)
@@ -138,10 +135,6 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-class _Usage(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecstats",
@@ -157,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--compare-reference", action="store_true",
                         help="diff against the embedded reference decimals; "
                              "exit 1 on any mismatch beyond 1e-12")
-    tables.add_argument("--threads", type=int, default=1)
     tables.add_argument("--out")
     tables.set_defaults(func=_cmd_tables)
 
@@ -181,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--x", type=int, required=True)
     srv.add_argument("--p", type=int, required=True)
     srv.add_argument("--n", type=int, default=1)
-    srv.add_argument("--seed", type=int, default=0)
     srv.add_argument("--csv", help="also write per-curve rows (slow reference path)")
     srv.add_argument("--kodaira-only", action="store_true",
                      help="headline growth ratio counts Kodaira types I_{pm} "
@@ -201,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as exc:
+    except ValueError as exc:
         parser.error(str(exc))  # exits 2
         return 2
 

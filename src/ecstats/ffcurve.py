@@ -11,9 +11,9 @@ are classified by the point count N = #E(F_p):
 
 Counting is by character sums: N = p + 1 + sum_x chi(x^3 + a x + b) with chi
 the quadratic character (chi(0) = 0).  One residue table per p, O(p) per
-curve.  The exhaustive per-p census is vectorized row by row and costs
-O(p^3) per prime, which covers the tabulated range p < 150 in well under a
-second.
+curve.  The exhaustive per-p census counts only the rows a = 0, 1 and g (a
+non-residue) and reads every other row off them as a quadratic twist, so it
+costs O(p^2) per prime: all primes up to 350 take well under a second.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class PointClass(Enum):
 
 # integer codes used in the vectorized tables
 _CODE_SINGULAR, _CODE_ORDINARY, _CODE_ANOMALOUS, _CODE_SUPERSINGULAR = 0, 1, 2, 3
-_CLASS_BY_CODE = {
-    _CODE_SINGULAR: PointClass.SINGULAR,
-    _CODE_ORDINARY: PointClass.ORDINARY,
-    _CODE_ANOMALOUS: PointClass.ANOMALOUS,
-    _CODE_SUPERSINGULAR: PointClass.SUPERSINGULAR,
-}
 
 
 @dataclass(frozen=True)
@@ -150,28 +144,41 @@ def classify_residue(p: int, a: int, b: int) -> ResidueClass:
     return ResidueClass(PointClass.ORDINARY, n)
 
 
-def _field_arrays(p: int):
-    """Shared per-p numpy data: x, chi(x) and x^3 mod p."""
-    xs = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[0] = 0
-    chi[(xs[1:] * xs[1:]) % p] = 1
-    cubes = (xs * xs * xs) % p
-    return xs, chi, cubes
-
-
-def _row_point_counts(p, xs, chi, cubes, a, b_values):
-    """Point counts for (a, b) with b ranging over b_values (vectorized)."""
-    t = (cubes + a * xs) % p
-    idx = (t[None, :] + b_values[:, None]) % p
-    sums = chi[idx].sum(axis=1, dtype=np.int64)
-    return p + 1 + sums
-
-
 def _validate_census_prime(p: int) -> None:
     _validate_odd_prime(p)
     if p < 5:
         raise PrimeTooSmallError("the census requires p >= 5")
+
+
+def _row_traces(p: int, chi, a: int):
+    """Traces p + 1 - #E(F_p) of (a, b) for b = 0..p-1 (the character sum
+    also for singular b), in blocks of about 2^22 character lookups."""
+    xs = np.arange(p, dtype=np.int64)
+    f = (xs * xs * xs + a * xs) % p
+    chunk = max(1, (1 << 22) // p)
+    return -np.concatenate([chi[(f + xs[lo: lo + chunk, None]) % p].sum(axis=1, dtype=np.int64)
+                            for lo in range(0, p, chunk)])
+
+
+@lru_cache(maxsize=32)
+def _twist_rows(p: int):
+    """(chi, rows, traces, singular): chi(x) for x in [0, p), the rows
+    a in (0, 1, g) with g the least quadratic non-residue mod p, and per row
+    the traces t(a, b) and the singular flags for b = 0..p-1.  O(p^2).
+
+    (u^2 a0, u^3 b) is the quadratic twist of (a0, b) by u, with trace
+    chi(u) t(a0, b) and the same discriminant up to u^6.  Every a != 0 is
+    u^2 a0 for a0 in (1, g), so these three rows determine the census.  The
+    arrays are read-only because the cache shares them.
+    """
+    chi = np.array(chi_table(p), dtype=np.int8)
+    rows = (0, 1, int(np.argmax(chi < 0)))
+    bs = np.arange(p, dtype=np.int64)
+    traces = np.array([_row_traces(p, chi, a) for a in rows])
+    singular = np.array([(4 * a * a * a + 27 * bs * bs) % p == 0 for a in rows])
+    for arr in (chi, traces, singular):
+        arr.setflags(write=False)
+    return chi, rows, traces, singular
 
 
 @lru_cache(maxsize=128)
@@ -179,25 +186,42 @@ def residue_class_counts(p: int) -> ClassCounts:
     """Classify all p^2 residue pairs mod p and return exact counts.
 
     The densities ordinary_density and anomalous_density are the exact
-    rationals count / p^2.
+    rationals count / p^2.  Row a = 0 is counted directly.  Each of rows 1
+    and g stands for (p-1)/2 rows whose traces are its own times chi(u);
+    twisting keeps t = 0 and singularity, and as u runs over F_p^* half the
+    rows see t == 1 and half see t == -1 mod p as anomalous.
     """
     _validate_census_prime(p)
-    xs, chi, cubes = _field_arrays(p)
-    bs = np.arange(p, dtype=np.int64)
-    chunk = max(1, (1 << 22) // p)
-    n_ord = n_anom = n_ss = n_sing = 0
-    for a in range(p):
-        delta = (4 * a * a * a + 27 * bs * bs) % p
-        for lo in range(0, p, chunk):
-            b_block = bs[lo: lo + chunk]
-            counts = _row_point_counts(p, xs, chi, cubes, a, b_block)
-            nonsing = delta[lo: lo + chunk] != 0
-            r = counts % p
-            n_sing += int((~nonsing).sum())
-            n_anom += int((nonsing & (r == 0)).sum())
-            n_ss += int((nonsing & (r == 1)).sum())
-            n_ord += int((nonsing & (r != 0) & (r != 1)).sum())
-    return ClassCounts(p, n_ord, n_anom, n_ss, n_sing)
+    _, _, traces, singular = _twist_rows(p)
+    residues = [t[~sing] % p for t, sing in zip(traces, singular)]
+    n_sing = int(singular[0].sum()) + (p - 1) // 2 * int(singular[1:].sum())
+    n_ss = int((residues[0] == 0).sum()) + (p - 1) // 2 * sum(
+        int((r == 0).sum()) for r in residues[1:])
+    n_anom = int((residues[0] == 1).sum()) + (p - 1) * sum(
+        int((r == 1).sum()) + int((r == p - 1).sum()) for r in residues[1:]) // 4
+    return ClassCounts(p, p * p - n_anom - n_ss - n_sing, n_anom, n_ss, n_sing)
+
+
+def _twist_table(p: int):
+    """Point counts and singular flags of all p^2 pairs as p x p arrays,
+    indexed [a, b], filled from the three rows of _twist_rows.
+
+    As u runs over 1..(p-1)/2, u^2 a0 runs once over the a != 0 in the
+    square class of a0, and b -> u^3 b permutes the columns.
+    """
+    if p > MAX_TABLE_PRIME:
+        raise PrimeTooLargeError(f"tables limited to p <= {MAX_TABLE_PRIME}")
+    chi, rows, traces, singular = _twist_rows(p)
+    us = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    cols = np.arange(p, dtype=np.int64)[None, :] * (us * us * us % p)[:, None] % p
+    t = np.empty((p, p), dtype=np.int64)
+    sing = np.empty((p, p), dtype=bool)
+    t[0], sing[0] = traces[0], singular[0]
+    for a0, row_t, row_sing in zip(rows[1:], traces[1:], singular[1:]):
+        a = (us * us * a0 % p)[:, None]
+        t[a, cols] = chi[us][:, None] * row_t
+        sing[a, cols] = row_sing
+    return p + 1 - t, sing
 
 
 @lru_cache(maxsize=32)
@@ -208,33 +232,16 @@ def class_code_table(p: int) -> bytes:
     as bytes for O(1) scalar lookups in enumeration loops.
     """
     _validate_census_prime(p)
-    if p > MAX_TABLE_PRIME:
-        raise PrimeTooLargeError(f"class table limited to p <= {MAX_TABLE_PRIME}")
-    xs, chi, cubes = _field_arrays(p)
-    bs = np.arange(p, dtype=np.int64)
-    out = np.empty(p * p, dtype=np.uint8)
-    for a in range(p):
-        counts = _row_point_counts(p, xs, chi, cubes, a, bs)
-        delta = (4 * a * a * a + 27 * bs * bs) % p
-        r = counts % p
-        row = np.where(r == 0, _CODE_ANOMALOUS,
-                       np.where(r == 1, _CODE_SUPERSINGULAR, _CODE_ORDINARY))
-        row = np.where(delta == 0, _CODE_SINGULAR, row).astype(np.uint8)
-        out[a * p: (a + 1) * p] = row
-    return out.tobytes()
+    counts, sing = _twist_table(p)
+    r = counts % p
+    codes = np.where(r == 0, _CODE_ANOMALOUS,
+                     np.where(r == 1, _CODE_SUPERSINGULAR, _CODE_ORDINARY))
+    return np.where(sing, _CODE_SINGULAR, codes).astype(np.uint8).tobytes()
 
 
 @lru_cache(maxsize=32)
 def point_count_table(p: int) -> tuple[int, ...]:
     """#E(F_p) for every residue pair, indexed by a*p + b; -1 for singular."""
     _validate_census_prime(p)
-    if p > MAX_TABLE_PRIME:
-        raise PrimeTooLargeError(f"count table limited to p <= {MAX_TABLE_PRIME}")
-    xs, chi, cubes = _field_arrays(p)
-    bs = np.arange(p, dtype=np.int64)
-    out = np.empty(p * p, dtype=np.int64)
-    for a in range(p):
-        counts = _row_point_counts(p, xs, chi, cubes, a, bs)
-        delta = (4 * a * a * a + 27 * bs * bs) % p
-        out[a * p: (a + 1) * p] = np.where(delta == 0, -1, counts)
-    return tuple(int(v) for v in out)
+    counts, sing = _twist_table(p)
+    return tuple(np.where(sing, -1, counts).ravel().tolist())

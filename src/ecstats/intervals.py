@@ -115,9 +115,10 @@ def round_fraction(q: Fraction, significant: int, up: bool) -> Fraction:
     if q == 0:
         return Fraction(0)
     a, den = abs(q.numerator), q.denominator
-    # e = floor(log10(|q|)), exact via at most two corrections
-    e = len(str(a)) - len(str(den))
-    while e > -(len(str(den)) + 2) and 10**max(e, 0) * den > a * 10**max(-e, 0):
+    # e = floor(log10(|q|)): estimated from bit lengths (str(int) is capped
+    # at 4300 digits), then made exact by integer corrections
+    e = math.floor((a.bit_length() - den.bit_length()) * math.log10(2))
+    while 10**max(e, 0) * den > a * 10**max(-e, 0):
         e -= 1
     while 10 ** max(e + 1, 0) * den <= a * 10 ** max(-(e + 1), 0):
         e += 1

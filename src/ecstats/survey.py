@@ -151,7 +151,6 @@ class SurveySummary:
     p: int | None = None
     ell: int | None = None
     n: int | None = None
-    seed: int | None = None
     extras: dict = field(default_factory=dict)
     version: str = __version__
 
@@ -174,7 +173,6 @@ class SurveySummary:
             "p": self.p,
             "ell": self.ell,
             "n": self.n,
-            "seed": self.seed,
             "counts": dict(self.counts),
             "empirical": None,
             "theoretical": None,

@@ -36,7 +36,7 @@ def test_tables_compare_subset(capsys):
 
 def test_tables_json_format(capsys):
     code, out, _ = run_cli(["tables", "--pmin", "7", "--pmax", "13",
-                            "--format", "json", "--threads", "2"], capsys)
+                            "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert [row["p"] for row in doc["rows"]] == [7, 11, 13]
@@ -60,6 +60,20 @@ def test_missing_required_args_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bounds", "--p", "7"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--p", "9", "--n", "1"],
+    ["bounds", "--p", "7", "--n", "2", "--trunc", "5"],
+    ["survey", "--x", "-1", "--p", "7"],
+])
+def test_domain_error_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("ecstats: error: ")
 
 
 def test_bounds_json(capsys):

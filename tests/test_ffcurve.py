@@ -14,6 +14,13 @@ from ecstats.errors import (
 )
 from ecstats.ffcurve import PointClass
 
+CODES = {
+    PointClass.SINGULAR: ffcurve._CODE_SINGULAR,
+    PointClass.ORDINARY: ffcurve._CODE_ORDINARY,
+    PointClass.ANOMALOUS: ffcurve._CODE_ANOMALOUS,
+    PointClass.SUPERSINGULAR: ffcurve._CODE_SUPERSINGULAR,
+}
+
 
 def brute_count(p, a, b):
     """Independent oracle: 1 + #{(x, y) in F_p^2 : y^2 = x^3 + ax + b}."""
@@ -133,10 +140,14 @@ def test_validation_errors():
         ffcurve.residue_class_counts(3)
     with pytest.raises(PrimeTooLargeError):
         ffcurve.count_points(1048583, 1, 1)
+    for table in (ffcurve.class_code_table, ffcurve.point_count_table):
+        with pytest.raises(PrimeTooLargeError):
+            table(ffcurve.MAX_TABLE_PRIME + 7)  # 1031, the next prime
 
 
-def test_tables_match_class_codes():
-    p = 11
+# both residues of p mod 4; at p = 5, t == 1 (mod p) includes t = -4
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 43, 61])
+def test_tables_match_class_codes(p):
     codes = ffcurve.class_code_table(p)
     counts = ffcurve.residue_class_counts(p)
     assert len(codes) == p * p
@@ -144,8 +155,14 @@ def test_tables_match_class_codes():
     assert codes.count(ffcurve._CODE_ANOMALOUS) == counts.anomalous
     assert codes.count(ffcurve._CODE_SINGULAR) == counts.singular
     pc = ffcurve.point_count_table(p)
+    tally = {kind: 0 for kind in PointClass}
     for a in range(p):
         for b in range(p):
             cls = ffcurve.classify_residue(p, a, b)
+            tally[cls.kind] += 1
             want = -1 if cls.point_count is None else cls.point_count
             assert pc[a * p + b] == want
+            assert codes[a * p + b] == CODES[cls.kind]
+    assert (counts.ordinary, counts.anomalous, counts.supersingular, counts.singular) == \
+        (tally[PointClass.ORDINARY], tally[PointClass.ANOMALOUS],
+         tally[PointClass.SUPERSINGULAR], tally[PointClass.SINGULAR])

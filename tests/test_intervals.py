@@ -61,6 +61,17 @@ def test_round_fraction_is_directed(q):
         assert up - down <= abs(q) * Fraction(1, 10**8)
 
 
+@pytest.mark.parametrize("q", [Fraction(7**6000 + 1, 3**9100), Fraction(3**9100, 7**6000 + 1)])
+def test_round_fraction_beyond_str_digit_limit(q):
+    """Numerator and denominator exceed Python's 4,300-digit str(int) limit."""
+    down = round_fraction(q, 40, up=False)
+    up = round_fraction(q, 40, up=True)
+    assert down < q < up
+    # one unit in the 40th significant digit, so the exponent of q is exact
+    assert q / 10**40 < up - down <= q / 10**39
+    assert str(down) and str(up)
+
+
 def test_outward_rounding_preserves_enclosure():
     iv = QInterval(Fraction(1, 3), Fraction(2, 3))
     rounded = iv.outward_rounded(6)
