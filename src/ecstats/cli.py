@@ -193,8 +193,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-        return 2
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

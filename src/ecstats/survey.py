@@ -2,8 +2,9 @@
 
 The height window H(a, b) = max(4|a|^3, 27 b^2) <= x is exactly the box
 |a| <= floor((x/4)^(1/3)), |b| <= floor((x/27)^(1/2)) because the two
-height terms constrain a and b independently.  Enumeration streams the box;
-nothing is retained per curve except optional CSV rows.
+height terms constrain a and b independently.  One numpy pass walks the box
+in blocks of 2^14 pairs; |delta| <= 2x must fit in int64, so x < 2^62.
+enumerate_curves streams it pair by pair (the slow oracle and CSV path).
 
 The growth census classifies each minimal nonsingular curve at a fixed
 prime p of good reduction.  Curves with bad reduction at 2 or 3 go into a
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -32,13 +34,18 @@ import numpy as np
 
 from . import bounds, density, ffcurve, localdata
 from ._version import __version__
-from .arith import factorize, integer_cbrt, is_prime, next_prime, sieve_primes
+from .arith import (factorize, integer_cbrt, integer_nth_root, is_prime, next_prime,
+                    sieve_primes)
 from .errors import PrimeTooSmallError
 from .intervals import QInterval
 
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 _CERT_POOL_SIZE = 12
 _MC_MAX_MODULUS = 1 << 19  # keeps 4*a^3 + 27*b^2 inside int64
+MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
+_BLOCK_PAIRS = 1 << 14  # pairs per numpy block of the height-box pass
+_BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
+            "supersingular_at_p", "torsion_uncertified", "classified")
 
 
 @dataclass(frozen=True)
@@ -65,11 +72,8 @@ class HeightWindow:
 
     def minimality_primes(self) -> tuple[tuple[int, int], ...]:
         """(ell^4, ell^6) for every prime that could witness non-minimality."""
-        out = []
-        for ell in sieve_primes(max(self.a_max, self.b_max, 2)):
-            if ell**4 <= self.a_max or ell**6 <= self.b_max:
-                out.append((ell**4, ell**6))
-        return tuple(out)
+        bound = max(integer_nth_root(self.a_max, 4), integer_nth_root(self.b_max, 6))
+        return tuple((ell**4, ell**6) for ell in sieve_primes(bound))
 
 
 def count_pairs(x: int) -> int:
@@ -189,25 +193,11 @@ class SurveySummary:
 def empirical_minimal_density(x: int, truncation: int = density.DEFAULT_TRUNCATION) -> SurveySummary:
     """Fraction of pairs in the window that are minimal and nonsingular,
     against the enclosure of the everywhere-minimal density."""
-    win = HeightWindow.from_height(x)
-    min_primes = win.minimality_primes()
-    singular = nonminimal = curves = 0
-    for a in range(-win.a_max, win.a_max + 1):
-        four_a3 = 4 * a * a * a
-        hits = tuple(p6 for p4, p6 in min_primes if a % p4 == 0)
-        for b in range(-win.b_max, win.b_max + 1):
-            if four_a3 + 27 * b * b == 0:
-                singular += 1
-            elif any(b % p6 == 0 for p6 in hits):
-                nonminimal += 1
-            else:
-                curves += 1
+    counts = dict(_growth_census(None, x).counts)
     theoretical = density.congruence_density(
         density.CongruenceDatum(minimal_elsewhere=True), truncation)
-    counts = {"pairs": win.pair_count, "singular": singular,
-              "nonminimal": nonminimal, "curves": curves}
     return SurveySummary("minimal_density", x, counts,
-                         Fraction(curves, win.pair_count), theoretical)
+                         Fraction(counts["curves"], counts["pairs"]), theoretical)
 
 
 def empirical_kodaira_density(ell: int, n: int, x: int) -> SurveySummary:
@@ -217,38 +207,25 @@ def empirical_kodaira_density(ell: int, n: int, x: int) -> SurveySummary:
         raise PrimeTooSmallError(f"ell = {ell} must be a prime >= 5")
     if n < 1:
         raise ValueError("n must be >= 1")
-    win = HeightWindow.from_height(x)
-    min_primes = win.minimality_primes()
-    curves = hits = 0
-    ell_n, ell_n1 = ell**n, ell ** (n + 1)
-    for a in range(-win.a_max, win.a_max + 1):
-        four_a3 = 4 * a * a * a
-        nm_hits = tuple(p6 for p4, p6 in min_primes if a % p4 == 0)
-        a_zero_mod = a % ell == 0
-        for b in range(-win.b_max, win.b_max + 1):
-            delta = four_a3 + 27 * b * b
-            if delta == 0 or any(b % p6 == 0 for p6 in nm_hits):
-                continue
-            curves += 1
-            if delta % ell_n == 0 and delta % ell_n1 != 0:
-                if not (a_zero_mod and b % ell == 0):
-                    hits += 1
+    census = _growth_census(None, x, (ell,))
+    curves = census.counts["curves"]
+    hits = census.valuation_hists[ell].get(n, 0)
     theoretical = QInterval.point(density.density_In(ell, n) / density.minimal_density(ell))
-    counts = {"pairs": win.pair_count, "curves": curves, "type_In_at_ell": hits}
+    counts = {"pairs": census.counts["pairs"], "curves": curves, "type_In_at_ell": hits}
     return SurveySummary("kodaira_density", x, counts,
                          Fraction(hits, curves) if curves else None,
                          theoretical, ell=ell, n=n)
 
 
 def _certificate_pool(p: int) -> tuple[tuple[int, bytes], ...]:
-    """Per-q tables of #E(F_q) mod p (255 marks singular) for the torsion
+    """Per-q arrays of #E(F_q) mod p (255 marks singular) for the torsion
     certificate, over the first candidate primes q >= 5, q != p."""
     pool = []
     q = 5 if p != 5 else 7
     while len(pool) < _CERT_POOL_SIZE:
         if q != p:
-            table = ffcurve.point_count_table(q)
-            pool.append((q, bytes(255 if c < 0 else c % p for c in table)))
+            table = np.array(ffcurve.point_count_table(q))
+            pool.append((q, np.where(table < 0, 255, table % p).astype(np.uint8)))
         q = next_prime(q)
     return tuple(pool)
 
@@ -267,105 +244,131 @@ def _certificate_fallback(a: int, b: int, p: int, delta: int,
 
 @dataclass(frozen=True)
 class GrowthCensus:
-    p: int
-    x: int
     counts: dict
     strict_hist: dict
     kodaira_hist: dict
     euler_hist: dict
+    valuation_hists: dict  # ell -> histogram of v_ell(delta), (a, b) != (0, 0) mod ell
 
     def tail(self, hist: dict, n: int) -> int:
         return sum(c for v, c in hist.items() if v >= n)
 
 
+def _tally(hist: Counter, values) -> None:
+    hist.update({v: c for v, c in enumerate(np.bincount(values).tolist()) if c})
+
+
+def _valuations(values, ell: int):
+    """v_ell of each entry of an int64 array of nonzero integers."""
+    v = np.zeros(len(values), dtype=np.int64)
+    while (hit := values % ell == 0).any():
+        v += hit
+        values = np.where(hit, values // ell, values)
+    return v
+
+
+@lru_cache(maxsize=64)
+def _split_table(ell: int):
+    """Split flags of the multiplicative pairs mod ell, indexed [a, b]."""
+    return np.array([[localdata._split_from_residues(am, bm, ell) for bm in range(ell)]
+                     for am in range(ell)], dtype=bool)
+
+
+def _certify(a, b, delta, p: int, pool) -> np.ndarray:
+    """Torsion certificate per pair: one sweep over the pool, then the
+    scalar fallback for the pairs the pool leaves undecided."""
+    certified = np.zeros(len(a), dtype=bool)
+    good_seen = np.zeros(len(a), dtype=np.int64)
+    for q, table in pool:
+        r = table[(a % q) * q + b % q]
+        good = ~certified & (good_seen < TORSION_CERT_PRIMES) & (r != 255)
+        good_seen += good
+        certified |= good & (r != 0)
+    for i in np.flatnonzero(~certified & (good_seen < TORSION_CERT_PRIMES)).tolist():
+        certified[i] = _certificate_fallback(int(a[i]), int(b[i]), p, int(delta[i]),
+                                             pool[-1][0], int(good_seen[i]))
+    return certified
+
+
 @lru_cache(maxsize=8)
-def _growth_census(p: int, x: int) -> GrowthCensus:
-    if not is_prime(p) or p < 5:
+def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
+    """The one pass over the height box, in numpy blocks of _BLOCK_PAIRS
+    consecutive pairs (row by row in a, then b).
+
+    Every pair lands in one bucket: singular, nonminimal or curve.  For each
+    ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta).
+    With p given, the curves go on into bad_at_2_or_3, bad_at_p,
+    supersingular_at_p, torsion_uncertified or classified, and the
+    classified ones into the strict, Kodaira-only and Euler histograms.
+    """
+    if p is not None and (not is_prime(p) or p < 5):
         raise PrimeTooSmallError(f"p = {p} must be a prime >= 5")
+    if x >= MAX_SURVEY_HEIGHT:
+        raise ValueError(f"height bound x = {x} must be below 2^62, so that "
+                         "|delta| <= 2x fits in int64")
     win = HeightWindow.from_height(x)
     min_primes = win.minimality_primes()
-    class_codes = ffcurve.class_code_table(p)
-    cert_pool = _certificate_pool(p) if p in (5, 7) else None
-    last_pool_prime = cert_pool[-1][0] if cert_pool else 0
-    # only primes with ell^p <= |delta| can carry a Tamagawa number
-    # divisible by p (split I_m needs p | m = v_ell(delta))
-    candidates = tuple(ell for ell in sieve_primes(max(5, int(win.max_abs_discriminant ** (1.0 / p)) + 2))
-                       if ell >= 5 and ell != p and ell**p <= win.max_abs_discriminant)
-    singular = nonminimal = curves = bad_small = bad_at_p = supersingular = 0
-    uncertified = classified = 0
-    strict_hist: dict[int, int] = {}
-    kodaira_hist: dict[int, int] = {}
-    euler_hist: dict[int, int] = {}
-    split_test = localdata._split_from_residues
-    for a in range(-win.a_max, win.a_max + 1):
-        four_a3 = 4 * a * a * a
-        nm_hits = tuple(p6 for p4, p6 in min_primes if a % p4 == 0)
-        row = (a % p) * p
-        for b in range(-win.b_max, win.b_max + 1):
-            delta = four_a3 + 27 * b * b
-            if delta == 0:
-                singular += 1
+    counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS[:3] if p is None else _BUCKETS, 0)}
+    if p is not None:
+        codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8)
+        cert_pool = _certificate_pool(p) if p in (5, 7) else None
+        # only primes with ell^p <= |delta| can carry a Tamagawa number
+        # divisible by p (split I_m needs p | m = v_ell(delta))
+        candidates = tuple(ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
+                           if ell >= 5 and ell != p)
+    valuation_hists = {ell: Counter() for ell in ells}
+    strict_hist, kodaira_hist, euler_hist = Counter(), Counter(), Counter()
+    width = 2 * win.b_max + 1
+    for start in range(0, win.pair_count, _BLOCK_PAIRS):
+        index = np.arange(start, min(start + _BLOCK_PAIRS, win.pair_count), dtype=np.int64)
+        a, b = index // width - win.a_max, index % width - win.b_max
+        delta = 4 * a * a * a + 27 * b * b
+        singular = delta == 0
+        nonminimal = np.zeros(len(a), dtype=bool)
+        for p4, p6 in min_primes:
+            nonminimal |= (a % p4 == 0) & (b % p6 == 0)
+        nonminimal &= ~singular
+        curve = ~(singular | nonminimal)
+        for name, mask in zip(_BUCKETS, (singular, nonminimal, curve)):
+            counts[name] += int(mask.sum())
+        a, b, delta = a[curve], b[curve], delta[curve]
+        for ell in ells:
+            keep = (a % ell != 0) | (b % ell != 0)
+            _tally(valuation_hists[ell], _valuations(delta[keep], ell))
+        if p is None:
+            continue
+        good = (delta % 2 != 0) & (delta % 3 != 0)
+        counts["bad_at_2_or_3"] += len(delta) - int(good.sum())
+        a, b, delta = a[good], b[good], delta[good]
+        code = codes[(a % p) * p + b % p]
+        counts["bad_at_p"] += int((code == ffcurve._CODE_SINGULAR).sum())
+        counts["supersingular_at_p"] += int((code == ffcurve._CODE_SUPERSINGULAR).sum())
+        keep = (code == ffcurve._CODE_ORDINARY) | (code == ffcurve._CODE_ANOMALOUS)
+        a, b, delta, code = a[keep], b[keep], delta[keep], code[keep]
+        if cert_pool is not None:
+            certified = _certify(a, b, delta, p, cert_pool)
+            counts["torsion_uncertified"] += len(a) - int(certified.sum())
+            a, b, delta, code = a[certified], b[certified], delta[certified], code[certified]
+        counts["classified"] += len(a)
+        g_strict = (code == ffcurve._CODE_ANOMALOUS).astype(np.int64)
+        g_kodaira = g_strict.copy()
+        euler_v = 2 * g_strict
+        for ell in candidates:
+            hit = np.flatnonzero(delta % ell**p == 0)
+            if not hit.size:
                 continue
-            if any(b % p6 == 0 for p6 in nm_hits):
-                nonminimal += 1
-                continue
-            curves += 1
-            if delta % 2 == 0 or delta % 3 == 0:
-                bad_small += 1
-                continue
-            code = class_codes[row + b % p]
-            if code == ffcurve._CODE_SINGULAR:
-                bad_at_p += 1
-                continue
-            if code == ffcurve._CODE_SUPERSINGULAR:
-                supersingular += 1
-                continue
-            anomalous = code == ffcurve._CODE_ANOMALOUS
-            if cert_pool is not None:
-                certified = False
-                good_seen = 0
-                for q, table in cert_pool:
-                    r = table[(a % q) * q + b % q]
-                    if r == 255:
-                        continue
-                    good_seen += 1
-                    if r != 0:
-                        certified = True
-                        break
-                    if good_seen == TORSION_CERT_PRIMES:
-                        break
-                if not certified and good_seen < TORSION_CERT_PRIMES:
-                    certified = _certificate_fallback(a, b, p, delta, last_pool_prime, good_seen)
-                if not certified:
-                    uncertified += 1
-                    continue
-            classified += 1
-            g_strict = g_kodaira = 1 if anomalous else 0
-            euler_v = 2 if anomalous else 0
-            for ell in candidates:
-                if delta % ell:
-                    continue
-                v, rest = 1, delta // ell
-                while rest % ell == 0:
-                    v += 1
-                    rest //= ell
-                if v % p == 0 and (a % ell or b % ell):
-                    g_kodaira += 1
-                    if split_test(a % ell, b % ell, ell):
-                        g_strict += 1
-                        while v % p == 0:
-                            euler_v += 1
-                            v //= p
-            strict_hist[g_strict] = strict_hist.get(g_strict, 0) + 1
-            kodaira_hist[g_kodaira] = kodaira_hist.get(g_kodaira, 0) + 1
-            euler_hist[euler_v] = euler_hist.get(euler_v, 0) + 1
-    counts = {
-        "pairs": win.pair_count, "singular": singular, "nonminimal": nonminimal,
-        "curves": curves, "bad_at_2_or_3": bad_small, "bad_at_p": bad_at_p,
-        "supersingular_at_p": supersingular, "torsion_uncertified": uncertified,
-        "classified": classified,
-    }
-    return GrowthCensus(p, x, counts, strict_hist, kodaira_hist, euler_hist)
+            v = _valuations(delta[hit], ell)
+            am, bm = a[hit] % ell, b[hit] % ell
+            tamagawa = (v % p == 0) & ((am != 0) | (bm != 0))
+            hit, v, am, bm = hit[tamagawa], v[tamagawa], am[tamagawa], bm[tamagawa]
+            g_kodaira[hit] += 1
+            split = _split_table(ell)[am, bm]
+            g_strict[hit[split]] += 1
+            euler_v[hit[split]] += _valuations(v[split], p)
+        _tally(strict_hist, g_strict)
+        _tally(kodaira_hist, g_kodaira)
+        _tally(euler_hist, euler_v)
+    return GrowthCensus(counts, strict_hist, kodaira_hist, euler_hist, valuation_hists)
 
 
 def empirical_selmer_growth(p: int, n: int, x: int, kodaira_only: bool = False,
@@ -388,9 +391,8 @@ def empirical_selmer_growth(p: int, n: int, x: int, kodaira_only: bool = False,
     classified = census.counts["classified"]
     report = bounds.selmer_growth_bound(p, n, truncation)
     hits = hits_kodaira if kodaira_only else hits_strict
-    counts = dict(census.counts)
-    counts["growth_ge_n_strict"] = hits_strict
-    counts["growth_ge_n_kodaira_only"] = hits_kodaira
+    counts = {**census.counts, "growth_ge_n_strict": hits_strict,
+              "growth_ge_n_kodaira_only": hits_kodaira}
     extras = {
         "predicate": "kodaira_only" if kodaira_only else "strict",
         "bound_lo": report.value.lo,
@@ -412,8 +414,7 @@ def empirical_euler_divisibility(p: int, n: int, x: int,
     hits = census.tail(census.euler_hist, n)
     classified = census.counts["classified"]
     report = bounds.euler_divisibility_bound(p, n, truncation)
-    counts = dict(census.counts)
-    counts["euler_valuation_ge_n"] = hits
+    counts = {**census.counts, "euler_valuation_ge_n": hits}
     extras = {"bound_lo": report.value.lo}
     return SurveySummary("euler_divisibility", x, counts,
                          Fraction(hits, classified) if classified else None,

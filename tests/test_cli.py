@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecstats import cli
 
@@ -66,14 +69,41 @@ def test_missing_required_args_exit_2():
     ["bounds", "--p", "9", "--n", "1"],
     ["bounds", "--p", "7", "--n", "2", "--trunc", "5"],
     ["survey", "--x", "-1", "--p", "7"],
+    ["survey", "--x", "4611686018427387904", "--p", "7"],
 ])
 def test_domain_error_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("ecstats: error: ")
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ecstats: error: ")
+
+
+_INTS = st.integers(min_value=-3, max_value=50)
+_ARGV = st.one_of(
+    st.tuples(st.just("densities"), st.just("--ell"), _INTS,
+              st.just("--type"), st.sampled_from(["I0", "In", "Igeq", "minimal"]),
+              st.just("--n"), st.integers(min_value=-2, max_value=4)),
+    st.tuples(st.just("bounds"), st.just("--p"), _INTS,
+              st.just("--n"), st.integers(min_value=-2, max_value=4),
+              st.just("--kind"), st.sampled_from(["growth", "euler", "mu-lambda"])),
+    st.tuples(st.just("survey"), st.just("--x"), st.integers(min_value=-5, max_value=10**4),
+              st.just("--p"), _INTS, st.just("--n"), st.integers(min_value=-2, max_value=4)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGV)
+def test_cli_never_raises(argv):
+    """Any argv of these shapes exits 0, 1 or 2 without a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(arg) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_bounds_json(capsys):

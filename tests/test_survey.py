@@ -1,10 +1,11 @@
 import io
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ecstats import density, ffcurve, localdata, survey
+from ecstats import arith, density, ffcurve, localdata, survey
 from ecstats.survey import HeightWindow
 
 
@@ -22,6 +23,14 @@ def test_window_examples():
     win8 = HeightWindow.from_height(10**8)
     assert (win8.a_max, win8.b_max) == (292, 1924)
     assert win8.pair_count == 2251665
+    for x in (10**4, 10**8, 10**12, 10**15):
+        w = HeightWindow.from_height(x)
+        witnesses = [ell for ell in arith.primes_in(2, 2000)
+                     if ell**4 <= w.a_max or ell**6 <= w.b_max]
+        assert w.minimality_primes() == tuple((ell**4, ell**6) for ell in witnesses)
+    # the sieve stops at the 4th and 6th roots, not at b_max ~ 1.9e10
+    huge = HeightWindow.from_height(10**22).minimality_primes()
+    assert huge == tuple((ell**4, ell**6) for ell in arith.primes_in(2, 60))
 
 
 def test_enumerate_yields_each_pair_once():
@@ -77,25 +86,90 @@ def test_kodaira_summary_matches_slow_records():
     assert s.counts["type_In_at_ell"] == slow_hits
 
 
-def test_growth_census_matches_slow_records():
-    x, p = 10**4, 7
-    g = survey.empirical_selmer_growth(p, 1, x)
-    assert g.counts["torsion_uncertified"] == 0
-    eligible = hits = euler_hits = 0
+def _oracle_certified(rec, p):
+    """Trivial p-torsion certified by count_points at the first five good q."""
+    seen = 0
+    for q in arith.primes_in(5, 1000):
+        if q == p or rec.delta % q == 0:
+            continue
+        if ffcurve.count_points(q, rec.a % q, rec.b % q) % p:
+            return True
+        seen += 1
+        if seen == survey.TORSION_CERT_PRIMES:
+            return False
+
+
+@pytest.mark.parametrize("p, x", [(5, 10**5), (7, 10**5), (11, 10**5), (5, 10**6)])
+def test_growth_census_matches_slow_records(p, x):
+    """Every bucket and every histogram of the numpy pass, rebuilt from the
+    slow classify path with an independent torsion certificate."""
+    buckets = dict.fromkeys(survey._BUCKETS, 0)
+    ordinary, verdicts = [], []
+    strict, kodaira, euler = Counter(), Counter(), Counter()
+    valuations = {5: Counter(), 7: Counter()}
     for rec in survey.enumerate_curves(x, p=p, classify=True):
-        if not (rec.minimal and rec.nonsingular) or rec.bad_small:
+        if not rec.nonsingular:
+            buckets["singular"] += 1
             continue
-        if rec.ordinary is None or not rec.ordinary:
+        if not rec.minimal:
+            buckets["nonminimal"] += 1
             continue
-        eligible += 1
-        if rec.growth_count >= 1:
-            hits += 1
-        if rec.euler_valuation >= 1:
-            euler_hits += 1
-    assert g.counts["classified"] == eligible
-    assert g.counts["growth_ge_n_strict"] == hits
-    e = survey.empirical_euler_divisibility(p, 1, x)
-    assert e.counts["euler_valuation_ge_n"] == euler_hits
+        buckets["curves"] += 1
+        types = dict(rec.kodaira)
+        for ell, hist in valuations.items():
+            kt = types.get(ell)
+            if kt is None or kt.is_multiplicative:
+                hist[kt.n if kt else 0] += 1
+        if rec.bad_small:
+            buckets["bad_at_2_or_3"] += 1
+        elif rec.ordinary is None:
+            buckets["bad_at_p"] += 1
+        elif not rec.ordinary:
+            buckets["supersingular_at_p"] += 1
+        else:
+            if p in (5, 7):
+                ordinary.append((rec.a, rec.b, rec.delta))
+                verdicts.append(_oracle_certified(rec, p))
+                if not verdicts[-1]:
+                    buckets["torsion_uncertified"] += 1
+                    continue
+            buckets["classified"] += 1
+            strict[rec.growth_count] += 1
+            kodaira[int(rec.anomalous) + sum(
+                kt.is_multiplicative and kt.n % p == 0 for kt in types.values())] += 1
+            euler[rec.euler_valuation] += 1
+    census = survey._growth_census(p, x)
+    assert census.counts == {"pairs": survey.count_pairs(x), **buckets}
+    assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
+    assert survey._growth_census(None, x, (5, 7)).valuation_hists == valuations
+    if (p, x) == (5, 10**6):
+        assert buckets["torsion_uncertified"] == 5
+    if ordinary:
+        # a one-prime pool leaves most pairs to the scalar fallback
+        a, b, delta = np.array(ordinary).T
+        pool = survey._certificate_pool(p)[:1]
+        assert survey._certify(a, b, delta, p, pool).tolist() == verdicts
+
+
+# Recorded from the per-pair loop this pass replaced; the split-Tamagawa
+# and Euler branches first fire above x = 10^6, beyond the slow oracle.
+PINNED_CENSUS = {
+    (5, 10**7): ((13, 322, 329472, 220032, 21888, 17496, 35, 70021),
+                 {0: 56849, 1: 13171, 2: 1}, {0: 56847, 1: 13172, 2: 2},
+                 {0: 56849, 1: 2, 2: 13169, 3: 1}),
+    (7, 10**8): ((19, 2284, 2249362, 1499002, 107194, 91516, 16, 551634),
+                 {0: 490310, 1: 61323, 2: 1}, {0: 490304, 1: 61329, 2: 1},
+                 {0: 490310, 1: 3, 2: 61320, 3: 1}),
+}
+
+
+@pytest.mark.parametrize("p, x", sorted(PINNED_CENSUS))
+def test_growth_census_pinned_histograms(p, x):
+    buckets, strict, kodaira, euler = PINNED_CENSUS[p, x]
+    census = survey._growth_census(p, x)
+    assert census.counts == {"pairs": survey.count_pairs(x),
+                             **dict(zip(survey._BUCKETS, buckets))}
+    assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
 
 
 def test_growth_census_bucket_partition():
