@@ -101,10 +101,12 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    # the growth block validates --p and --n, so it runs before any other pass
+    growth = survey.empirical_selmer_growth(
+        args.p, args.n, args.x, kodaira_only=args.kodaira_only).to_json()
     blocks = {
         "minimal": survey.empirical_minimal_density(args.x).to_json(),
-        "selmer_growth": survey.empirical_selmer_growth(
-            args.p, args.n, args.x, kodaira_only=args.kodaira_only).to_json(),
+        "selmer_growth": growth,
         "euler_divisibility": survey.empirical_euler_divisibility(
             args.p, args.n, args.x).to_json(),
     }
@@ -112,7 +114,7 @@ def _cmd_survey(args) -> int:
         if ell != args.p:
             blocks[f"kodaira_I1_at_{ell}"] = survey.empirical_kodaira_density(
                 ell, 1, args.x).to_json()
-    doc = {"schema_version": 1, "version": __version__, "x": args.x,
+    doc = {"schema_version": 2, "version": __version__, "x": args.x,
            "p": args.p, "n": args.n, "blocks": blocks}
     if args.csv:
         rows = survey.write_csv(

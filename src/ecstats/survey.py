@@ -170,7 +170,7 @@ class SurveySummary:
 
     def to_json(self) -> dict:
         out = {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": self.kind,
             "version": self.version,
             "x": self.x,
@@ -181,7 +181,7 @@ class SurveySummary:
             "empirical": None,
             "theoretical": None,
             "absolute_gap": self.absolute_gap,
-            "extras": {k: str(v) for k, v in self.extras.items()},
+            "extras": {k: None if v is None else str(v) for k, v in self.extras.items()},
         }
         if self.empirical is not None:
             out["empirical"] = {"fraction": str(self.empirical), "decimal": float(self.empirical)}
@@ -395,7 +395,6 @@ def empirical_selmer_growth(p: int, n: int, x: int, kodaira_only: bool = False,
               "growth_ge_n_kodaira_only": hits_kodaira}
     extras = {
         "predicate": "kodaira_only" if kodaira_only else "strict",
-        "bound_lo": report.value.lo,
         "empirical_strict": Fraction(hits_strict, classified) if classified else None,
         "empirical_kodaira_only": Fraction(hits_kodaira, classified) if classified else None,
     }
@@ -415,10 +414,9 @@ def empirical_euler_divisibility(p: int, n: int, x: int,
     classified = census.counts["classified"]
     report = bounds.euler_divisibility_bound(p, n, truncation)
     counts = {**census.counts, "euler_valuation_ge_n": hits}
-    extras = {"bound_lo": report.value.lo}
     return SurveySummary("euler_divisibility", x, counts,
                          Fraction(hits, classified) if classified else None,
-                         report.value, p=p, n=n, extras=extras)
+                         report.value, p=p, n=n)
 
 
 # ---------------------------------------------------------------------------

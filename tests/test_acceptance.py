@@ -20,7 +20,6 @@ from fractions import Fraction
 import pytest
 
 from ecstats import bounds, survey, verify
-from ecstats.intervals import QInterval
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -120,15 +119,14 @@ def test_criterion_06_split_dual_oracle():
            f"{pairs} residue pairs mod ell^2 checked, failures: {bad}")
 
 
-def test_criterion_07a_positivity(grid_reports):
-    bad = [(p, n) for (p, n), r in grid_reports.items() if not r.value.lo > 0]
-    report("7a growth bound positivity on the (p, n) grid", not bad, f"violations: {bad}")
+def test_criterion_07a_positivity(bound_laws):
+    r = bound_laws["growth bound positive on grid"]
+    report("7a growth bound positivity on the (p, n) grid", r.passed, r.detail)
 
 
-def test_criterion_07b_monotone_in_n(grid_reports):
-    bad = [(p, n) for p in GRID_P for n in GRID_N[:-1]
-           if not grid_reports[(p, n + 1)].value.lo < grid_reports[(p, n)].value.lo]
-    report("7b growth bound strictly decreasing in n", not bad, f"violations: {bad}")
+def test_criterion_07b_monotone_in_n(bound_laws):
+    r = bound_laws["growth bound decreasing in n"]
+    report("7b growth bound strictly decreasing in n", r.passed, r.detail)
 
 
 def _sign(x) -> int:
@@ -168,47 +166,40 @@ def test_criterion_07b_monotone_in_p(grid_reports):
            f"n = 1 direction mismatches: {dir_bad}, n = 1 rises: {rises}")
 
 
-def test_criterion_07c_truncation_monotonicity():
-    base = bounds.default_truncation(7)
-    ladder = [bounds.selmer_growth_bound(7, 1, truncation=base * 2**i) for i in range(4)]
-    ok = all(a.value.lo <= b.value.lo for a, b in zip(ladder, ladder[1:]))
-    report("7c certified lower endpoint nondecreasing under L -> 2L (x3)", ok,
-           " <= ".join(f"{float(r.value.lo):.12f}" for r in ladder))
+def test_criterion_07c_truncation_monotonicity(bound_laws):
+    r = bound_laws["lower endpoint nondecreasing under truncation doubling"]
+    report("7c certified lower endpoint nondecreasing under L -> 2L (x3)", r.passed, r.detail)
 
 
-def test_criterion_07d_mu_lambda_consistency(grid_reports):
-    bad = [(p, n) for (p, n), r in grid_reports.items()
-           if bounds.mu_lambda_bound(p, n).value != r.value]
-    report("7d mu+lambda bound identical to growth bound", not bad, f"violations: {bad}")
+def test_criterion_07d_mu_lambda_consistency(bound_laws):
+    r = bound_laws["mu+lambda bound equals growth bound"]
+    report("7d mu+lambda bound identical to growth bound", r.passed, r.detail)
 
 
-def test_criterion_07e_interval_nesting():
-    base = bounds.default_truncation(7)
-    ladder = [bounds.selmer_growth_bound(7, 1, truncation=base * 2**i) for i in range(4)]
-    ok = all(a.value.encloses(b.value) for a, b in zip(ladder, ladder[1:]))
-    report("7e value intervals nest under truncation refinement", ok)
+def test_criterion_07e_interval_nesting(bound_laws):
+    r = bound_laws["intervals nest under refinement"]
+    report("7e value intervals nest under truncation refinement", r.passed, r.detail)
 
 
-def test_criterion_08_bound_vs_survey():
+def test_criterion_08_bound_vs_survey(bound_laws):
     """At x = 1e8, p = 7, n = 1: strict empirical growth fraction exceeds
     the certified bound minus the documented 0.01 slack, and the exact
     family density for (sigma={5}, k=1) exceeds its simplified bound."""
     g = survey.empirical_selmer_growth(7, 1, 10**8)
     slack = Fraction(1, 100)
     ok_growth = g.empirical >= g.theoretical.lo - slack
-    fam = bounds.growth_family_density((5,), 1, 7, truncation=200)
-    ok_family = fam.exact.lo > fam.stated_bound.hi
+    family = bound_laws["family density exceeds its stated bound"]
     report("8 bound-vs-survey one-sided checks (x=1e8, p=7, n=1)",
-           ok_growth and ok_family,
+           ok_growth and family.passed,
            f"empirical {float(g.empirical):.6f} vs bound.lo {float(g.theoretical.lo):.6f}; "
-           f"family exact.lo {float(fam.exact.lo):.4e} > stated.hi {float(fam.stated_bound.hi):.4e}")
+           f"family {family.detail}")
 
 
 def test_criterion_09_symmetric_conventions():
-    ok = (bounds.prime_symmetric_sum(0, 7, 100) == QInterval.point(1)
-          and bounds.prime_symmetric_sum(-1, 7, 100) == QInterval.point(0)
-          and bounds.prime_symmetric_sum(-2, 11, 100) == QInterval.point(0))
-    report("9 symmetric-sum conventions e_0 = [1,1], e_{n<0} = [0,0]", ok)
+    results = [r for p in (7, 11) for r in verify.check_symmetric_conventions(p)]
+    bad = [r.name for r in results if not r.passed]
+    report("9 symmetric-sum conventions e_0 = [1,1], e_{n<0} = [0,0] at p = 7, 11",
+           len(results) == 4 and not bad, f"failures: {bad}")
 
 
 def test_criterion_10_telescoping():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from ecstats import bounds, ffcurve
+from ecstats import bounds, ffcurve, verify
 from ecstats.errors import ExcludedPrimeError, TruncationError
 from ecstats.intervals import QInterval
 
@@ -44,9 +44,9 @@ def test_weight_is_normalized_deep_In_sum():
 
 
 def test_symmetric_sum_conventions():
-    assert bounds.prime_symmetric_sum(0, 7, 100) == QInterval.point(1)
-    assert bounds.prime_symmetric_sum(-1, 7, 100) == QInterval.point(0)
-    assert bounds.prime_symmetric_sum(-5, 7, 100) == QInterval.point(0)
+    results = verify.check_symmetric_conventions(7)
+    assert len(results) == 2
+    assert all(r.passed for r in results), results
 
 
 def test_symmetric_sum_order_one():
@@ -108,17 +108,15 @@ def test_euler_bound_reference_windows():
     assert r1.value == r1.terms.zeta_reciprocal * (r1.terms.sym_main * r1.terms.ordinary_weight)
 
 
-def test_mu_lambda_is_growth():
-    for (p, n) in [(5, 1), (7, 2), (11, 1)]:
-        assert bounds.mu_lambda_bound(p, n).value == bounds.selmer_growth_bound(p, n).value
+def test_mu_lambda_is_growth(bound_laws):
+    r = bound_laws["mu+lambda bound equals growth bound"]
+    assert r.passed, r.detail
 
 
-def test_truncation_monotone_and_nested():
-    base = bounds.default_truncation(7)
-    ladder = [bounds.selmer_growth_bound(7, 1, truncation=base * 2**i) for i in range(4)]
-    for a, b in zip(ladder, ladder[1:]):
-        assert a.value.lo <= b.value.lo
-        assert a.value.encloses(b.value)
+def test_truncation_monotone_and_nested(bound_laws):
+    r = bound_laws["lower endpoint nondecreasing under truncation doubling"]
+    assert r.passed, r.detail
+    assert bound_laws["intervals nest under refinement"].passed
 
 
 def test_chi_and_growth_share_symmetric_terms():
@@ -129,9 +127,10 @@ def test_chi_and_growth_share_symmetric_terms():
     assert g.terms.sym_aux == bounds.prime_symmetric_sum(1, 7, g.truncation)
 
 
-def test_family_density_exceeds_stated_bound():
+def test_family_density_exceeds_stated_bound(bound_laws):
+    r = bound_laws["family density exceeds its stated bound"]
+    assert r.passed, r.detail
     fam = bounds.growth_family_density((5,), 1, 7, truncation=200)
-    assert fam.exact.lo > fam.stated_bound.hi
     anom = bounds.growth_family_density((5,), 1, 7, anomalous=True, truncation=200)
     assert anom.exact.lo > anom.stated_bound.hi
     # anomalous family is the rarer one

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecstats import cli
+from ecstats import cli, survey
+from ecstats.arith import is_prime
 
 
 def run_cli(argv, capsys):
@@ -70,8 +71,19 @@ def test_missing_required_args_exit_2():
     ["bounds", "--p", "7", "--n", "2", "--trunc", "5"],
     ["survey", "--x", "-1", "--p", "7"],
     ["survey", "--x", "4611686018427387904", "--p", "7"],
+    ["survey", "--x", "4611686018427387903", "--p", "4"],
+    ["survey", "--x", "4611686018427387903", "--p", "7", "--n", "0"],
 ])
-def test_domain_error_exit_2(argv, capsys):
+def test_domain_error_exit_2(argv, capsys, monkeypatch):
+    # input must be rejected before the first pass: near x = 2^62 a pass
+    # over the height box (about 1.7e15 pairs) would run for years
+    from_height = survey.HeightWindow.from_height
+
+    def small_box_only(x):
+        assert x < 10**6, f"survey scanned the box at x = {x} before validating its input"
+        return from_height(x)
+
+    monkeypatch.setattr(survey.HeightWindow, "from_height", small_box_only)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -95,7 +107,8 @@ _ARGV = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(_ARGV)
 def test_cli_never_raises(argv):
-    """Any argv of these shapes exits 0, 1 or 2 without a traceback."""
+    """Any argv of these shapes exits 0, 1 or 2 without a traceback, and a
+    survey with a prime p >= 5, n >= 1 and x >= 0 exits 0."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -104,6 +117,9 @@ def test_cli_never_raises(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if argv[0] == "survey" and argv[2] >= 0 and argv[4] >= 5 and is_prime(argv[4]) \
+            and argv[6] >= 1:
+        assert code == 0, err.getvalue()
 
 
 def test_bounds_json(capsys):
@@ -138,6 +154,21 @@ def test_survey_json_and_csv(tmp_path, capsys):
     assert doc["blocks"]["minimal"]["counts"]["pairs"] == 169
     assert doc["csv"]["rows"] == 169
     assert csv_path.read_text().splitlines()[0].startswith("a,b,height")
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--x", "100", "--p", "19", "--n", "2"],
+    ["survey", "--x", "10000", "--p", "47", "--n", "4"],
+])
+def test_survey_large_p_exit_0(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema_version"] == 2
+    assert '"None"' not in out
+    for block in doc["blocks"].values():
+        assert block["schema_version"] == 2
+        assert "bound_lo" not in block["extras"]
 
 
 def test_verify_tables_suite(capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ecstats import ffcurve, localdata
+from ecstats import ffcurve, localdata, verify
 from ecstats.errors import (
     BadReductionError,
     NotMinimalError,
@@ -77,18 +77,10 @@ def test_kodaira_lift_invariance():
             assert localdata.kodaira_type(a2, b2, ell) == localdata.KodairaType(base.kind, ell, base.n)
 
 
-def smooth_count(a, b, ell):
-    """Oracle: nonsingular points of the reduced nodal cubic."""
-    sq = [0] * ell
-    for y in range(ell):
-        sq[y * y % ell] += 1
-    return sum(sq[(x**3 + a * x + b) % ell] for x in range(ell))
-
-
 def test_split_example_and_error():
     # e = 1, 3e = 3 is a nonresidue mod 5 -> nonsplit
     assert localdata.is_split_multiplicative(2, 2, 5) is False
-    assert smooth_count(2, 2, 5) == 5 + 1  # ell - a_ell with a_ell = -1
+    assert verify.smooth_point_count(2, 2, 5) == 5 + 1  # ell - a_ell with a_ell = -1
     with pytest.raises(NotMultiplicativeError):
         localdata.is_split_multiplicative(1, 1, 5)  # good reduction at 5
 
@@ -99,7 +91,7 @@ def test_split_against_smooth_count(ell):
         for b in range(ell):
             if (a, b) == (0, 0) or ffcurve.discriminant_mod(ell, a, b) != 0:
                 continue
-            want_split = smooth_count(a, b, ell) == ell - 1
+            want_split = verify.smooth_point_count(a, b, ell) == ell - 1
             assert localdata.is_split_multiplicative(a, b, ell) == want_split
 
 
@@ -132,7 +124,7 @@ def test_split_deep_example_found_by_search():
             break
     assert found is not None
     assert localdata.tamagawa_p_part(*found, 5, 7) == 7
-    assert smooth_count(found[0] % 5, found[1] % 5, 5) == 4
+    assert verify.smooth_point_count(found[0] % 5, found[1] % 5, 5) == 4
 
 
 def test_tamagawa_anomaly_count_example():
