@@ -2,6 +2,7 @@
 elliptic curves over Q in short Weierstrass form."""
 
 from ._version import __version__
+from .errors import DomainError
 from .intervals import QInterval
 from .ffcurve import (
     ClassCounts,
@@ -47,6 +48,7 @@ from .bounds import (
     zeta_reciprocal,
 )
 from .survey import (
+    GrowthCensus,
     HeightWindow,
     MonteCarloResult,
     SurveyRecord,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import NotPrimeError, PrimeTooSmallError
+
 # Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -31,6 +33,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_prime(n: int, minimum: int = 2) -> None:
+    """Raise NotPrimeError unless n is prime, PrimeTooSmallError if n < minimum."""
+    if not is_prime(n):
+        raise NotPrimeError(f"{n} is not prime")
+    if n < minimum:
+        raise PrimeTooSmallError(f"prime {n} is below the supported minimum {minimum}")
 
 
 @lru_cache(maxsize=64)

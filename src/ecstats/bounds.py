@@ -23,13 +23,14 @@ bounds of the displayed expressions at any truncation.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import ffcurve
-from .arith import is_prime, sieve_primes
-from .errors import ExcludedPrimeError, NotPrimeError, PrimeTooSmallError, TruncationError
+from .arith import check_prime, is_prime, sieve_primes
+from .errors import DomainError, ExcludedPrimeError, TruncationError
 from .intervals import QInterval, round_fraction
 
 DEFAULT_ZETA_TERMS = 200
@@ -43,16 +44,9 @@ def default_truncation(p: int) -> int:
     return 10 * p + 100
 
 
-def _check_odd_prime(p: int) -> None:
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not prime")
-    if p < 5:
-        raise PrimeTooSmallError(f"p = {p} must be >= 5")
-
-
 def kodaira_multiple_weight(ell: int, p: int) -> Fraction:
     """f(ell) = ell^8 (ell-1)^2 / ((ell^10 - 1)(ell^p - 1)), ell outside {2,3,p}."""
-    _check_odd_prime(p)
+    check_prime(p, 5)
     if ell in (2, 3) or ell == p:
         raise ExcludedPrimeError(f"ell = {ell} is excluded for p = {p}")
     if not is_prime(ell) or ell < 5:
@@ -74,11 +68,17 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
     endpoint adds sum_{k=1..n} e_{n-k} * T^k / k! with T bounding the total
     weight of the omitted primes.
     """
-    _check_odd_prime(p)
+    check_prime(p, 5)
     if n < 0:
         return QInterval.point(0)
+    return _symmetric_sums(n, p, truncation)[n]
+
+
+def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
+    """The enclosures of prime_symmetric_sum for every order 0..n, n >= 0,
+    from one sweep over the primes <= truncation."""
     if n == 0:
-        return QInterval.point(1)
+        return [QInterval.point(1)]
     if truncation < 11:
         raise TruncationError("truncation must be >= 11")
     e = [Fraction(1)] + [Fraction(0)] * n
@@ -89,12 +89,8 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
         for j in range(n, 0, -1):
             e[j] += f * e[j - 1]
     tail = _sym_tail_majorant(p, truncation)
-    upper = Fraction(0)
-    tk = Fraction(1)  # T^k / k!
-    for k in range(n + 1):
-        upper += e[n - k] * tk
-        tk = tk * tail / (k + 1)
-    return QInterval(e[n], upper)
+    tk = [tail**k / math.factorial(k) for k in range(n + 1)]  # T^k / k!
+    return [QInterval(e[m], sum(e[m - k] * tk[k] for k in range(m + 1))) for m in range(n + 1)]
 
 
 def zeta_enclosure(s: int, terms: int) -> QInterval:
@@ -104,9 +100,9 @@ def zeta_enclosure(s: int, terms: int) -> QInterval:
     the integral tail terms^(1-s)/(s-1).
     """
     if s < 2:
-        raise ValueError("zeta_enclosure requires s >= 2")
+        raise DomainError("zeta_enclosure requires s >= 2")
     if terms < 10:
-        raise ValueError("terms must be >= 10")
+        raise DomainError("terms must be >= 10")
     partial = sum(Fraction(1, m**s) for m in range(1, terms + 1))
     tail = Fraction(1, (s - 1) * terms ** (s - 1))
     return QInterval(partial, partial + tail)
@@ -174,12 +170,13 @@ class BoundReport:
 def _bound_report(kind: str, p: int, n: int, aux_index: int,
                   truncation: int | None, zeta_terms: int,
                   notes: tuple[str, ...] = ()) -> BoundReport:
-    _check_odd_prime(p)
+    check_prime(p, 5)
     if truncation is None:
         truncation = default_truncation(p)
     z = zeta_reciprocal(p, zeta_terms)
-    e_main = prime_symmetric_sum(n, p, truncation)
-    e_aux = prime_symmetric_sum(aux_index, p, truncation)
+    sums = _symmetric_sums(n, p, truncation)
+    e_main = sums[n]
+    e_aux = sums[aux_index] if aux_index >= 0 else QInterval.point(0)
     w_ord, w_anom = class_weights(p)
     value = z * (e_main * w_ord + e_aux * w_anom)
     terms = BoundTerms(z, e_main, e_aux, w_ord, w_anom)
@@ -195,7 +192,7 @@ def selmer_growth_bound(p: int, n: int, truncation: int | None = None,
     (anomalous term); requires n >= 1.
     """
     if n < 1:
-        raise ValueError("selmer_growth_bound requires n >= 1")
+        raise DomainError("selmer_growth_bound requires n >= 1")
     return _bound_report(KIND_SELMER_GROWTH, p, n, n - 1, truncation, zeta_terms)
 
 
@@ -215,7 +212,7 @@ def euler_divisibility_bound(p: int, n: int, truncation: int | None = None,
     degenerates to the plain ordinary-class density.
     """
     if n < 0:
-        raise ValueError("euler_divisibility_bound requires n >= 0")
+        raise DomainError("euler_divisibility_bound requires n >= 0")
     notes: tuple[str, ...] = ()
     if n == 0:
         notes = ("n = 0 reduces to the good-ordinary-nonanomalous density; "
@@ -280,9 +277,9 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
     lower bound (1/zeta(p)) * prod_sigma-normalized * p^8 N_class/(p^10-1);
     the exact density always exceeds it.
     """
-    _check_odd_prime(p)
+    check_prime(p, 5)
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise DomainError("k must be >= 1")
     sigma = tuple(sorted(set(int(ell) for ell in sigma)))
     for ell in sigma:
         if ell in (2, 3) or ell == p:

@@ -4,7 +4,8 @@ Subcommands: tables (mod-p census rows), bounds (certified lower bounds as
 JSON), densities (closed-form local densities), survey (height census with
 empirical-vs-theoretical blocks), verify (self-check suites).  Exit codes:
 0 success, 1 verification/compare failure, 2 usage or domain error (any
-ValueError from the package, reported in one line).
+errors.DomainError, reported in one line; other exceptions keep their
+traceback).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from . import bounds, density, ffcurve, reference_tables, survey, verify
 from ._version import __version__
 from .arith import primes_in
+from .errors import DomainError
 from .intervals import fraction_to_decimal
 
 
@@ -30,9 +32,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_tables(args) -> int:
     if args.pmax < args.pmin:
-        raise ValueError("--pmax must be >= --pmin")
+        raise DomainError("--pmax must be >= --pmin")
     if args.pmin < 5:
-        raise ValueError("--pmin must be >= 5")
+        raise DomainError("--pmin must be >= 5")
     rows = [ffcurve.residue_class_counts(p) for p in primes_in(args.pmin, args.pmax)]
 
     failures = 0
@@ -101,19 +103,18 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    # the growth block validates --p and --n, so it runs before any other pass
-    growth = survey.empirical_selmer_growth(
-        args.p, args.n, args.x, kodaira_only=args.kodaira_only).to_json()
+    # checked before the one pass over the height box, which every block reads
+    if args.n < 1:
+        raise DomainError("n must be >= 1")
+    census = survey._growth_census(args.p, args.x, tuple(ell for ell in (5, 7) if ell != args.p))
     blocks = {
-        "minimal": survey.empirical_minimal_density(args.x).to_json(),
-        "selmer_growth": growth,
-        "euler_divisibility": survey.empirical_euler_divisibility(
-            args.p, args.n, args.x).to_json(),
+        "minimal": survey.empirical_minimal_density(census).to_json(),
+        "selmer_growth": survey.empirical_selmer_growth(
+            census, args.n, kodaira_only=args.kodaira_only).to_json(),
+        "euler_divisibility": survey.empirical_euler_divisibility(census, args.n).to_json(),
     }
-    for ell in (5, 7):
-        if ell != args.p:
-            blocks[f"kodaira_I1_at_{ell}"] = survey.empirical_kodaira_density(
-                ell, 1, args.x).to_json()
+    for ell in census.valuation_hists:
+        blocks[f"kodaira_I1_at_{ell}"] = survey.empirical_kodaira_density(census, ell, 1).to_json()
     doc = {"schema_version": 2, "version": __version__, "x": args.x,
            "p": args.p, "n": args.n, "blocks": blocks}
     if args.csv:
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except DomainError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

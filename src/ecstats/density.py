@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arith import is_prime, sieve_primes
-from .errors import NotPrimeError, PrimeTooSmallError, TruncationError
+from .arith import check_prime, sieve_primes
+from .errors import DomainError, TruncationError
 from .intervals import QInterval
 
 DEFAULT_TRUNCATION = 1000
@@ -32,46 +32,39 @@ DEFAULT_TRUNCATION = 1000
 
 def minimal_density(ell: int) -> Fraction:
     """Local density of minimal pairs at any prime ell: 1 - ell^-10."""
-    _check_prime(ell)
+    check_prime(ell)
     q = ell**10
     return Fraction(q - 1, q)
 
 
 def density_good(ell: int) -> Fraction:
     """Local density of minimal pairs with good reduction, ell >= 5."""
-    _check_prime(ell, minimum=5)
+    check_prime(ell, minimum=5)
     return Fraction(ell - 1, ell)
 
 
 def density_In(ell: int, n: int) -> Fraction:
     """Local density of minimal pairs of Kodaira type I_n, n >= 1, ell >= 5."""
-    _check_prime(ell, minimum=5)
+    check_prime(ell, minimum=5)
     if n < 1:
-        raise ValueError("density_In requires n >= 1")
+        raise DomainError("density_In requires n >= 1")
     return Fraction((ell - 1) ** 2, ell ** (n + 2))
 
 
 def density_In_at_least(ell: int, n: int) -> Fraction:
     """Local density of minimal pairs of type I_m for some m >= n >= 1."""
-    _check_prime(ell, minimum=5)
+    check_prime(ell, minimum=5)
     if n < 1:
-        raise ValueError("density_In_at_least requires n >= 1")
+        raise DomainError("density_In_at_least requires n >= 1")
     return Fraction(ell - 1, ell ** (n + 1))
 
 
 def valuation_box_measure(ell: int, v1: int, v2: int) -> Fraction:
     """Measure of {v(a) >= v1, v(b) >= v2}: ell^-(v1+v2)."""
-    _check_prime(ell)
+    check_prime(ell)
     if v1 < 0 or v2 < 0:
-        raise ValueError("valuations must be nonnegative")
+        raise DomainError("valuations must be nonnegative")
     return Fraction(1, ell ** (v1 + v2))
-
-
-def _check_prime(ell: int, minimum: int = 2) -> None:
-    if not is_prime(ell):
-        raise NotPrimeError(f"ell = {ell} is not prime")
-    if ell < minimum:
-        raise PrimeTooSmallError(f"ell = {ell} is below the supported minimum {minimum}")
 
 
 @dataclass(frozen=True)
@@ -91,10 +84,10 @@ class CongruenceDatum:
     def __post_init__(self):
         clean = {}
         for ell, mu in dict(self.measures).items():
-            _check_prime(ell)
+            check_prime(ell)
             mu = Fraction(mu)
             if not 0 <= mu <= 1:
-                raise ValueError(f"measure at {ell} outside [0, 1]: {mu}")
+                raise DomainError(f"measure at {ell} outside [0, 1]: {mu}")
             clean[int(ell)] = mu
         object.__setattr__(self, "measures", clean)
 

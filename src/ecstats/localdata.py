@@ -18,13 +18,12 @@ from enum import Enum
 from typing import Sequence
 
 from . import ffcurve
-from .arith import integer_nth_root, is_prime, sieve_primes
+from .arith import check_prime, integer_nth_root, sieve_primes
 from .errors import (
     BadReductionError,
+    DomainError,
     NotMinimalError,
     NotMultiplicativeError,
-    NotPrimeError,
-    PrimeTooSmallError,
     SingularCurveError,
     SmallBadPrimeError,
 )
@@ -96,13 +95,6 @@ class KodairaType:
         return "additive"
 
 
-def _validate_local_prime(ell: int) -> None:
-    if not is_prime(ell):
-        raise NotPrimeError(f"ell = {ell} is not prime")
-    if ell < 5:
-        raise PrimeTooSmallError(f"ell = {ell}: local classification needs ell >= 5")
-
-
 def kodaira_type(a: int, b: int, ell: int) -> KodairaType:
     """Kodaira classification at a prime ell >= 5 for a minimal pair.
 
@@ -111,7 +103,7 @@ def kodaira_type(a: int, b: int, ell: int) -> KodairaType:
     (a, b) is not (0, 0) mod ell; it is good when v_ell(delta) = 0 and
     additive when (a, b) == (0, 0) mod ell.
     """
-    _validate_local_prime(ell)
+    check_prime(ell, 5)
     delta = discriminant(a, b)
     if delta == 0:
         raise SingularCurveError(f"({a}, {b}) is singular")
@@ -153,10 +145,9 @@ def tamagawa_p_part(a: int, b: int, ell: int, p: int) -> int:
     c_ell in {1, 2} and additive types have c_ell <= 4, both coprime to
     p >= 5; good reduction gives 1.
     """
-    if not is_prime(p) or p < 5:
-        raise PrimeTooSmallError(f"p = {p} must be a prime >= 5")
+    check_prime(p, 5)
     if ell == p:
-        raise ValueError("tamagawa_p_part requires ell != p")
+        raise DomainError("tamagawa_p_part requires ell != p")
     kt = kodaira_type(a, b, ell)
     if not kt.is_multiplicative:
         return 1
@@ -195,8 +186,7 @@ def tamagawa_anomaly_count(a: int, b: int, p: int, bad_primes: Sequence[int]) ->
     pairs with bad reduction at 2 or 3 are rejected).  Requires good
     reduction at p and a globally minimal pair.
     """
-    if not is_prime(p) or p < 5:
-        raise PrimeTooSmallError(f"p = {p} must be a prime >= 5")
+    check_prime(p, 5)
     _check_frak_preconditions(a, b, p)
     n_tam = 0
     for ell in bad_primes:
@@ -218,8 +208,7 @@ def euler_term_valuation(a: int, b: int, p: int, bad_primes: Sequence[int]) -> i
     p-torsion of the reduction is at most one copy of Z/p for p >= 5), so
     its square contributes twice the anomalous flag.
     """
-    if not is_prime(p) or p < 5:
-        raise PrimeTooSmallError(f"p = {p} must be a prime >= 5")
+    check_prime(p, 5)
     _check_frak_preconditions(a, b, p)
     v = 0
     for ell in bad_primes:

@@ -3,7 +3,8 @@
 The height window H(a, b) = max(4|a|^3, 27 b^2) <= x is exactly the box
 |a| <= floor((x/4)^(1/3)), |b| <= floor((x/27)^(1/2)) because the two
 height terms constrain a and b independently.  One numpy pass walks the box
-in blocks of 2^14 pairs; |delta| <= 2x must fit in int64, so x < 2^62.
+in blocks of 2^14 pairs; |delta| <= 2x must fit in int64, so x < 2^62.  The
+empirical_* views read the census they are given, so a survey runs it once.
 enumerate_curves streams it pair by pair (the slow oracle and CSV path).
 
 The growth census classifies each minimal nonsingular curve at a fixed
@@ -34,9 +35,8 @@ import numpy as np
 
 from . import bounds, density, ffcurve, localdata
 from ._version import __version__
-from .arith import (factorize, integer_cbrt, integer_nth_root, is_prime, next_prime,
-                    sieve_primes)
-from .errors import PrimeTooSmallError
+from .arith import check_prime, factorize, integer_cbrt, integer_nth_root, next_prime, sieve_primes
+from .errors import DomainError
 from .intervals import QInterval
 
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
@@ -59,7 +59,7 @@ class HeightWindow:
     @classmethod
     def from_height(cls, x: int) -> "HeightWindow":
         if x < 0:
-            raise ValueError("height bound must be nonnegative")
+            raise DomainError("height bound must be nonnegative")
         return cls(x, integer_cbrt(x // 4), math.isqrt(x // 27))
 
     @property
@@ -190,29 +190,28 @@ class SurveySummary:
         return out
 
 
-def empirical_minimal_density(x: int, truncation: int = density.DEFAULT_TRUNCATION) -> SurveySummary:
-    """Fraction of pairs in the window that are minimal and nonsingular,
-    against the enclosure of the everywhere-minimal density."""
-    counts = dict(_growth_census(None, x).counts)
+def empirical_minimal_density(census: GrowthCensus,
+                              truncation: int = density.DEFAULT_TRUNCATION) -> SurveySummary:
+    """Fraction of pairs in the census window that are minimal and
+    nonsingular, against the enclosure of the everywhere-minimal density."""
+    counts = {k: census.counts[k] for k in ("pairs", *_BUCKETS[:3])}
     theoretical = density.congruence_density(
         density.CongruenceDatum(minimal_elsewhere=True), truncation)
-    return SurveySummary("minimal_density", x, counts,
+    return SurveySummary("minimal_density", census.x, counts,
                          Fraction(counts["curves"], counts["pairs"]), theoretical)
 
 
-def empirical_kodaira_density(ell: int, n: int, x: int) -> SurveySummary:
+def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveySummary:
     """Fraction of minimal nonsingular curves with type I_n at ell, against
-    the exact prediction density_In(ell, n) / minimal_density(ell)."""
-    if not is_prime(ell) or ell < 5:
-        raise PrimeTooSmallError(f"ell = {ell} must be a prime >= 5")
+    the exact prediction density_In(ell, n) / minimal_density(ell).  The
+    census must have been built with ell among its `ells`."""
     if n < 1:
-        raise ValueError("n must be >= 1")
-    census = _growth_census(None, x, (ell,))
+        raise DomainError("n must be >= 1")
     curves = census.counts["curves"]
     hits = census.valuation_hists[ell].get(n, 0)
     theoretical = QInterval.point(density.density_In(ell, n) / density.minimal_density(ell))
     counts = {"pairs": census.counts["pairs"], "curves": curves, "type_In_at_ell": hits}
-    return SurveySummary("kodaira_density", x, counts,
+    return SurveySummary("kodaira_density", census.x, counts,
                          Fraction(hits, curves) if curves else None,
                          theoretical, ell=ell, n=n)
 
@@ -244,6 +243,8 @@ def _certificate_fallback(a: int, b: int, p: int, delta: int,
 
 @dataclass(frozen=True)
 class GrowthCensus:
+    p: int | None
+    x: int
     counts: dict
     strict_hist: dict
     kodaira_hist: dict
@@ -301,11 +302,11 @@ def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthC
     supersingular_at_p, torsion_uncertified or classified, and the
     classified ones into the strict, Kodaira-only and Euler histograms.
     """
-    if p is not None and (not is_prime(p) or p < 5):
-        raise PrimeTooSmallError(f"p = {p} must be a prime >= 5")
+    for prime in ells if p is None else (p, *ells):
+        check_prime(prime, 5)
     if x >= MAX_SURVEY_HEIGHT:
-        raise ValueError(f"height bound x = {x} must be below 2^62, so that "
-                         "|delta| <= 2x fits in int64")
+        raise DomainError(f"height bound x = {x} must be below 2^62, so that "
+                          "|delta| <= 2x fits in int64")
     win = HeightWindow.from_height(x)
     min_primes = win.minimality_primes()
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS[:3] if p is None else _BUCKETS, 0)}
@@ -368,10 +369,17 @@ def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthC
         _tally(strict_hist, g_strict)
         _tally(kodaira_hist, g_kodaira)
         _tally(euler_hist, euler_v)
-    return GrowthCensus(counts, strict_hist, kodaira_hist, euler_hist, valuation_hists)
+    return GrowthCensus(p, x, counts, strict_hist, kodaira_hist, euler_hist, valuation_hists)
 
 
-def empirical_selmer_growth(p: int, n: int, x: int, kodaira_only: bool = False,
+def _check_growth_view(census: GrowthCensus, n: int) -> None:
+    if census.p is None:
+        raise DomainError("this view needs a census built at a prime p")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+
+
+def empirical_selmer_growth(census: GrowthCensus, n: int, kodaira_only: bool = False,
                             truncation: int | None = None) -> SurveySummary:
     """Fraction of classified curves whose growth invariant at p is >= n.
 
@@ -383,13 +391,11 @@ def empirical_selmer_growth(p: int, n: int, x: int, kodaira_only: bool = False,
     for comparison; the bound is one-sided, so the empirical ratio is
     expected to sit above its .lo endpoint.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    census = _growth_census(p, x)
+    _check_growth_view(census, n)
     hits_strict = census.tail(census.strict_hist, n)
     hits_kodaira = census.tail(census.kodaira_hist, n)
     classified = census.counts["classified"]
-    report = bounds.selmer_growth_bound(p, n, truncation)
+    report = bounds.selmer_growth_bound(census.p, n, truncation)
     hits = hits_kodaira if kodaira_only else hits_strict
     counts = {**census.counts, "growth_ge_n_strict": hits_strict,
               "growth_ge_n_kodaira_only": hits_kodaira}
@@ -398,25 +404,23 @@ def empirical_selmer_growth(p: int, n: int, x: int, kodaira_only: bool = False,
         "empirical_strict": Fraction(hits_strict, classified) if classified else None,
         "empirical_kodaira_only": Fraction(hits_kodaira, classified) if classified else None,
     }
-    return SurveySummary("selmer_growth", x, counts,
+    return SurveySummary("selmer_growth", census.x, counts,
                          Fraction(hits, classified) if classified else None,
-                         report.value, p=p, n=n, extras=extras)
+                         report.value, p=census.p, n=n, extras=extras)
 
 
-def empirical_euler_divisibility(p: int, n: int, x: int,
+def empirical_euler_divisibility(census: GrowthCensus, n: int,
                                  truncation: int | None = None) -> SurveySummary:
     """Fraction of classified curves with v_p(Euler term) >= n, with the
     corresponding certified lower bound attached."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    census = _growth_census(p, x)
+    _check_growth_view(census, n)
     hits = census.tail(census.euler_hist, n)
     classified = census.counts["classified"]
-    report = bounds.euler_divisibility_bound(p, n, truncation)
+    report = bounds.euler_divisibility_bound(census.p, n, truncation)
     counts = {**census.counts, "euler_valuation_ge_n": hits}
-    return SurveySummary("euler_divisibility", x, counts,
+    return SurveySummary("euler_divisibility", census.x, counts,
                          Fraction(hits, classified) if classified else None,
-                         report.value, p=p, n=n)
+                         report.value, p=census.p, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +457,18 @@ def montecarlo_local_measure(ell: int, exponent: int, predicate: Callable,
     estimated q.
     """
     if exponent < 1:
-        raise ValueError("exponent must be >= 1")
+        raise DomainError("exponent must be >= 1")
     if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+        raise DomainError("samples must be >= 1000")
     modulus = ell**exponent
     if modulus > _MC_MAX_MODULUS:
-        raise ValueError(f"ell^exponent must be <= {_MC_MAX_MODULUS}")
+        raise DomainError(f"ell^exponent must be <= {_MC_MAX_MODULUS}")
     rng = np.random.default_rng(seed)
     a = rng.integers(0, modulus, size=samples, dtype=np.int64)
     b = rng.integers(0, modulus, size=samples, dtype=np.int64)
     mask = np.asarray(predicate(a, b))
     if mask.shape != a.shape:
-        raise ValueError("predicate must return one boolean per sample")
+        raise DomainError("predicate must return one boolean per sample")
     hits = int(mask.sum())
     q = Fraction(hits, samples)
     se = math.sqrt(float(q) * (1.0 - float(q)) / samples)

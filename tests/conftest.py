@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from ecstats import verify
+
+# the property tests draw the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,12 @@ def report(criterion: str, passed: bool, detail: str = ""):
     assert passed, line
 
 
+def census_1e8():
+    """The x = 1e8 census at p = 7 with the ell = 5, 7 valuation histograms;
+    it is cached, so criteria 3, 4 and 8 read one pass over the box."""
+    return survey._growth_census(7, 10**8, (5, 7))
+
+
 GRID_P = (5, 7, 11, 13)
 GRID_N = (1, 2, 3)
 
@@ -57,7 +63,7 @@ def test_criterion_02_singular_count_identity():
 
 def test_criterion_03_minimality_density():
     """|minimal fraction at x = 1e8  -  1/zeta(10)| < 1e-3."""
-    s = survey.empirical_minimal_density(10**8)
+    s = survey.empirical_minimal_density(census_1e8())
     tol = Fraction(1, 1000)
     ok = (s.empirical + tol >= s.theoretical.lo) and (s.empirical - tol <= s.theoretical.hi)
     # the singular locus is thin at this height
@@ -70,7 +76,7 @@ def test_criterion_03_minimality_density():
 @pytest.mark.parametrize("ell", [5, 7])
 def test_criterion_04_kodaira_density(ell):
     """I_1 fraction at x = 1e8 within 5e-3 of the exact local prediction."""
-    s = survey.empirical_kodaira_density(ell, 1, 10**8)
+    s = survey.empirical_kodaira_density(census_1e8(), ell, 1)
     gap = abs(s.empirical - s.theoretical.midpoint)
     report(f"4 Kodaira I_1 density at ell={ell}, x=1e8 (tol 5e-3)",
            gap < Fraction(5, 1000),
@@ -185,7 +191,7 @@ def test_criterion_08_bound_vs_survey(bound_laws):
     """At x = 1e8, p = 7, n = 1: strict empirical growth fraction exceeds
     the certified bound minus the documented 0.01 slack, and the exact
     family density for (sigma={5}, k=1) exceeds its simplified bound."""
-    g = survey.empirical_selmer_growth(7, 1, 10**8)
+    g = survey.empirical_selmer_growth(census_1e8(), 1)
     slack = Fraction(1, 100)
     ok_growth = g.empirical >= g.theoretical.lo - slack
     family = bound_laws["family density exceeds its stated bound"]

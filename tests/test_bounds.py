@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from ecstats import bounds, ffcurve, verify
+from ecstats import arith, bounds, ffcurve, verify
 from ecstats.errors import ExcludedPrimeError, TruncationError
 from ecstats.intervals import QInterval
 
@@ -125,6 +125,22 @@ def test_chi_and_growth_share_symmetric_terms():
     assert chi.terms.sym_main == g.terms.sym_main
     assert chi.terms.sym_aux == bounds.prime_symmetric_sum(0, 7, g.truncation)
     assert g.terms.sym_aux == bounds.prime_symmetric_sum(1, 7, g.truncation)
+
+
+def test_bound_report_sweeps_the_primes_once(monkeypatch):
+    """The main and auxiliary orders come from one sweep: one weight per
+    prime <= truncation outside {2, 3, p}."""
+    calls = []
+    weight = bounds.kodaira_multiple_weight
+
+    def counted(ell, p):
+        calls.append(ell)
+        return weight(ell, p)
+
+    monkeypatch.setattr(bounds, "kodaira_multiple_weight", counted)
+    r = bounds.selmer_growth_bound(13, 3, 200)
+    assert calls == [ell for ell in arith.primes_in(2, 200) if ell not in (2, 3, 13)]
+    assert r.terms.sym_aux == bounds.prime_symmetric_sum(2, 13, 200)
 
 
 def test_family_density_exceeds_stated_bound(bound_laws):

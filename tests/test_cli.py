@@ -91,6 +91,26 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("ecstats: error: ")
 
 
+def test_internal_value_error_keeps_traceback(monkeypatch):
+    """Only DomainError becomes a one-line exit 2; a plain ValueError from
+    inside a subcommand is a fault and propagates."""
+    def broken(ell, n):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.density, "density_In", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["densities", "--ell", "5", "--type", "In"])
+
+
+def test_survey_runs_one_pass(capsys):
+    survey._growth_census.cache_clear()
+    code, out, _ = run_cli(["survey", "--x", "10000", "--p", "11"], capsys)
+    assert code == 0
+    assert set(json.loads(out)["blocks"]) == {"minimal", "selmer_growth", "euler_divisibility",
+                                              "kodaira_I1_at_5", "kodaira_I1_at_7"}
+    assert survey._growth_census.cache_info().misses == 1
+
+
 _INTS = st.integers(min_value=-3, max_value=50)
 _ARGV = st.one_of(
     st.tuples(st.just("densities"), st.just("--ell"), _INTS,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ecstats import arith, density, ffcurve, localdata, survey
+from ecstats.errors import DomainError, NotPrimeError, PrimeTooSmallError
 from ecstats.survey import HeightWindow
 
 
@@ -61,7 +62,7 @@ def test_enumerate_against_naive_oracle():
 
 
 def test_minimal_density_summary_small():
-    s = survey.empirical_minimal_density(10**6)
+    s = survey.empirical_minimal_density(survey._growth_census(None, 10**6))
     assert s.counts["pairs"] == survey.count_pairs(10**6)
     assert s.counts["singular"] + s.counts["nonminimal"] + s.counts["curves"] \
         == s.counts["pairs"]
@@ -72,7 +73,7 @@ def test_minimal_density_summary_small():
 
 def test_kodaira_summary_matches_slow_records():
     x, ell, n = 10**4, 5, 1
-    s = survey.empirical_kodaira_density(ell, n, x)
+    s = survey.empirical_kodaira_density(survey._growth_census(None, x, (ell,)), ell, n)
     slow_hits = 0
     slow_curves = 0
     for rec in survey.enumerate_curves(x, classify=True):
@@ -173,7 +174,7 @@ def test_growth_census_pinned_histograms(p, x):
 
 
 def test_growth_census_bucket_partition():
-    g = survey.empirical_selmer_growth(7, 1, 10**5)
+    g = survey.empirical_selmer_growth(survey._growth_census(7, 10**5), 1)
     c = g.counts
     assert c["pairs"] == c["singular"] + c["nonminimal"] + c["curves"]
     assert c["curves"] == (c["bad_at_2_or_3"] + c["bad_at_p"] +
@@ -182,14 +183,33 @@ def test_growth_census_bucket_partition():
     assert c["growth_ge_n_kodaira_only"] >= c["growth_ge_n_strict"]
 
 
+def test_growth_census_checks_primes_before_scanning(monkeypatch):
+    def no_scan(x):
+        raise AssertionError("the census scanned before checking its primes")
+
+    monkeypatch.setattr(survey.HeightWindow, "from_height", no_scan)
+    with pytest.raises(NotPrimeError):
+        survey._growth_census(None, 100, (4,))
+    with pytest.raises(PrimeTooSmallError):
+        survey._growth_census(7, 100, (5, 3))
+
+
+def test_growth_views_need_a_census_at_p():
+    census = survey._growth_census(None, 100, (5,))
+    with pytest.raises(DomainError):
+        survey.empirical_selmer_growth(census, 1)
+    with pytest.raises(DomainError):
+        survey.empirical_euler_divisibility(census, 1)
+
+
 def test_growth_census_determinism():
-    a = survey.empirical_selmer_growth(7, 1, 10**4)
-    b = survey.empirical_selmer_growth(7, 1, 10**4)
+    a = survey.empirical_selmer_growth(survey._growth_census(7, 10**4), 1)
+    b = survey.empirical_selmer_growth(survey._growth_census(7, 10**4), 1)
     assert a.counts == b.counts and a.empirical == b.empirical
 
 
 def test_summary_json_roundtrip():
-    s = survey.empirical_kodaira_density(5, 1, 10**4)
+    s = survey.empirical_kodaira_density(survey._growth_census(None, 10**4, (5,)), 5, 1)
     js = s.to_json()
     assert js["kind"] == "kodaira_density"
     assert js["counts"]["curves"] == s.counts["curves"]
@@ -216,7 +236,7 @@ def test_kodaira_classes_partition_curves():
         else:
             additive += 1
     assert good + additive + sum(mult.values()) == total
-    s = survey.empirical_kodaira_density(ell, 1, x)
+    s = survey.empirical_kodaira_density(survey._growth_census(None, x, (ell,)), ell, 1)
     assert mult.get(1, 0) == s.counts["type_In_at_ell"]
 
 
