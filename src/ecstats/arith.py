@@ -7,22 +7,28 @@ from functools import lru_cache
 
 from .errors import NotPrimeError, PrimeTooSmallError
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes <= 37: is_prime's trial divisors, and its deterministic
+# Miller-Rabin witnesses for n < 3.3 * 10^24.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# factorize divides by every candidate up to here before Pollard rho
+_TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # a composite n < 41^2 has a prime factor <= 37
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -119,10 +125,10 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
 
-    Trial division up to trial_limit, then Miller-Rabin plus Pollard rho
+    Trial division up to 10^6, then Miller-Rabin plus Pollard rho
     for whatever survives.
     """
     if n == 0:
@@ -136,12 +142,12 @@ def factorize(n: int, trial_limit: int = 10**6) -> dict[int, int]:
     # wheel over 6k +- 1
     f = 7
     step = 4
-    limit = min(trial_limit, math.isqrt(n))
+    limit = min(_TRIAL_LIMIT, math.isqrt(n))
     while f <= limit:
         if n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
-            limit = min(trial_limit, math.isqrt(n))
+            limit = min(_TRIAL_LIMIT, math.isqrt(n))
         else:
             f += step
             step = 6 - step

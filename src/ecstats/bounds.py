@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import ffcurve
+from . import density, ffcurve
 from .arith import check_prime, is_prime, sieve_primes
 from .errors import DomainError, ExcludedPrimeError, TruncationError
 from .intervals import QInterval, round_fraction
@@ -44,13 +44,16 @@ def default_truncation(p: int) -> int:
     return 10 * p + 100
 
 
+def _check_index_prime(ell: int, p: int) -> None:
+    """The symmetric sums and families run over the primes ell >= 5, ell != p."""
+    if ell == p or ell < 5 or not is_prime(ell):
+        raise ExcludedPrimeError(f"ell = {ell} is not a prime >= 5 other than p = {p}")
+
+
 def kodaira_multiple_weight(ell: int, p: int) -> Fraction:
     """f(ell) = ell^8 (ell-1)^2 / ((ell^10 - 1)(ell^p - 1)), ell outside {2,3,p}."""
     check_prime(p, 5)
-    if ell in (2, 3) or ell == p:
-        raise ExcludedPrimeError(f"ell = {ell} is excluded for p = {p}")
-    if not is_prime(ell) or ell < 5:
-        raise ExcludedPrimeError(f"ell = {ell} must be a prime >= 5")
+    _check_index_prime(ell, p)
     return Fraction(ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1))
 
 
@@ -232,32 +235,6 @@ class FamilyDensity:
     exact: QInterval
     stated_bound: QInterval
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "p": self.p,
-            "k": self.k,
-            "sigma": list(self.sigma),
-            "anomalous": self.anomalous,
-            "exact": self.exact.to_json(),
-            "stated_bound": self.stated_bound.to_json(),
-        }
-
-
-def _family_sigma_factor(ell: int, p: int, k: int, normalized: bool) -> Fraction:
-    """sum_{j=1..k} of the I_{jp} density at ell, optionally divided by the
-    minimal density (the normalized form appears in the simplified bound)."""
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        if normalized:
-            e = j * p - 8
-            num = (ell - 1) ** 2 * ell ** max(0, -e)
-            den = (ell**10 - 1) * ell ** max(0, e)
-            total += Fraction(num, den)
-        else:
-            total += Fraction((ell - 1) ** 2, ell ** (j * p + 2))
-    return total
-
 
 def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool = False,
                           truncation: int | None = None,
@@ -274,44 +251,39 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
 
     with the infinite product enclosed by exact factors up to the truncation
     point and a one-sided tail.  `stated_bound` is the simplified strict
-    lower bound (1/zeta(p)) * prod_sigma-normalized * p^8 N_class/(p^10-1);
-    the exact density always exceeds it.
+    lower bound (1/zeta(p)) * prod_sigma-normalized * p^8 N_class/(p^10-1),
+    where each sigma factor is divided by the minimal density 1 - ell^-10;
+    the exact density always exceeds it.  Every local factor is read from
+    `density`, and p^8 N_class/(p^10-1) is the weight from class_weights.
     """
     check_prime(p, 5)
     if k < 1:
         raise DomainError("k must be >= 1")
     sigma = tuple(sorted(set(int(ell) for ell in sigma)))
     for ell in sigma:
-        if ell in (2, 3) or ell == p:
-            raise ExcludedPrimeError(f"sigma may not contain {ell}")
-        if not is_prime(ell) or ell < 5:
-            raise ExcludedPrimeError(f"sigma entry {ell} must be a prime >= 5")
+        _check_index_prime(ell, p)
     if truncation is None:
         truncation = default_truncation(p)
     if truncation < 11:
         raise TruncationError("truncation must be >= 11")
 
     counts = ffcurve.residue_class_counts(p)
-    n_class = counts.anomalous if anomalous else counts.ordinary
-
-    explicit = Fraction(n_class, p * p)
+    explicit = counts.anomalous_density if anomalous else counts.ordinary_density
+    w_ord, w_anom = class_weights(p)
+    stated = w_anom if anomalous else w_ord
     for ell in sigma:
-        explicit *= _family_sigma_factor(ell, p, k, normalized=False)
+        mass = sum(density.density_In(ell, j * p) for j in range(1, k + 1))
+        explicit *= mass
+        stated *= mass / density.minimal_density(ell)
     excluded = set(sigma) | {2, 3, p}
     for ell in sieve_primes(truncation):
-        if ell in excluded:
-            continue
-        q10 = ell**10
-        explicit *= Fraction(q10 - 1, q10) - Fraction(ell - 1, ell ** (p + 1))
+        if ell not in excluded:
+            explicit *= density.minimal_density(ell) - density.density_In_at_least(ell, p)
     # every omitted factor 1 - eps_ell has eps_ell < ell^-10 + ell^-p
     tail_lo = 1 - (Fraction(1, 9 * truncation**9)
                    + Fraction(1, (p - 1) * truncation ** (p - 1)))
     if tail_lo <= 0:
         raise TruncationError(f"tail bound vacuous at truncation {truncation}")
     exact = zeta_enclosure(10, zeta_terms) * QInterval(tail_lo, Fraction(1)) * explicit
-
-    stated = Fraction(p**8 * n_class, p**10 - 1)
-    for ell in sigma:
-        stated *= _family_sigma_factor(ell, p, k, normalized=True)
     stated_bound = zeta_reciprocal(p, zeta_terms) * stated
     return FamilyDensity(p, k, sigma, anomalous, exact, stated_bound)

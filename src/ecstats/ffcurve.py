@@ -25,13 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime
-from .errors import (
-    NotPrimeError,
-    PrimeTooLargeError,
-    PrimeTooSmallError,
-    SingularCurveError,
-)
+from .arith import check_prime
+from .errors import PrimeTooLargeError, SingularCurveError
 
 MAX_FIELD_PRIME = 1 << 20
 # class_code_table / point_count_table materialize p^2 entries
@@ -77,21 +72,10 @@ class ClassCounts:
     def anomalous_density(self) -> Fraction:
         return Fraction(self.anomalous, self.p * self.p)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n_ordinary": self.ordinary,
-            "n_anomalous": self.anomalous,
-            "n_supersingular": self.supersingular,
-            "n_singular": self.singular,
-            "ordinary_density": float(self.ordinary_density),
-            "anomalous_density": float(self.anomalous_density),
-        }
 
-
-def _validate_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not an odd prime")
+def _check_field_prime(p: int, minimum: int) -> None:
+    """check_prime(p, minimum), then the cap on p that every table here shares."""
+    check_prime(p, minimum)
     if p >= MAX_FIELD_PRIME:
         raise PrimeTooLargeError(f"p = {p} exceeds the supported cap 2^20")
 
@@ -99,7 +83,7 @@ def _validate_odd_prime(p: int) -> None:
 @lru_cache(maxsize=64)
 def chi_table(p: int) -> tuple[int, ...]:
     """Quadratic character values (chi(t) for t in [0, p)), chi(0) = 0."""
-    _validate_odd_prime(p)
+    _check_field_prime(p, 3)
     chi = [-1] * p
     chi[0] = 0
     for x in range(1, (p - 1) // 2 + 1):
@@ -118,7 +102,7 @@ def count_points(p: int, a: int, b: int) -> int:
     Raises SingularCurveError when 4a^3 + 27b^2 == 0 mod p.  The result is
     always in the Hasse interval [p + 1 - 2 sqrt(p), p + 1 + 2 sqrt(p)].
     """
-    _validate_odd_prime(p)
+    _check_field_prime(p, 3)
     if discriminant_mod(p, a, b) == 0:
         raise SingularCurveError(f"discriminant vanishes mod {p} for ({a}, {b})")
     chi = chi_table(p)
@@ -132,7 +116,7 @@ def count_points(p: int, a: int, b: int) -> int:
 
 def classify_residue(p: int, a: int, b: int) -> ResidueClass:
     """Classify one residue pair by discriminant and point count mod p."""
-    _validate_odd_prime(p)
+    _check_field_prime(p, 3)
     if discriminant_mod(p, a, b) == 0:
         return ResidueClass(PointClass.SINGULAR, None)
     n = count_points(p, a, b)
@@ -142,12 +126,6 @@ def classify_residue(p: int, a: int, b: int) -> ResidueClass:
     if r == 1:
         return ResidueClass(PointClass.SUPERSINGULAR, n)
     return ResidueClass(PointClass.ORDINARY, n)
-
-
-def _validate_census_prime(p: int) -> None:
-    _validate_odd_prime(p)
-    if p < 5:
-        raise PrimeTooSmallError("the census requires p >= 5")
 
 
 def _row_traces(p: int, chi, a: int):
@@ -191,7 +169,7 @@ def residue_class_counts(p: int) -> ClassCounts:
     twisting keeps t = 0 and singularity, and as u runs over F_p^* half the
     rows see t == 1 and half see t == -1 mod p as anomalous.
     """
-    _validate_census_prime(p)
+    _check_field_prime(p, 5)
     _, _, traces, singular = _twist_rows(p)
     residues = [t[~sing] % p for t, sing in zip(traces, singular)]
     n_sing = int(singular[0].sum()) + (p - 1) // 2 * int(singular[1:].sum())
@@ -231,7 +209,7 @@ def class_code_table(p: int) -> bytes:
     0 = singular, 1 = ordinary, 2 = anomalous, 3 = supersingular.  Returned
     as bytes for O(1) scalar lookups in enumeration loops.
     """
-    _validate_census_prime(p)
+    _check_field_prime(p, 5)
     counts, sing = _twist_table(p)
     r = counts % p
     codes = np.where(r == 0, _CODE_ANOMALOUS,
@@ -242,6 +220,6 @@ def class_code_table(p: int) -> bytes:
 @lru_cache(maxsize=32)
 def point_count_table(p: int) -> tuple[int, ...]:
     """#E(F_p) for every residue pair, indexed by a*p + b; -1 for singular."""
-    _validate_census_prime(p)
+    _check_field_prime(p, 5)
     counts, sing = _twist_table(p)
     return tuple(np.where(sing, -1, counts).ravel().tolist())

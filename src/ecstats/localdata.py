@@ -2,8 +2,10 @@
 
 Covers the naive height, ell-adic valuations, minimality, the Kodaira
 classification at primes ell >= 5, the split/nonsplit dichotomy for
-multiplicative reduction, Tamagawa p-parts, and the combined count of
-"p divides a Tamagawa number" primes plus the anomalous flag at p.
+multiplicative reduction, Tamagawa p-parts, and the two growth invariants
+at p built from them: the count of "p divides a Tamagawa number" primes plus
+the anomalous flag, and the Euler-term valuation.  Both read one list of
+Tamagawa exponents and the same anomalous flag.
 
 Primes 2 and 3 are deliberately out of scope: classifying bad reduction
 there would require the full Tate algorithm, and every consumer in this
@@ -179,6 +181,22 @@ def _check_frak_preconditions(a: int, b: int, p: int) -> int:
     return delta
 
 
+def _tamagawa_exponents(a: int, b: int, p: int, bad_primes: Sequence[int]) -> tuple[list[int], int]:
+    """v_p(c_ell) for each bad prime ell != p, and the anomalous flag
+    [p | #E(F_p)], after the checks both growth invariants share."""
+    check_prime(p, 5)
+    _check_frak_preconditions(a, b, p)
+    exponents = []
+    for ell in bad_primes:
+        if ell == p:
+            continue
+        if ell < 5:
+            raise SmallBadPrimeError(f"bad prime {ell} < 5 is out of scope")
+        exponents.append(int(valuation(tamagawa_p_part(a, b, ell, p), p)))
+    flag = 1 if ffcurve.count_points(p, a % p, b % p) % p == 0 else 0
+    return exponents, flag
+
+
 def tamagawa_anomaly_count(a: int, b: int, p: int, bad_primes: Sequence[int]) -> TamagawaAnomalyCount:
     """The growth invariant at p: #{ell != p : p | c_ell} + [p | #E(F_p)].
 
@@ -186,18 +204,8 @@ def tamagawa_anomaly_count(a: int, b: int, p: int, bad_primes: Sequence[int]) ->
     pairs with bad reduction at 2 or 3 are rejected).  Requires good
     reduction at p and a globally minimal pair.
     """
-    check_prime(p, 5)
-    _check_frak_preconditions(a, b, p)
-    n_tam = 0
-    for ell in bad_primes:
-        if ell == p:
-            continue
-        if ell < 5:
-            raise SmallBadPrimeError(f"bad prime {ell} < 5 is out of scope")
-        if tamagawa_p_part(a, b, ell, p) > 1:
-            n_tam += 1
-    n = ffcurve.count_points(p, a % p, b % p)
-    flag = 1 if n % p == 0 else 0
+    exponents, flag = _tamagawa_exponents(a, b, p, bad_primes)
+    n_tam = sum(1 for v in exponents if v > 0)
     return TamagawaAnomalyCount(n_tam, flag, n_tam + flag)
 
 
@@ -208,16 +216,5 @@ def euler_term_valuation(a: int, b: int, p: int, bad_primes: Sequence[int]) -> i
     p-torsion of the reduction is at most one copy of Z/p for p >= 5), so
     its square contributes twice the anomalous flag.
     """
-    check_prime(p, 5)
-    _check_frak_preconditions(a, b, p)
-    v = 0
-    for ell in bad_primes:
-        if ell == p:
-            continue
-        if ell < 5:
-            raise SmallBadPrimeError(f"bad prime {ell} < 5 is out of scope")
-        v += int(valuation(tamagawa_p_part(a, b, ell, p), p))
-    n = ffcurve.count_points(p, a % p, b % p)
-    if n % p == 0:
-        v += 2
-    return v
+    exponents, flag = _tamagawa_exponents(a, b, p, bad_primes)
+    return sum(exponents) + 2 * flag

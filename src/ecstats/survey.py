@@ -190,13 +190,12 @@ class SurveySummary:
         return out
 
 
-def empirical_minimal_density(census: GrowthCensus,
-                              truncation: int = density.DEFAULT_TRUNCATION) -> SurveySummary:
+def empirical_minimal_density(census: GrowthCensus) -> SurveySummary:
     """Fraction of pairs in the census window that are minimal and
     nonsingular, against the enclosure of the everywhere-minimal density."""
     counts = {k: census.counts[k] for k in ("pairs", *_BUCKETS[:3])}
     theoretical = density.congruence_density(
-        density.CongruenceDatum(minimal_elsewhere=True), truncation)
+        density.CongruenceDatum(minimal_elsewhere=True))
     return SurveySummary("minimal_density", census.x, counts,
                          Fraction(counts["curves"], counts["pairs"]), theoretical)
 
@@ -379,8 +378,8 @@ def _check_growth_view(census: GrowthCensus, n: int) -> None:
         raise DomainError("n must be >= 1")
 
 
-def empirical_selmer_growth(census: GrowthCensus, n: int, kodaira_only: bool = False,
-                            truncation: int | None = None) -> SurveySummary:
+def empirical_selmer_growth(census: GrowthCensus, n: int,
+                            kodaira_only: bool = False) -> SurveySummary:
     """Fraction of classified curves whose growth invariant at p is >= n.
 
     The denominator is the classified set: minimal, nonsingular, good at 2,
@@ -395,7 +394,7 @@ def empirical_selmer_growth(census: GrowthCensus, n: int, kodaira_only: bool = F
     hits_strict = census.tail(census.strict_hist, n)
     hits_kodaira = census.tail(census.kodaira_hist, n)
     classified = census.counts["classified"]
-    report = bounds.selmer_growth_bound(census.p, n, truncation)
+    report = bounds.selmer_growth_bound(census.p, n)
     hits = hits_kodaira if kodaira_only else hits_strict
     counts = {**census.counts, "growth_ge_n_strict": hits_strict,
               "growth_ge_n_kodaira_only": hits_kodaira}
@@ -409,14 +408,13 @@ def empirical_selmer_growth(census: GrowthCensus, n: int, kodaira_only: bool = F
                          report.value, p=census.p, n=n, extras=extras)
 
 
-def empirical_euler_divisibility(census: GrowthCensus, n: int,
-                                 truncation: int | None = None) -> SurveySummary:
+def empirical_euler_divisibility(census: GrowthCensus, n: int) -> SurveySummary:
     """Fraction of classified curves with v_p(Euler term) >= n, with the
     corresponding certified lower bound attached."""
     _check_growth_view(census, n)
     hits = census.tail(census.euler_hist, n)
     classified = census.counts["classified"]
-    report = bounds.euler_divisibility_bound(census.p, n, truncation)
+    report = bounds.euler_divisibility_bound(census.p, n)
     counts = {**census.counts, "euler_valuation_ge_n": hits}
     return SurveySummary("euler_divisibility", census.x, counts,
                          Fraction(hits, classified) if classified else None,
@@ -436,14 +434,6 @@ class MonteCarloResult:
     hits: int
     estimate: Fraction
     std_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell, "exponent": self.exponent, "samples": self.samples,
-            "seed": self.seed, "hits": self.hits,
-            "estimate": str(self.estimate), "estimate_decimal": float(self.estimate),
-            "std_error": self.std_error,
-        }
 
 
 def montecarlo_local_measure(ell: int, exponent: int, predicate: Callable,

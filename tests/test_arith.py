@@ -25,7 +25,8 @@ def test_is_prime_carmichael_and_large():
 
 
 def test_sieve_matches_is_prime():
-    assert list(sieve_primes(200)) == [n for n in range(201) if is_prime(n)]
+    # crosses 41^2 = 1681, where is_prime stops answering by trial division
+    assert list(sieve_primes(5000)) == [n for n in range(5001) if is_prime(n)]
 
 
 def test_primes_in_and_next_prime():

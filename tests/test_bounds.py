@@ -5,7 +5,7 @@ import pytest
 
 from ecstats import arith, bounds, ffcurve, verify
 from ecstats.errors import ExcludedPrimeError, TruncationError
-from ecstats.intervals import QInterval
+from ecstats.intervals import QInterval, round_fraction
 
 mp.mp.dps = 40
 
@@ -151,6 +151,26 @@ def test_family_density_exceeds_stated_bound(bound_laws):
     assert anom.exact.lo > anom.stated_bound.hi
     # anomalous family is the rarer one
     assert anom.exact.hi < fam.exact.lo
+
+
+# 40-digit lower endpoints of (exact, stated_bound), recorded from a closed
+# form of the sigma factors written independently of density_In
+FAMILY_PINS = [
+    (((5, 11), 2, 7, False),
+     ("1135578017498661936163913767568792284073/5000000000000000000000000000000000000000000000000000",
+      "562528227393778631161557655407155779731/2500000000000000000000000000000000000000000000000000")),
+    (((17,), 1, 5, True),
+     ("7493496688024886739812616419875652113679/100000000000000000000000000000000000000000000000",
+      "7219885446102652001513713390970176044407/100000000000000000000000000000000000000000000000")),
+]
+
+
+@pytest.mark.parametrize("args, pins", FAMILY_PINS)
+def test_family_density_pinned(args, pins):
+    sigma, k, p, anomalous = args
+    fam = bounds.growth_family_density(sigma, k, p, anomalous=anomalous, truncation=200)
+    assert tuple(str(round_fraction(iv.lo, 40, up=False))
+                 for iv in (fam.exact, fam.stated_bound)) == pins
 
 
 def test_family_density_empty_sigma_matches_euler_n0():

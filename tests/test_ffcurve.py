@@ -105,7 +105,7 @@ def test_nonzero_twist_preserves_singularity():
 def test_validation_errors():
     with pytest.raises(NotPrimeError):
         ffcurve.count_points(9, 1, 1)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(PrimeTooSmallError):
         ffcurve.count_points(2, 1, 1)
     with pytest.raises(PrimeTooSmallError):
         ffcurve.residue_class_counts(3)
