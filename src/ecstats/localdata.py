@@ -4,8 +4,9 @@ Covers the naive height, ell-adic valuations, minimality, the Kodaira
 classification at primes ell >= 5, the split/nonsplit dichotomy for
 multiplicative reduction, Tamagawa p-parts, and the two growth invariants
 at p built from them: the count of "p divides a Tamagawa number" primes plus
-the anomalous flag, and the Euler-term valuation.  Both read one list of
-Tamagawa exponents and the same anomalous flag.
+the anomalous flag, and the Euler-term valuation.  One call of
+tamagawa_anomaly_count computes both from one list of Tamagawa exponents
+and the anomalous flag.
 
 Primes 2 and 3 are deliberately out of scope: classifying bad reduction
 there would require the full Tate algorithm, and every consumer in this
@@ -161,11 +162,13 @@ def tamagawa_p_part(a: int, b: int, ell: int, p: int) -> int:
 @dataclass(frozen=True)
 class TamagawaAnomalyCount:
     """Count of primes where p divides the Tamagawa number, plus the
-    anomalous flag at p; total is their sum."""
+    anomalous flag at p; total is their sum.  euler_valuation is the sum of
+    the exponents v_p(c_ell) plus twice the flag."""
 
     tamagawa_primes: int
     anomalous_flag: int
     total: int
+    euler_valuation: int
 
 
 def _check_frak_preconditions(a: int, b: int, p: int) -> int:
@@ -181,32 +184,30 @@ def _check_frak_preconditions(a: int, b: int, p: int) -> int:
     return delta
 
 
-def _tamagawa_exponents(a: int, b: int, p: int, bad_primes: Sequence[int]) -> tuple[list[int], int]:
-    """v_p(c_ell) for each bad prime ell != p, and the anomalous flag
-    [p | #E(F_p)], after the checks both growth invariants share."""
+def tamagawa_anomaly_count(a: int, b: int, p: int, bad_primes: Sequence[int]) -> TamagawaAnomalyCount:
+    """The growth invariant at p: #{ell != p : p | c_ell} + [p | #E(F_p)],
+    and the Euler-term valuation read off the same exponents and flag.
+
+    `bad_primes` must list each prime dividing the discriminant exactly once
+    (all >= 5; pairs with bad reduction at 2 or 3 are rejected).  Requires
+    good reduction at p and a globally minimal pair.
+    """
     check_prime(p, 5)
-    _check_frak_preconditions(a, b, p)
+    cofactor = _check_frak_preconditions(a, b, p)
     exponents = []
     for ell in bad_primes:
-        if ell == p:
-            continue
-        if ell < 5:
-            raise SmallBadPrimeError(f"bad prime {ell} < 5 is out of scope")
+        # tamagawa_p_part checks that ell is a prime >= 5: with ell = 1 the
+        # division loop below would never end
         exponents.append(int(valuation(tamagawa_p_part(a, b, ell, p), p)))
-    flag = 1 if ffcurve.count_points(p, a % p, b % p) % p == 0 else 0
-    return exponents, flag
-
-
-def tamagawa_anomaly_count(a: int, b: int, p: int, bad_primes: Sequence[int]) -> TamagawaAnomalyCount:
-    """The growth invariant at p: #{ell != p : p | c_ell} + [p | #E(F_p)].
-
-    `bad_primes` must be the primes dividing the discriminant (all >= 5;
-    pairs with bad reduction at 2 or 3 are rejected).  Requires good
-    reduction at p and a globally minimal pair.
-    """
-    exponents, flag = _tamagawa_exponents(a, b, p, bad_primes)
+        if cofactor % ell:
+            raise DomainError(f"{ell} is repeated in bad_primes or does not divide the discriminant")
+        while cofactor % ell == 0:
+            cofactor //= ell
+    if abs(cofactor) != 1:
+        raise DomainError("bad_primes must list every prime factor of the discriminant")
+    flag = int(ffcurve.classify_residue(p, a % p, b % p).kind is ffcurve.PointClass.ANOMALOUS)
     n_tam = sum(1 for v in exponents if v > 0)
-    return TamagawaAnomalyCount(n_tam, flag, n_tam + flag)
+    return TamagawaAnomalyCount(n_tam, flag, n_tam + flag, sum(exponents) + 2 * flag)
 
 
 def euler_term_valuation(a: int, b: int, p: int, bad_primes: Sequence[int]) -> int:
@@ -216,5 +217,4 @@ def euler_term_valuation(a: int, b: int, p: int, bad_primes: Sequence[int]) -> i
     p-torsion of the reduction is at most one copy of Z/p for p >= 5), so
     its square contributes twice the anomalous flag.
     """
-    exponents, flag = _tamagawa_exponents(a, b, p, bad_primes)
-    return sum(exponents) + 2 * flag
+    return tamagawa_anomaly_count(a, b, p, bad_primes).euler_valuation

@@ -40,7 +40,6 @@ from .errors import DomainError
 from .intervals import QInterval
 
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
-_CERT_POOL_SIZE = 12
 _MC_MAX_MODULUS = 1 << 19  # keeps 4*a^3 + 27*b^2 inside int64
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
 _BLOCK_PAIRS = 1 << 14  # pairs per numpy block of the height-box pass
@@ -119,11 +118,11 @@ def _classify_record(rec: SurveyRecord, p: int | None) -> SurveyRecord:
     kod = tuple((ell, localdata.kodaira_type(rec.a, rec.b, ell)) for ell in bad_primes)
     out = dict(bad_small=bad_small, kodaira=kod)
     if p is not None and not bad_small and delta % p != 0:
-        n = ffcurve.count_points(p, rec.a % p, rec.b % p)
-        out["anomalous"] = n % p == 0
-        out["ordinary"] = n % p != 1
-        out["growth_count"] = localdata.tamagawa_anomaly_count(rec.a, rec.b, p, bad_primes).total
-        out["euler_valuation"] = localdata.euler_term_valuation(rec.a, rec.b, p, bad_primes)
+        kind = ffcurve.classify_residue(p, rec.a % p, rec.b % p).kind
+        growth = localdata.tamagawa_anomaly_count(rec.a, rec.b, p, bad_primes)
+        out.update(ordinary=kind is not ffcurve.PointClass.SUPERSINGULAR,
+                   anomalous=bool(growth.anomalous_flag), growth_count=growth.total,
+                   euler_valuation=growth.euler_valuation)
     return SurveyRecord(rec.a, rec.b, rec.height, rec.delta, rec.minimal, **out)
 
 
@@ -156,7 +155,6 @@ class SurveySummary:
     ell: int | None = None
     n: int | None = None
     extras: dict = field(default_factory=dict)
-    version: str = __version__
 
     @property
     def absolute_gap(self) -> float | None:
@@ -172,7 +170,7 @@ class SurveySummary:
         out = {
             "schema_version": 2,
             "kind": self.kind,
-            "version": self.version,
+            "version": __version__,
             "x": self.x,
             "p": self.p,
             "ell": self.ell,
@@ -215,29 +213,22 @@ def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveyS
                          theoretical, ell=ell, n=n)
 
 
-def _certificate_pool(p: int) -> tuple[tuple[int, bytes], ...]:
+def _certificate_pool(p: int, max_abs_delta: int) -> tuple[tuple[int, np.ndarray], ...]:
     """Per-q arrays of #E(F_q) mod p (255 marks singular) for the torsion
-    certificate, over the first candidate primes q >= 5, q != p."""
-    pool = []
-    q = 5 if p != 5 else 7
-    while len(pool) < _CERT_POOL_SIZE:
+    certificate, over the primes q >= 5, q != p, in order.
+
+    The pool grows until the product of its first len - TORSION_CERT_PRIMES + 1
+    primes exceeds max_abs_delta.  A nonzero delta with |delta| <= max_abs_delta
+    then has at most len - TORSION_CERT_PRIMES pool primes as factors, so every
+    pair finds its first TORSION_CERT_PRIMES good primes inside the pool.
+    """
+    qs, q = [], 5
+    while len(qs) < TORSION_CERT_PRIMES or math.prod(qs[:1 - TORSION_CERT_PRIMES]) <= max_abs_delta:
         if q != p:
-            table = np.array(ffcurve.point_count_table(q))
-            pool.append((q, np.where(table < 0, 255, table % p).astype(np.uint8)))
+            qs.append(q)
         q = next_prime(q)
-    return tuple(pool)
-
-
-def _certificate_fallback(a: int, b: int, p: int, delta: int,
-                          start_after: int, good_seen: int) -> bool:
-    q = next_prime(start_after)
-    while good_seen < TORSION_CERT_PRIMES:
-        if q != p and delta % q != 0:
-            good_seen += 1
-            if ffcurve.count_points(q, a % q, b % q) % p != 0:
-                return True
-        q = next_prime(q)
-    return False
+    tables = (np.array(ffcurve.point_count_table(q)) for q in qs)
+    return tuple((q, np.where(t < 0, 255, t % p).astype(np.uint8)) for q, t in zip(qs, tables))
 
 
 @dataclass(frozen=True)
@@ -274,9 +265,9 @@ def _split_table(ell: int):
                      for am in range(ell)], dtype=bool)
 
 
-def _certify(a, b, delta, p: int, pool) -> np.ndarray:
-    """Torsion certificate per pair: one sweep over the pool, then the
-    scalar fallback for the pairs the pool leaves undecided."""
+def _certify(a, b, pool) -> np.ndarray:
+    """Torsion certificate per pair: one sweep over a pool sized by
+    _certificate_pool for the pairs' window."""
     certified = np.zeros(len(a), dtype=bool)
     good_seen = np.zeros(len(a), dtype=np.int64)
     for q, table in pool:
@@ -284,9 +275,6 @@ def _certify(a, b, delta, p: int, pool) -> np.ndarray:
         good = ~certified & (good_seen < TORSION_CERT_PRIMES) & (r != 255)
         good_seen += good
         certified |= good & (r != 0)
-    for i in np.flatnonzero(~certified & (good_seen < TORSION_CERT_PRIMES)).tolist():
-        certified[i] = _certificate_fallback(int(a[i]), int(b[i]), p, int(delta[i]),
-                                             pool[-1][0], int(good_seen[i]))
     return certified
 
 
@@ -311,7 +299,7 @@ def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthC
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS[:3] if p is None else _BUCKETS, 0)}
     if p is not None:
         codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8)
-        cert_pool = _certificate_pool(p) if p in (5, 7) else None
+        cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else None
         # only primes with ell^p <= |delta| can carry a Tamagawa number
         # divisible by p (split I_m needs p | m = v_ell(delta))
         candidates = tuple(ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
@@ -346,7 +334,7 @@ def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthC
         keep = (code == ffcurve._CODE_ORDINARY) | (code == ffcurve._CODE_ANOMALOUS)
         a, b, delta, code = a[keep], b[keep], delta[keep], code[keep]
         if cert_pool is not None:
-            certified = _certify(a, b, delta, p, cert_pool)
+            certified = _certify(a, b, cert_pool)
             counts["torsion_uncertified"] += len(a) - int(certified.sum())
             a, b, delta, code = a[certified], b[certified], delta[certified], code[certified]
         counts["classified"] += len(a)
@@ -433,7 +421,6 @@ class MonteCarloResult:
     seed: int
     hits: int
     estimate: Fraction
-    std_error: float
 
 
 def montecarlo_local_measure(ell: int, exponent: int, predicate: Callable,
@@ -443,8 +430,7 @@ def montecarlo_local_measure(ell: int, exponent: int, predicate: Callable,
 
     `predicate` receives two equal-length int64 numpy arrays (a, b) of
     residues and must return an elementwise boolean array.  Deterministic
-    for a fixed seed.  Standard error is the binomial sqrt(q(1-q)/m) at the
-    estimated q.
+    for a fixed seed.
     """
     if exponent < 1:
         raise DomainError("exponent must be >= 1")
@@ -460,9 +446,7 @@ def montecarlo_local_measure(ell: int, exponent: int, predicate: Callable,
     if mask.shape != a.shape:
         raise DomainError("predicate must return one boolean per sample")
     hits = int(mask.sum())
-    q = Fraction(hits, samples)
-    se = math.sqrt(float(q) * (1.0 - float(q)) / samples)
-    return MonteCarloResult(ell, exponent, samples, seed, hits, q, se)
+    return MonteCarloResult(ell, exponent, samples, seed, hits, Fraction(hits, samples))
 
 
 def valuation_box_predicate(ell: int, v1: int, v2: int) -> Callable:

@@ -1,7 +1,10 @@
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,3 +213,17 @@ def test_out_file(tmp_path, capsys):
                             "--out", str(target)], capsys)
     assert code == 0 and out == ""
     assert target.read_text().strip() == "6/7 = 0.857142857142857"
+
+
+def test_traced_layers_exist():
+    """Every (module, attribute) the bench tracer wraps names a callable,
+    so renaming or deleting one fails here and not only in a bench run."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr in tracing.LAYERS:
+        target = importlib.import_module(f"ecstats.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module, attr)

@@ -5,8 +5,10 @@ import pytest
 from ecstats import ffcurve, localdata, verify
 from ecstats.errors import (
     BadReductionError,
+    DomainError,
     NotMinimalError,
     NotMultiplicativeError,
+    NotPrimeError,
     PrimeTooSmallError,
     SingularCurveError,
     SmallBadPrimeError,
@@ -156,6 +158,27 @@ def test_tamagawa_anomaly_count_errors():
         localdata.tamagawa_anomaly_count(0, 0, 5, [])
     with pytest.raises(NotMinimalError):
         localdata.tamagawa_anomaly_count(5**4 * 163, 5**6 * 291, 7, [5, 251])
+
+
+@pytest.mark.parametrize("a, b, bad_primes, error", [
+    (163, 291, [], DomainError),               # 5 and 251 missing
+    (163, 291, [5, 251, 5], DomainError),      # 5 listed twice
+    (163, 291, [251], DomainError),            # 5 missing
+    (1, 1, [31, 11], DomainError),             # 11 does not divide 31
+    (163, 291, [1, 5, 251], NotPrimeError),    # checked before dividing by 1
+    (163, 291, [25, 251], NotPrimeError),
+])
+def test_growth_invariants_check_bad_primes(a, b, bad_primes, error):
+    with pytest.raises(error):
+        localdata.tamagawa_anomaly_count(a, b, 7, bad_primes)
+    with pytest.raises(error):
+        localdata.euler_term_valuation(a, b, 7, bad_primes)
+
+
+def test_growth_invariants_in_one_record():
+    res = localdata.tamagawa_anomaly_count(163, 291, 7, [251, 5])
+    assert (res.tamagawa_primes, res.anomalous_flag, res.total, res.euler_valuation) == (1, 0, 1, 1)
+    assert localdata.euler_term_valuation(163, 291, 7, [251, 5]) == res.euler_valuation
 
 
 def test_euler_term_valuation():

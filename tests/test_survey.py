@@ -1,4 +1,7 @@
+import hashlib
 import io
+import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -87,17 +90,22 @@ def test_kodaira_summary_matches_slow_records():
     assert s.counts["type_In_at_ell"] == slow_hits
 
 
-def _oracle_certified(rec, p):
-    """Trivial p-torsion certified by count_points at the first five good q."""
-    seen = 0
+def _certifying_prime(a, b, p):
+    """The q that certifies trivial p-torsion by count_points among the
+    first five good q, or None."""
+    seen, delta = 0, localdata.discriminant(a, b)
     for q in arith.primes_in(5, 1000):
-        if q == p or rec.delta % q == 0:
+        if q == p or delta % q == 0:
             continue
-        if ffcurve.count_points(q, rec.a % q, rec.b % q) % p:
-            return True
+        if ffcurve.count_points(q, a % q, b % q) % p:
+            return q
         seen += 1
         if seen == survey.TORSION_CERT_PRIMES:
-            return False
+            return None
+
+
+def _oracle_certified(a, b, p):
+    return _certifying_prime(a, b, p) is not None
 
 
 @pytest.mark.parametrize("p, x", [(5, 10**5), (7, 10**5), (11, 10**5), (5, 10**6)])
@@ -105,7 +113,6 @@ def test_growth_census_matches_slow_records(p, x):
     """Every bucket and every histogram of the numpy pass, rebuilt from the
     slow classify path with an independent torsion certificate."""
     buckets = dict.fromkeys(survey._BUCKETS, 0)
-    ordinary, verdicts = [], []
     strict, kodaira, euler = Counter(), Counter(), Counter()
     valuations = {5: Counter(), 7: Counter()}
     for rec in survey.enumerate_curves(x, p=p, classify=True):
@@ -128,12 +135,9 @@ def test_growth_census_matches_slow_records(p, x):
         elif not rec.ordinary:
             buckets["supersingular_at_p"] += 1
         else:
-            if p in (5, 7):
-                ordinary.append((rec.a, rec.b, rec.delta))
-                verdicts.append(_oracle_certified(rec, p))
-                if not verdicts[-1]:
-                    buckets["torsion_uncertified"] += 1
-                    continue
+            if p in (5, 7) and not _oracle_certified(rec.a, rec.b, p):
+                buckets["torsion_uncertified"] += 1
+                continue
             buckets["classified"] += 1
             strict[rec.growth_count] += 1
             kodaira[int(rec.anomalous) + sum(
@@ -145,11 +149,69 @@ def test_growth_census_matches_slow_records(p, x):
     assert survey._growth_census(None, x, (5, 7)).valuation_hists == valuations
     if (p, x) == (5, 10**6):
         assert buckets["torsion_uncertified"] == 5
-    if ordinary:
-        # a one-prime pool leaves most pairs to the scalar fallback
-        a, b, delta = np.array(ordinary).T
-        pool = survey._certificate_pool(p)[:1]
-        assert survey._certify(a, b, delta, p, pool).tolist() == verdicts
+
+
+def _crowded_pairs(p, x, count):
+    """Pairs of the height-x box whose delta has 8 or 9 factors among the
+    first 12 certificate primes.  a runs over the values with -3a a nonzero
+    square mod each of the first 8, so that 27 b^2 = -4 a^3 has two roots
+    mod each; b runs over their CRT lifts inside the box."""
+    win = HeightWindow.from_height(x)
+    first = [q for q in arith.primes_in(5, 100) if q != p][:12]
+    chosen = first[:8]
+    modulus = math.prod(chosen)
+    cofactors = np.array([modulus // q * pow(modulus // q, -1, q) for q in chosen])
+    a_all = np.arange(1, win.a_max + 1)
+    two_roots = np.ones(len(a_all), dtype=bool)
+    for q in chosen:
+        two_roots &= np.isin(-3 * a_all % q, np.arange(1, q) ** 2 % q)
+    pairs = []
+    for a in a_all[two_roots].tolist():
+        roots = [[y for y in range(1, q) if (4 * a**3 + 27 * y * y) % q == 0] for q in chosen]
+        lifts = np.array(list(itertools.product(*roots))) @ cofactors % modulus
+        b = np.concatenate([lifts, lifts - modulus])
+        b = b[np.abs(b) <= win.b_max]
+        delta = 4 * a**3 + 27 * b * b
+        pairs += [(a, int(v)) for v in b[np.isin(sum(delta % q == 0 for q in first), (8, 9))]]
+        if len(pairs) >= count:
+            return pairs, first[-1]
+    raise AssertionError("the box holds too few crowded pairs")
+
+
+@pytest.mark.parametrize("p, count", [(5, 3000), (7, 12000)])
+def test_certificate_pool_holds_five_good_primes(p, count):
+    """Pairs with 8 or 9 bad primes among the first 12 of the pool still
+    meet their first five good primes inside the pool sized for the box,
+    including pairs that no good prime among those 12 certifies."""
+    x = 2**61
+    pool = survey._certificate_pool(p, HeightWindow.from_height(x).max_abs_discriminant)
+    pairs, q12 = _crowded_pairs(p, x, count)
+    verdicts = [_certifying_prime(a, b, p) for a, b in pairs]
+    late = [i for i, q in enumerate(verdicts) if q is None or q > q12]
+    assert len(late) >= 5
+    sample = late + list(range(300))
+    a, b = np.array([pairs[i] for i in sample]).T
+    assert survey._certify(a, b, pool).tolist() == [verdicts[i] is not None for i in sample]
+
+
+@pytest.mark.parametrize("p, x, length", [(7, 10**6, 10), (7, 10**8, 12), (7, 10**9, 12),
+                                          (5, 10**8, 11), (7, 2**62 - 1, 18)])
+def test_certificate_pool_is_shortest(p, x, length):
+    bound = HeightWindow.from_height(x).max_abs_discriminant
+    qs = [q for q, _ in survey._certificate_pool(p, bound)]
+    assert qs == [q for q in arith.primes_in(5, qs[-1]) if q != p]
+    assert len(qs) == length
+    lead = len(qs) - survey.TORSION_CERT_PRIMES + 1
+    assert math.prod(qs[:lead - 1]) <= bound < math.prod(qs[:lead])
+
+
+def test_classified_csv_pinned():
+    """The slow classify path's CSV bytes at x = 10^5, p = 7, pinned so
+    that any change to its per-curve local data shows."""
+    buf = io.StringIO()
+    assert survey.write_csv(survey.enumerate_curves(10**5, p=7, classify=True), buf) == 7139
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "31d9b12d7b07fa5e53a7c76c1c2236477bd64a48d330b2a0f09a6bcd65e65d3f"
 
 
 # Recorded from the per-pair loop this pass replaced; the split-Tamagawa
