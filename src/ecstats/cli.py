@@ -35,6 +35,8 @@ def _cmd_tables(args) -> int:
         raise DomainError("--pmax must be >= --pmin")
     if args.pmin < 5:
         raise DomainError("--pmin must be >= 5")
+    if args.pmax >= ffcurve.MAX_FIELD_PRIME:  # checked before the sieve allocates pmax bytes
+        raise DomainError("--pmax must be below 2^20")
     rows = [ffcurve.residue_class_counts(p) for p in primes_in(args.pmin, args.pmax)]
 
     failures = 0

@@ -100,14 +100,6 @@ class QInterval:
         return f"QInterval[{float(self.lo)!r}, {float(self.hi)!r}]"
 
 
-def product(intervals) -> QInterval:
-    """Product of finitely many intervals (exact)."""
-    acc = QInterval.point(1)
-    for iv in intervals:
-        acc = acc * iv
-    return acc
-
-
 def round_fraction(q: Fraction, significant: int, up: bool) -> Fraction:
     """q rounded to `significant` digits, toward +inf (up) or -inf (down)."""
     if significant < 1:

@@ -5,8 +5,8 @@ classification at primes ell >= 5, the split/nonsplit dichotomy for
 multiplicative reduction, Tamagawa p-parts, and the two growth invariants
 at p built from them: the count of "p divides a Tamagawa number" primes plus
 the anomalous flag, and the Euler-term valuation.  One call of
-tamagawa_anomaly_count computes both from one list of Tamagawa exponents
-and the anomalous flag.
+tamagawa_anomaly_count computes both from one factorization of the
+discriminant and one point count at p, and returns that local data too.
 
 Primes 2 and 3 are deliberately out of scope: classifying bad reduction
 there would require the full Tate algorithm, and every consumer in this
@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import ffcurve
-from .arith import check_prime, integer_nth_root, sieve_primes
+from .arith import check_prime, factorize, integer_nth_root, sieve_primes
 from .errors import (
     BadReductionError,
     DomainError,
@@ -98,6 +98,17 @@ class KodairaType:
         return "additive"
 
 
+def _kodaira_type(a: int, b: int, ell: int, v: int) -> KodairaType:
+    # ell is a prime >= 5 and v = v_ell(delta) with delta != 0
+    if not is_minimal_at(a, b, ell):
+        raise NotMinimalError(f"({a}, {b}) is not minimal at {ell}")
+    if v == 0:
+        return KodairaType(ReductionKind.GOOD, ell)
+    if a % ell == 0 and b % ell == 0:
+        return KodairaType(ReductionKind.ADDITIVE, ell)
+    return KodairaType(ReductionKind.MULTIPLICATIVE, ell, v)
+
+
 def kodaira_type(a: int, b: int, ell: int) -> KodairaType:
     """Kodaira classification at a prime ell >= 5 for a minimal pair.
 
@@ -110,14 +121,17 @@ def kodaira_type(a: int, b: int, ell: int) -> KodairaType:
     delta = discriminant(a, b)
     if delta == 0:
         raise SingularCurveError(f"({a}, {b}) is singular")
-    if not is_minimal_at(a, b, ell):
-        raise NotMinimalError(f"({a}, {b}) is not minimal at {ell}")
-    v = valuation(delta, ell)
-    if v == 0:
-        return KodairaType(ReductionKind.GOOD, ell)
-    if a % ell == 0 and b % ell == 0:
-        return KodairaType(ReductionKind.ADDITIVE, ell)
-    return KodairaType(ReductionKind.MULTIPLICATIVE, ell, int(v))
+    return _kodaira_type(a, b, ell, int(valuation(delta, ell)))
+
+
+def kodaira_types(a: int, b: int) -> tuple[tuple[int, KodairaType], ...]:
+    """(ell, kodaira_type(a, b, ell)) for each prime ell >= 5 dividing delta,
+    in increasing order, read off one factorization of delta."""
+    delta = discriminant(a, b)
+    if delta == 0:
+        raise SingularCurveError(f"({a}, {b}) is singular")
+    return tuple((ell, _kodaira_type(a, b, ell, v))
+                 for ell, v in sorted(factorize(delta).items()) if ell >= 5)
 
 
 def _split_from_residues(a_mod: int, b_mod: int, ell: int) -> bool:
@@ -141,6 +155,14 @@ def is_split_multiplicative(a: int, b: int, ell: int) -> bool:
     return _split_from_residues(a % ell, b % ell, ell)
 
 
+def _tamagawa_exponent(a: int, b: int, kt: KodairaType, p: int) -> int:
+    # v_p(c_ell) at ell = kt.ell != p, p >= 5: split I_n has c_ell = n, and
+    # every other type has c_ell <= 4
+    if not kt.is_multiplicative or not _split_from_residues(a % kt.ell, b % kt.ell, kt.ell):
+        return 0
+    return int(valuation(kt.n, p))
+
+
 def tamagawa_p_part(a: int, b: int, ell: int, p: int) -> int:
     """p-part of the Tamagawa number c_ell, for distinct primes ell, p >= 5.
 
@@ -151,27 +173,32 @@ def tamagawa_p_part(a: int, b: int, ell: int, p: int) -> int:
     check_prime(p, 5)
     if ell == p:
         raise DomainError("tamagawa_p_part requires ell != p")
-    kt = kodaira_type(a, b, ell)
-    if not kt.is_multiplicative:
-        return 1
-    if not _split_from_residues(a % ell, b % ell, ell):
-        return 1
-    return p ** int(valuation(kt.n, p))
+    return p ** _tamagawa_exponent(a, b, kodaira_type(a, b, ell), p)
 
 
 @dataclass(frozen=True)
 class TamagawaAnomalyCount:
     """Count of primes where p divides the Tamagawa number, plus the
     anomalous flag at p; total is their sum.  euler_valuation is the sum of
-    the exponents v_p(c_ell) plus twice the flag."""
+    the exponents v_p(c_ell) plus twice the flag.  They are read from kodaira,
+    the types at the primes ell >= 5 dividing delta, and kind, the class at p."""
 
     tamagawa_primes: int
     anomalous_flag: int
     total: int
     euler_valuation: int
+    kodaira: tuple[tuple[int, KodairaType], ...]
+    kind: ffcurve.PointClass
 
 
-def _check_frak_preconditions(a: int, b: int, p: int) -> int:
+def tamagawa_anomaly_count(a: int, b: int, p: int) -> TamagawaAnomalyCount:
+    """The growth invariant at p: #{ell != p : p | c_ell} + [p | #E(F_p)],
+    and the Euler-term valuation read off the same exponents and flag.
+
+    Requires a globally minimal pair with good reduction at 2, 3 and p; the
+    bad primes come from one factorization of the discriminant.
+    """
+    check_prime(p, 5)
     delta = discriminant(a, b)
     if delta == 0:
         raise SingularCurveError(f"({a}, {b}) is singular")
@@ -179,42 +206,20 @@ def _check_frak_preconditions(a: int, b: int, p: int) -> int:
         raise SmallBadPrimeError("bad reduction at 2 or 3 is out of scope")
     if delta % p == 0:
         raise BadReductionError(f"p = {p} divides the discriminant")
-    if not is_globally_minimal(a, b):
-        raise NotMinimalError(f"({a}, {b}) is not globally minimal")
-    return delta
-
-
-def tamagawa_anomaly_count(a: int, b: int, p: int, bad_primes: Sequence[int]) -> TamagawaAnomalyCount:
-    """The growth invariant at p: #{ell != p : p | c_ell} + [p | #E(F_p)],
-    and the Euler-term valuation read off the same exponents and flag.
-
-    `bad_primes` must list each prime dividing the discriminant exactly once
-    (all >= 5; pairs with bad reduction at 2 or 3 are rejected).  Requires
-    good reduction at p and a globally minimal pair.
-    """
-    check_prime(p, 5)
-    cofactor = _check_frak_preconditions(a, b, p)
-    exponents = []
-    for ell in bad_primes:
-        # tamagawa_p_part checks that ell is a prime >= 5: with ell = 1 the
-        # division loop below would never end
-        exponents.append(int(valuation(tamagawa_p_part(a, b, ell, p), p)))
-        if cofactor % ell:
-            raise DomainError(f"{ell} is repeated in bad_primes or does not divide the discriminant")
-        while cofactor % ell == 0:
-            cofactor //= ell
-    if abs(cofactor) != 1:
-        raise DomainError("bad_primes must list every prime factor of the discriminant")
-    flag = int(ffcurve.classify_residue(p, a % p, b % p).kind is ffcurve.PointClass.ANOMALOUS)
+    # minimal at 2 and 3; at ell >= 5 non-minimality needs ell | delta, checked there
+    kodaira = kodaira_types(a, b)
+    kind = ffcurve.classify_residue(p, a % p, b % p).kind
+    exponents = [_tamagawa_exponent(a, b, kt, p) for _, kt in kodaira]
+    flag = int(kind is ffcurve.PointClass.ANOMALOUS)
     n_tam = sum(1 for v in exponents if v > 0)
-    return TamagawaAnomalyCount(n_tam, flag, n_tam + flag, sum(exponents) + 2 * flag)
+    return TamagawaAnomalyCount(n_tam, flag, n_tam + flag, sum(exponents) + 2 * flag, kodaira, kind)
 
 
-def euler_term_valuation(a: int, b: int, p: int, bad_primes: Sequence[int]) -> int:
+def euler_term_valuation(a: int, b: int, p: int) -> int:
     """v_p of (prod_ell c_ell^(p)) * alpha_p^2, the computable Euler-term part.
 
     alpha_p = #E(F_p)[p] is p when p is anomalous and 1 otherwise (the
     p-torsion of the reduction is at most one copy of Z/p for p >= 5), so
     its square contributes twice the anomalous flag.
     """
-    return tamagawa_anomaly_count(a, b, p, bad_primes).euler_valuation
+    return tamagawa_anomaly_count(a, b, p).euler_valuation

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import bounds, density, ffcurve, localdata
 from ._version import __version__
-from .arith import check_prime, factorize, integer_cbrt, integer_nth_root, next_prime, sieve_primes
+from .arith import check_prime, integer_cbrt, integer_nth_root, next_prime, sieve_primes
 from .errors import DomainError
 from .intervals import QInterval
 
@@ -114,16 +114,16 @@ def _classify_record(rec: SurveyRecord, p: int | None) -> SurveyRecord:
         return rec
     delta = rec.delta
     bad_small = delta % 2 == 0 or delta % 3 == 0
-    bad_primes = sorted(ell for ell in factorize(delta) if ell >= 5)
-    kod = tuple((ell, localdata.kodaira_type(rec.a, rec.b, ell)) for ell in bad_primes)
-    out = dict(bad_small=bad_small, kodaira=kod)
-    if p is not None and not bad_small and delta % p != 0:
-        kind = ffcurve.classify_residue(p, rec.a % p, rec.b % p).kind
-        growth = localdata.tamagawa_anomaly_count(rec.a, rec.b, p, bad_primes)
-        out.update(ordinary=kind is not ffcurve.PointClass.SUPERSINGULAR,
+    if p is None or bad_small or delta % p == 0:
+        out = dict(kodaira=localdata.kodaira_types(rec.a, rec.b))
+    else:
+        # one factorization and one point count at p give every field
+        growth = localdata.tamagawa_anomaly_count(rec.a, rec.b, p)
+        out = dict(kodaira=growth.kodaira,
+                   ordinary=growth.kind is not ffcurve.PointClass.SUPERSINGULAR,
                    anomalous=bool(growth.anomalous_flag), growth_count=growth.total,
                    euler_valuation=growth.euler_valuation)
-    return SurveyRecord(rec.a, rec.b, rec.height, rec.delta, rec.minimal, **out)
+    return SurveyRecord(rec.a, rec.b, rec.height, delta, rec.minimal, bad_small, **out)
 
 
 def enumerate_curves(x: int, p: int | None = None, classify: bool = False) -> Iterator[SurveyRecord]:

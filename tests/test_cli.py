@@ -76,17 +76,25 @@ def test_missing_required_args_exit_2():
     ["survey", "--x", "4611686018427387904", "--p", "7"],
     ["survey", "--x", "4611686018427387903", "--p", "4"],
     ["survey", "--x", "4611686018427387903", "--p", "7", "--n", "0"],
+    ["tables", "--pmin", "5", "--pmax", "10000000000000"],
 ])
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
-    # over the height box (about 1.7e15 pairs) would run for years
+    # over the height box (about 1.7e15 pairs) would run for years, and a
+    # sieve up to --pmax = 10^13 would allocate 10 TB
     from_height = survey.HeightWindow.from_height
+    primes_in = cli.primes_in
 
     def small_box_only(x):
         assert x < 10**6, f"survey scanned the box at x = {x} before validating its input"
         return from_height(x)
 
+    def small_sieve_only(lo, hi):
+        assert hi < 2**20, f"tables sieved up to {hi} before validating its input"
+        return primes_in(lo, hi)
+
     monkeypatch.setattr(survey.HeightWindow, "from_height", small_box_only)
+    monkeypatch.setattr(cli, "primes_in", small_sieve_only)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -124,6 +132,8 @@ _ARGV = st.one_of(
               st.just("--kind"), st.sampled_from(["growth", "euler", "mu-lambda"])),
     st.tuples(st.just("survey"), st.just("--x"), st.integers(min_value=-5, max_value=10**4),
               st.just("--p"), _INTS, st.just("--n"), st.integers(min_value=-2, max_value=4)),
+    st.tuples(st.just("tables"), st.just("--pmin"), _INTS, st.just("--pmax"), _INTS,
+              st.just("--format"), st.sampled_from(["csv", "json"])),
 )
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecstats.intervals import QInterval, fraction_to_decimal, product, round_fraction
+from ecstats.intervals import QInterval, fraction_to_decimal, round_fraction
 
 
 def test_point_and_validation():
@@ -42,11 +42,6 @@ def test_contains_encloses_width():
     assert a.encloses(QInterval(Fraction(1, 4), Fraction(3, 4)))
     assert not a.encloses(QInterval(Fraction(1, 4), Fraction(5, 4)))
     assert a.width == 1 and a.midpoint == Fraction(1, 2)
-
-
-def test_product_helper():
-    ivs = [QInterval.point(Fraction(1, 2)), QInterval(Fraction(1, 3), Fraction(2, 3))]
-    assert product(ivs) == QInterval(Fraction(1, 6), Fraction(1, 3))
 
 
 @pytest.mark.parametrize("q", [

@@ -3,12 +3,11 @@ import math
 import pytest
 
 from ecstats import ffcurve, localdata, verify
+from ecstats.arith import factorize
 from ecstats.errors import (
     BadReductionError,
-    DomainError,
     NotMinimalError,
     NotMultiplicativeError,
-    NotPrimeError,
     PrimeTooSmallError,
     SingularCurveError,
     SmallBadPrimeError,
@@ -131,7 +130,7 @@ def test_split_deep_example_found_by_search():
 
 def test_tamagawa_anomaly_count_example():
     # delta(1,1) = 31: multiplicative I_1 at 31, 7-part 1; #E(F_7) = 5
-    res = localdata.tamagawa_anomaly_count(1, 1, 7, [31])
+    res = localdata.tamagawa_anomaly_count(1, 1, 7)
     assert (res.tamagawa_primes, res.anomalous_flag, res.total) == (0, 0, 0)
     assert ffcurve.count_points(7, 1, 1) == 5
 
@@ -143,7 +142,7 @@ def test_tamagawa_anomaly_count_constructed_two():
     assert d == 5**7 * 251
     assert d % 2 and d % 3 and d % 7
     anomalous = ffcurve.count_points(7, 163 % 7, 291 % 7) % 7 == 0
-    res = localdata.tamagawa_anomaly_count(163, 291, 7, [5, 251])
+    res = localdata.tamagawa_anomaly_count(163, 291, 7)
     assert res.tamagawa_primes == 1
     assert res.total == 1 + (1 if anomalous else 0)
     assert res.anomalous_flag == (1 if anomalous else 0)
@@ -151,43 +150,63 @@ def test_tamagawa_anomaly_count_constructed_two():
 
 def test_tamagawa_anomaly_count_errors():
     with pytest.raises(BadReductionError):
-        localdata.tamagawa_anomaly_count(1, 1, 31, [31])
+        localdata.tamagawa_anomaly_count(1, 1, 31)
     with pytest.raises(SmallBadPrimeError):
-        localdata.tamagawa_anomaly_count(1, 2, 5, [2, 7])  # delta = 112
+        localdata.tamagawa_anomaly_count(1, 2, 5)  # delta = 112
     with pytest.raises(SingularCurveError):
-        localdata.tamagawa_anomaly_count(0, 0, 5, [])
+        localdata.tamagawa_anomaly_count(0, 0, 5)
     with pytest.raises(NotMinimalError):
-        localdata.tamagawa_anomaly_count(5**4 * 163, 5**6 * 291, 7, [5, 251])
-
-
-@pytest.mark.parametrize("a, b, bad_primes, error", [
-    (163, 291, [], DomainError),               # 5 and 251 missing
-    (163, 291, [5, 251, 5], DomainError),      # 5 listed twice
-    (163, 291, [251], DomainError),            # 5 missing
-    (1, 1, [31, 11], DomainError),             # 11 does not divide 31
-    (163, 291, [1, 5, 251], NotPrimeError),    # checked before dividing by 1
-    (163, 291, [25, 251], NotPrimeError),
-])
-def test_growth_invariants_check_bad_primes(a, b, bad_primes, error):
-    with pytest.raises(error):
-        localdata.tamagawa_anomaly_count(a, b, 7, bad_primes)
-    with pytest.raises(error):
-        localdata.euler_term_valuation(a, b, 7, bad_primes)
+        localdata.tamagawa_anomaly_count(5**4 * 163, 5**6 * 291, 7)
 
 
 def test_growth_invariants_in_one_record():
-    res = localdata.tamagawa_anomaly_count(163, 291, 7, [251, 5])
+    res = localdata.tamagawa_anomaly_count(163, 291, 7)
     assert (res.tamagawa_primes, res.anomalous_flag, res.total, res.euler_valuation) == (1, 0, 1, 1)
-    assert localdata.euler_term_valuation(163, 291, 7, [251, 5]) == res.euler_valuation
+    assert localdata.euler_term_valuation(163, 291, 7) == res.euler_valuation
 
 
 def test_euler_term_valuation():
-    assert localdata.euler_term_valuation(1, 1, 7, [31]) == 0
+    assert localdata.euler_term_valuation(1, 1, 7) == 0
     d = localdata.discriminant(163, 291)
-    v = localdata.euler_term_valuation(163, 291, 7, [5, 251])
+    v = localdata.euler_term_valuation(163, 291, 7)
     anomalous = ffcurve.count_points(7, 163 % 7, 291 % 7) % 7 == 0
     assert v == 1 + (2 if anomalous else 0)
     assert d % 7 != 0
+
+
+def test_kodaira_types_example():
+    # (163, 291): delta = 5^7 * 251; (1, 2): delta = 2^4 * 7 skips the prime 2
+    assert localdata.kodaira_types(163, 291) == (
+        (5, localdata.KodairaType(ReductionKind.MULTIPLICATIVE, 5, 7)),
+        (251, localdata.KodairaType(ReductionKind.MULTIPLICATIVE, 251, 1)))
+    assert [ell for ell, _ in localdata.kodaira_types(1, 2)] == [7]
+    with pytest.raises(SingularCurveError):
+        localdata.kodaira_types(-3, 2)
+    with pytest.raises(NotMinimalError):
+        localdata.kodaira_types(5**4, 5**6)
+
+
+def test_growth_record_agrees_with_per_prime_functions():
+    """The one-pass record gives the same local data as the public per-prime
+    functions, on every minimal pair in a box that is good at 2, 3 and 7."""
+    p = 7
+    checked = 0
+    for a in range(-20, 21):
+        for b in range(-40, 41):
+            d = localdata.discriminant(a, b)
+            if d == 0 or d % 2 == 0 or d % 3 == 0 or d % p == 0:
+                continue
+            if not localdata.is_globally_minimal(a, b):
+                continue
+            res = localdata.tamagawa_anomaly_count(a, b, p)
+            ells = sorted(ell for ell in factorize(d) if ell >= 5)
+            assert res.kodaira == tuple((ell, localdata.kodaira_type(a, b, ell)) for ell in ells)
+            parts = [int(localdata.valuation(localdata.tamagawa_p_part(a, b, ell, p), p))
+                     for ell in ells]
+            assert res.euler_valuation == sum(parts) + 2 * res.anomalous_flag
+            assert res.kind is ffcurve.classify_residue(p, a, b).kind
+            checked += 1
+    assert checked > 500
 
 
 def test_twist_coherence():

@@ -214,6 +214,31 @@ def test_classified_csv_pinned():
         "31d9b12d7b07fa5e53a7c76c1c2236477bd64a48d330b2a0f09a6bcd65e65d3f"
 
 
+def test_classify_path_work(monkeypatch):
+    """The classify path works out each curve's local data once: one
+    factorization per minimal curve, one point count per curve good at 2, 3
+    and p, and no prime check in localdata except the one on p."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name, args if name == "check_prime" else None] += 1
+            return fn(*args)
+        return counted
+
+    for module in (survey, localdata):  # whichever module holds factorize
+        if hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", counting("factorize", arith.factorize))
+    monkeypatch.setattr(ffcurve, "count_points", counting("count_points", ffcurve.count_points))
+    monkeypatch.setattr(localdata, "check_prime", counting("check_prime", localdata.check_prime))
+    curves = [r for r in survey.enumerate_curves(10**4, p=7, classify=True)
+              if r.nonsingular and r.minimal]
+    good = sum(1 for r in curves if r.delta % 2 and r.delta % 3 and r.delta % 7)
+    assert good > 0
+    assert calls == Counter({("factorize", None): len(curves), ("count_points", None): good,
+                             ("check_prime", (7, 5)): good})
+
+
 # Recorded from the per-pair loop this pass replaced; the split-Tamagawa
 # and Euler branches first fire above x = 10^6, beyond the slow oracle.
 PINNED_CENSUS = {
