@@ -79,20 +79,6 @@ def next_prime(n: int) -> int:
     return k
 
 
-def integer_cbrt(n: int) -> int:
-    """Floor of the real cube root of n >= 0, exact for arbitrary size."""
-    if n < 0:
-        raise ValueError("integer_cbrt requires n >= 0")
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / 3.0)))
-    while r > 0 and r * r * r > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
-
-
 def integer_nth_root(n: int, k: int) -> int:
     """Floor of n**(1/k) for n >= 0, k >= 1."""
     if n < 0 or k < 1:

@@ -79,18 +79,24 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
 
 def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
     """The enclosures of prime_symmetric_sum for every order 0..n, n >= 0,
-    from one sweep over the primes <= truncation."""
+    from one sweep over the primes <= truncation.
+
+    The sweep keeps integer numerators of e_0..e_n over one common
+    denominator, num[0], so each order is reduced to lowest terms once.
+    """
     if n == 0:
         return [QInterval.point(1)]
     if truncation < 11:
         raise TruncationError("truncation must be >= 11")
-    e = [Fraction(1)] + [Fraction(0)] * n
+    num = [1] + [0] * n
     for ell in sieve_primes(truncation):
         if ell < 5 or ell == p:
             continue
         f = kodaira_multiple_weight(ell, p)
         for j in range(n, 0, -1):
-            e[j] += f * e[j - 1]
+            num[j] = num[j] * f.denominator + f.numerator * num[j - 1]
+        num[0] *= f.denominator
+    e = [Fraction(v, num[0]) for v in num]
     tail = _sym_tail_majorant(p, truncation)
     tk = [tail**k / math.factorial(k) for k in range(n + 1)]  # T^k / k!
     return [QInterval(e[m], sum(e[m - k] * tk[k] for k in range(m + 1))) for m in range(n + 1)]
@@ -176,11 +182,11 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     check_prime(p, 5)
     if truncation is None:
         truncation = default_truncation(p)
+    w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
     sums = _symmetric_sums(n, p, truncation)
     e_main = sums[n]
     e_aux = sums[aux_index] if aux_index >= 0 else QInterval.point(0)
-    w_ord, w_anom = class_weights(p)
     value = z * (e_main * w_ord + e_aux * w_anom)
     terms = BoundTerms(z, e_main, e_aux, w_ord, w_anom)
     return BoundReport(kind, p, n, truncation, zeta_terms, value, terms, notes)

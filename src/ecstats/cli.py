@@ -107,8 +107,7 @@ def _cmd_survey(args) -> int:
     census = survey._growth_census(args.p, args.x, tuple(ell for ell in (5, 7) if ell != args.p))
     blocks = {
         "minimal": survey.empirical_minimal_density(census).to_json(),
-        "selmer_growth": survey.empirical_selmer_growth(
-            census, args.n, kodaira_only=args.kodaira_only).to_json(),
+        "selmer_growth": survey.empirical_selmer_growth(census, args.n).to_json(),
         "euler_divisibility": survey.empirical_euler_divisibility(census, args.n).to_json(),
     }
     for ell in census.valuation_hists:
@@ -116,8 +115,7 @@ def _cmd_survey(args) -> int:
     doc = {"schema_version": 2, "version": __version__, "x": args.x,
            "p": args.p, "n": args.n, "blocks": blocks}
     if args.csv:
-        rows = survey.write_csv(
-            survey.enumerate_curves(args.x, p=args.p, classify=True), args.csv)
+        rows = survey.write_csv(survey.enumerate_curves(args.x, p=args.p), args.csv)
         doc["csv"] = {"path": args.csv, "rows": rows}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -175,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--p", type=int, required=True)
     srv.add_argument("--n", type=int, default=1)
     srv.add_argument("--csv", help="also write per-curve rows (slow reference path)")
-    srv.add_argument("--kodaira-only", action="store_true",
-                     help="headline growth ratio counts Kodaira types I_{pm} "
-                          "without the split condition")
     srv.add_argument("--out")
     srv.set_defaults(func=_cmd_survey)
 

@@ -188,7 +188,7 @@ def _twist_table(p: int):
     square class of a0, and b -> u^3 b permutes the columns.
     """
     if p > MAX_TABLE_PRIME:
-        raise PrimeTooLargeError(f"tables limited to p <= {MAX_TABLE_PRIME}")
+        raise PrimeTooLargeError(f"p = {p} exceeds {MAX_TABLE_PRIME}, the cap on per-p tables")
     chi, rows, traces, singular = _twist_rows(p)
     us = np.arange(1, (p + 1) // 2, dtype=np.int64)
     cols = np.arange(p, dtype=np.int64)[None, :] * (us * us * us % p)[:, None] % p

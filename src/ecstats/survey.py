@@ -35,7 +35,7 @@ import numpy as np
 
 from . import bounds, density, ffcurve, localdata
 from ._version import __version__
-from .arith import check_prime, integer_cbrt, integer_nth_root, next_prime, sieve_primes
+from .arith import check_prime, integer_nth_root, next_prime, sieve_primes
 from .errors import DomainError
 from .intervals import QInterval
 
@@ -59,7 +59,7 @@ class HeightWindow:
     def from_height(cls, x: int) -> "HeightWindow":
         if x < 0:
             raise DomainError("height bound must be nonnegative")
-        return cls(x, integer_cbrt(x // 4), math.isqrt(x // 27))
+        return cls(x, integer_nth_root(x // 4, 3), math.isqrt(x // 27))
 
     @property
     def pair_count(self) -> int:
@@ -108,13 +108,13 @@ class SurveyRecord:
         return self.delta != 0
 
 
-def _classify_record(rec: SurveyRecord, p: int | None) -> SurveyRecord:
+def _classify_record(rec: SurveyRecord, p: int) -> SurveyRecord:
     """Slow reference classification via factorization and the local ops."""
     if not rec.nonsingular or not rec.minimal:
         return rec
     delta = rec.delta
     bad_small = delta % 2 == 0 or delta % 3 == 0
-    if p is None or bad_small or delta % p == 0:
+    if bad_small or delta % p == 0:
         out = dict(kodaira=localdata.kodaira_types(rec.a, rec.b))
     else:
         # one factorization and one point count at p give every field
@@ -126,12 +126,12 @@ def _classify_record(rec: SurveyRecord, p: int | None) -> SurveyRecord:
     return SurveyRecord(rec.a, rec.b, rec.height, delta, rec.minimal, bad_small, **out)
 
 
-def enumerate_curves(x: int, p: int | None = None, classify: bool = False) -> Iterator[SurveyRecord]:
+def enumerate_curves(x: int, p: int | None = None) -> Iterator[SurveyRecord]:
     """Yield every pair in the height window exactly once.
 
-    With classify=True the heavier fields (Kodaira types at the bad primes
-    >= 5, and the at-p data when p is given) are filled in via the generic
-    factorization path; this is the slow reference pipeline.
+    With p given, the heavier fields (Kodaira types at the bad primes >= 5
+    and the data at p) are filled in via the generic factorization path;
+    this is the slow reference pipeline.
     """
     win = HeightWindow.from_height(x)
     min_primes = win.minimality_primes()
@@ -141,7 +141,7 @@ def enumerate_curves(x: int, p: int | None = None, classify: bool = False) -> It
             delta = four_a3 + 27 * b * b
             rec = SurveyRecord(a, b, localdata.naive_height(a, b), delta,
                                _is_minimal_pair(a, b, min_primes))
-            yield _classify_record(rec, p) if classify else rec
+            yield rec if p is None else _classify_record(rec, p)
 
 
 @dataclass(frozen=True)
@@ -198,12 +198,16 @@ def empirical_minimal_density(census: GrowthCensus) -> SurveySummary:
                          Fraction(counts["curves"], counts["pairs"]), theoretical)
 
 
+def _check_view_n(n: int) -> None:
+    if n < 1:
+        raise DomainError("n must be >= 1")
+
+
 def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveySummary:
     """Fraction of minimal nonsingular curves with type I_n at ell, against
     the exact prediction density_In(ell, n) / minimal_density(ell).  The
     census must have been built with ell among its `ells`."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_view_n(n)
     curves = census.counts["curves"]
     hits = census.valuation_hists[ell].get(n, 0)
     theoretical = QInterval.point(density.density_In(ell, n) / density.minimal_density(ell))
@@ -233,7 +237,7 @@ def _certificate_pool(p: int, max_abs_delta: int) -> tuple[tuple[int, np.ndarray
 
 @dataclass(frozen=True)
 class GrowthCensus:
-    p: int | None
+    p: int
     x: int
     counts: dict
     strict_hist: dict
@@ -279,31 +283,30 @@ def _certify(a, b, pool) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
-    """The one pass over the height box, in numpy blocks of _BLOCK_PAIRS
-    consecutive pairs (row by row in a, then b).
+def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
+    """The one pass over the height box at the prime p, in numpy blocks of
+    _BLOCK_PAIRS consecutive pairs (row by row in a, then b).
 
     Every pair lands in one bucket: singular, nonminimal or curve.  For each
     ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta).
-    With p given, the curves go on into bad_at_2_or_3, bad_at_p,
-    supersingular_at_p, torsion_uncertified or classified, and the
-    classified ones into the strict, Kodaira-only and Euler histograms.
+    The curves go on into bad_at_2_or_3, bad_at_p, supersingular_at_p,
+    torsion_uncertified or classified, and the classified ones into the
+    strict, Kodaira-only and Euler histograms.
     """
-    for prime in ells if p is None else (p, *ells):
+    for prime in (p, *ells):
         check_prime(prime, 5)
     if x >= MAX_SURVEY_HEIGHT:
         raise DomainError(f"height bound x = {x} must be below 2^62, so that "
                           "|delta| <= 2x fits in int64")
     win = HeightWindow.from_height(x)
     min_primes = win.minimality_primes()
-    counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS[:3] if p is None else _BUCKETS, 0)}
-    if p is not None:
-        codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8)
-        cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else None
-        # only primes with ell^p <= |delta| can carry a Tamagawa number
-        # divisible by p (split I_m needs p | m = v_ell(delta))
-        candidates = tuple(ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
-                           if ell >= 5 and ell != p)
+    counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0)}
+    codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8)
+    cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else None
+    # only primes with ell^p <= |delta| can carry a Tamagawa number
+    # divisible by p (split I_m needs p | m = v_ell(delta))
+    candidates = tuple(ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
+                       if ell >= 5 and ell != p)
     valuation_hists = {ell: Counter() for ell in ells}
     strict_hist, kodaira_hist, euler_hist = Counter(), Counter(), Counter()
     width = 2 * win.b_max + 1
@@ -323,8 +326,6 @@ def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthC
         for ell in ells:
             keep = (a % ell != 0) | (b % ell != 0)
             _tally(valuation_hists[ell], _valuations(delta[keep], ell))
-        if p is None:
-            continue
         good = (delta % 2 != 0) & (delta % 3 != 0)
         counts["bad_at_2_or_3"] += len(delta) - int(good.sum())
         a, b, delta = a[good], b[good], delta[good]
@@ -359,47 +360,37 @@ def _growth_census(p: int | None, x: int, ells: tuple[int, ...] = ()) -> GrowthC
     return GrowthCensus(p, x, counts, strict_hist, kodaira_hist, euler_hist, valuation_hists)
 
 
-def _check_growth_view(census: GrowthCensus, n: int) -> None:
-    if census.p is None:
-        raise DomainError("this view needs a census built at a prime p")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-
-
-def empirical_selmer_growth(census: GrowthCensus, n: int,
-                            kodaira_only: bool = False) -> SurveySummary:
+def empirical_selmer_growth(census: GrowthCensus, n: int) -> SurveySummary:
     """Fraction of classified curves whose growth invariant at p is >= n.
 
     The denominator is the classified set: minimal, nonsingular, good at 2,
-    3 and p, ordinary at p, torsion-certified.  Both the strict predicate
-    (p | c_ell enforced through the split condition) and the Kodaira-only
-    variant are counted; `kodaira_only` selects which one the headline
-    ratio uses.  The certified lower bound for the same (p, n) is attached
-    for comparison; the bound is one-sided, so the empirical ratio is
-    expected to sit above its .lo endpoint.
+    3 and p, ordinary at p, torsion-certified.  The headline ratio uses the
+    strict predicate (p | c_ell enforced through the split condition); the
+    Kodaira-only variant is counted beside it.  The certified lower bound
+    for the same (p, n) is attached for comparison; the bound is one-sided,
+    so the empirical ratio is expected to sit above its .lo endpoint.
     """
-    _check_growth_view(census, n)
+    _check_view_n(n)
     hits_strict = census.tail(census.strict_hist, n)
     hits_kodaira = census.tail(census.kodaira_hist, n)
     classified = census.counts["classified"]
     report = bounds.selmer_growth_bound(census.p, n)
-    hits = hits_kodaira if kodaira_only else hits_strict
     counts = {**census.counts, "growth_ge_n_strict": hits_strict,
               "growth_ge_n_kodaira_only": hits_kodaira}
+    strict = Fraction(hits_strict, classified) if classified else None
     extras = {
-        "predicate": "kodaira_only" if kodaira_only else "strict",
-        "empirical_strict": Fraction(hits_strict, classified) if classified else None,
+        "predicate": "strict",
+        "empirical_strict": strict,
         "empirical_kodaira_only": Fraction(hits_kodaira, classified) if classified else None,
     }
-    return SurveySummary("selmer_growth", census.x, counts,
-                         Fraction(hits, classified) if classified else None,
+    return SurveySummary("selmer_growth", census.x, counts, strict,
                          report.value, p=census.p, n=n, extras=extras)
 
 
 def empirical_euler_divisibility(census: GrowthCensus, n: int) -> SurveySummary:
     """Fraction of classified curves with v_p(Euler term) >= n, with the
     corresponding certified lower bound attached."""
-    _check_growth_view(census, n)
+    _check_view_n(n)
     hits = census.tail(census.euler_hist, n)
     classified = census.counts["classified"]
     report = bounds.euler_divisibility_bound(census.p, n)

@@ -2,7 +2,6 @@ import pytest
 
 from ecstats.arith import (
     factorize,
-    integer_cbrt,
     integer_nth_root,
     is_prime,
     next_prime,
@@ -37,7 +36,7 @@ def test_primes_in_and_next_prime():
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 26, 27, 28, 10**8 // 4, 2**60 - 1])
 def test_integer_cbrt(n):
-    r = integer_cbrt(n)
+    r = integer_nth_root(n, 3)
     assert r**3 <= n < (r + 1) ** 3
 
 

@@ -143,6 +143,20 @@ def test_bound_report_sweeps_the_primes_once(monkeypatch):
     assert r.terms.sym_aux == bounds.prime_symmetric_sum(2, 13, 200)
 
 
+@pytest.mark.parametrize("p, truncation", [(13, 400), (7, 1000)])
+def test_symmetric_sums_match_fraction_recurrence(p, truncation):
+    """The sweep over integer numerators gives the same e_0..e_3 as the
+    textbook recurrence e_j += f * e_(j-1) in Fractions."""
+    e = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+    for ell in arith.primes_in(5, truncation):
+        if ell != p:
+            f = Fraction(ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1))
+            for j in (3, 2, 1):
+                e[j] += f * e[j - 1]
+    for n in range(4):
+        assert [s.lo for s in bounds._symmetric_sums(n, p, truncation)] == e[:n + 1]
+
+
 def test_family_density_exceeds_stated_bound(bound_laws):
     r = bound_laws["family density exceeds its stated bound"]
     assert r.passed, r.detail

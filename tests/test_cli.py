@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecstats import cli, survey
+from ecstats import bounds, cli, ffcurve, survey
 from ecstats.arith import is_prime
 
 
@@ -77,13 +77,25 @@ def test_missing_required_args_exit_2():
     ["survey", "--x", "4611686018427387903", "--p", "4"],
     ["survey", "--x", "4611686018427387903", "--p", "7", "--n", "0"],
     ["tables", "--pmin", "5", "--pmax", "10000000000000"],
+    ["bounds", "--p", "1048583", "--n", "1"],
+    ["survey", "--x", "100", "--p", "1031"],
 ])
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
-    # over the height box (about 1.7e15 pairs) would run for years, and a
-    # sieve up to --pmax = 10^13 would allocate 10 TB
+    # over the height box (about 1.7e15 pairs) would run for years, a
+    # sieve up to --pmax = 10^13 would allocate 10 TB, and the zeta and
+    # symmetric sums at p = 1048583 would not finish in minutes
     from_height = survey.HeightWindow.from_height
     primes_in = cli.primes_in
+
+    def capped_p_only(name, p_index):
+        fn = getattr(bounds, name)
+
+        def guarded(*args):
+            p = args[p_index]
+            assert p < ffcurve.MAX_FIELD_PRIME, f"bounds ran {name} at p = {p} before its cap check"
+            return fn(*args)
+        monkeypatch.setattr(bounds, name, guarded)
 
     def small_box_only(x):
         assert x < 10**6, f"survey scanned the box at x = {x} before validating its input"
@@ -95,11 +107,15 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(survey.HeightWindow, "from_height", small_box_only)
     monkeypatch.setattr(cli, "primes_in", small_sieve_only)
+    capped_p_only("zeta_reciprocal", 0)
+    capped_p_only("_symmetric_sums", 1)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ecstats: error: ")
+    if "1031" in argv:  # a capped p is named in the error
+        assert "1031" in lines[0]
 
 
 def test_internal_value_error_keeps_traceback(monkeypatch):

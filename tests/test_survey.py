@@ -65,7 +65,7 @@ def test_enumerate_against_naive_oracle():
 
 
 def test_minimal_density_summary_small():
-    s = survey.empirical_minimal_density(survey._growth_census(None, 10**6))
+    s = survey.empirical_minimal_density(survey._growth_census(7, 10**6))
     assert s.counts["pairs"] == survey.count_pairs(10**6)
     assert s.counts["singular"] + s.counts["nonminimal"] + s.counts["curves"] \
         == s.counts["pairs"]
@@ -76,10 +76,10 @@ def test_minimal_density_summary_small():
 
 def test_kodaira_summary_matches_slow_records():
     x, ell, n = 10**4, 5, 1
-    s = survey.empirical_kodaira_density(survey._growth_census(None, x, (ell,)), ell, n)
+    s = survey.empirical_kodaira_density(survey._growth_census(7, x, (ell,)), ell, n)
     slow_hits = 0
     slow_curves = 0
-    for rec in survey.enumerate_curves(x, classify=True):
+    for rec in survey.enumerate_curves(x, p=7):
         if not (rec.minimal and rec.nonsingular):
             continue
         slow_curves += 1
@@ -115,7 +115,7 @@ def test_growth_census_matches_slow_records(p, x):
     buckets = dict.fromkeys(survey._BUCKETS, 0)
     strict, kodaira, euler = Counter(), Counter(), Counter()
     valuations = {5: Counter(), 7: Counter()}
-    for rec in survey.enumerate_curves(x, p=p, classify=True):
+    for rec in survey.enumerate_curves(x, p=p):
         if not rec.nonsingular:
             buckets["singular"] += 1
             continue
@@ -146,7 +146,7 @@ def test_growth_census_matches_slow_records(p, x):
     census = survey._growth_census(p, x)
     assert census.counts == {"pairs": survey.count_pairs(x), **buckets}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
-    assert survey._growth_census(None, x, (5, 7)).valuation_hists == valuations
+    assert survey._growth_census(7, x, (5, 7)).valuation_hists == valuations
     if (p, x) == (5, 10**6):
         assert buckets["torsion_uncertified"] == 5
 
@@ -209,7 +209,7 @@ def test_classified_csv_pinned():
     """The slow classify path's CSV bytes at x = 10^5, p = 7, pinned so
     that any change to its per-curve local data shows."""
     buf = io.StringIO()
-    assert survey.write_csv(survey.enumerate_curves(10**5, p=7, classify=True), buf) == 7139
+    assert survey.write_csv(survey.enumerate_curves(10**5, p=7), buf) == 7139
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
         "31d9b12d7b07fa5e53a7c76c1c2236477bd64a48d330b2a0f09a6bcd65e65d3f"
 
@@ -231,7 +231,7 @@ def test_classify_path_work(monkeypatch):
             monkeypatch.setattr(module, "factorize", counting("factorize", arith.factorize))
     monkeypatch.setattr(ffcurve, "count_points", counting("count_points", ffcurve.count_points))
     monkeypatch.setattr(localdata, "check_prime", counting("check_prime", localdata.check_prime))
-    curves = [r for r in survey.enumerate_curves(10**4, p=7, classify=True)
+    curves = [r for r in survey.enumerate_curves(10**4, p=7)
               if r.nonsingular and r.minimal]
     good = sum(1 for r in curves if r.delta % 2 and r.delta % 3 and r.delta % 7)
     assert good > 0
@@ -276,17 +276,17 @@ def test_growth_census_checks_primes_before_scanning(monkeypatch):
 
     monkeypatch.setattr(survey.HeightWindow, "from_height", no_scan)
     with pytest.raises(NotPrimeError):
-        survey._growth_census(None, 100, (4,))
+        survey._growth_census(7, 100, (4,))
     with pytest.raises(PrimeTooSmallError):
         survey._growth_census(7, 100, (5, 3))
 
 
-def test_growth_views_need_a_census_at_p():
-    census = survey._growth_census(None, 100, (5,))
-    with pytest.raises(DomainError):
-        survey.empirical_selmer_growth(census, 1)
-    with pytest.raises(DomainError):
-        survey.empirical_euler_divisibility(census, 1)
+def test_views_share_one_n_check():
+    census = survey._growth_census(7, 100, (5,))
+    for view in (survey.empirical_selmer_growth, survey.empirical_euler_divisibility,
+                 lambda c, n: survey.empirical_kodaira_density(c, 5, n)):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            view(census, 0)
 
 
 def test_growth_census_determinism():
@@ -296,7 +296,7 @@ def test_growth_census_determinism():
 
 
 def test_summary_json_roundtrip():
-    s = survey.empirical_kodaira_density(survey._growth_census(None, 10**4, (5,)), 5, 1)
+    s = survey.empirical_kodaira_density(survey._growth_census(7, 10**4, (5,)), 5, 1)
     js = s.to_json()
     assert js["kind"] == "kodaira_density"
     assert js["counts"]["curves"] == s.counts["curves"]
@@ -311,7 +311,7 @@ def test_kodaira_classes_partition_curves():
     good = additive = 0
     mult = {}
     total = 0
-    for rec in survey.enumerate_curves(x, classify=True):
+    for rec in survey.enumerate_curves(x, p=7):
         if not (rec.minimal and rec.nonsingular):
             continue
         total += 1
@@ -323,7 +323,7 @@ def test_kodaira_classes_partition_curves():
         else:
             additive += 1
     assert good + additive + sum(mult.values()) == total
-    s = survey.empirical_kodaira_density(survey._growth_census(None, x, (ell,)), ell, 1)
+    s = survey.empirical_kodaira_density(survey._growth_census(7, x, (ell,)), ell, 1)
     assert mult.get(1, 0) == s.counts["type_In_at_ell"]
 
 
@@ -386,7 +386,7 @@ def test_box_predicate_agrees_with_exhaustive_measure():
 
 def test_csv_sink():
     buf = io.StringIO()
-    rows = survey.write_csv(survey.enumerate_curves(10**3, p=7, classify=True), buf)
+    rows = survey.write_csv(survey.enumerate_curves(10**3, p=7), buf)
     text = buf.getvalue().splitlines()
     assert text[0] == ",".join(survey.CSV_COLUMNS)
     assert rows == survey.count_pairs(10**3) == len(text) - 1
@@ -396,7 +396,7 @@ def test_csv_sink():
 
 
 def test_classified_record_fields():
-    rec = next(r for r in survey.enumerate_curves(10**3, p=7, classify=True)
+    rec = next(r for r in survey.enumerate_curves(10**3, p=7)
                if (r.a, r.b) == (1, 1))
     assert rec.minimal and rec.nonsingular and not rec.bad_small
     assert rec.ordinary is True and rec.anomalous is False
