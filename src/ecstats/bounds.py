@@ -62,6 +62,12 @@ def _sym_tail_majorant(p: int, truncation: int) -> Fraction:
     return Fraction(1, (p - 2) * truncation ** (p - 2))
 
 
+def _check_truncation(n: int, truncation: int) -> None:
+    """The sums of orders 1..n run over the primes up to a truncation >= 11."""
+    if n > 0 and truncation < 11:
+        raise TruncationError("truncation must be >= 11")
+
+
 def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
     """Enclosure of the n-th elementary symmetric function of {f(ell)}.
 
@@ -74,20 +80,19 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
     check_prime(p, 5)
     if n < 0:
         return QInterval.point(0)
+    _check_truncation(n, truncation)
     return _symmetric_sums(n, p, truncation)[n]
 
 
 def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
     """The enclosures of prime_symmetric_sum for every order 0..n, n >= 0,
-    from one sweep over the primes <= truncation.
+    from one sweep over the primes <= truncation (checked by the caller).
 
     The sweep keeps integer numerators of e_0..e_n over one common
     denominator, num[0], so each order is reduced to lowest terms once.
     """
     if n == 0:
         return [QInterval.point(1)]
-    if truncation < 11:
-        raise TruncationError("truncation must be >= 11")
     num = [1] + [0] * n
     for ell in sieve_primes(truncation):
         if ell < 5 or ell == p:
@@ -182,6 +187,7 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     check_prime(p, 5)
     if truncation is None:
         truncation = default_truncation(p)
+    _check_truncation(n, truncation)  # before the census and the exact zeta sum
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
     sums = _symmetric_sums(n, p, truncation)
@@ -270,8 +276,7 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
         _check_index_prime(ell, p)
     if truncation is None:
         truncation = default_truncation(p)
-    if truncation < 11:
-        raise TruncationError("truncation must be >= 11")
+    _check_truncation(k, truncation)
 
     counts = ffcurve.residue_class_counts(p)
     explicit = counts.anomalous_density if anomalous else counts.ordinary_density

@@ -115,7 +115,7 @@ def _cmd_survey(args) -> int:
     doc = {"schema_version": 2, "version": __version__, "x": args.x,
            "p": args.p, "n": args.n, "blocks": blocks}
     if args.csv:
-        rows = survey.write_csv(survey.enumerate_curves(args.x, p=args.p), args.csv)
+        rows = survey.write_survey_csv(args.x, args.p, args.csv)
         doc["csv"] = {"path": args.csv, "rows": rows}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--x", type=int, required=True)
     srv.add_argument("--p", type=int, required=True)
     srv.add_argument("--n", type=int, default=1)
-    srv.add_argument("--csv", help="also write per-curve rows (slow reference path)")
+    srv.add_argument("--csv", help="also write one row of local data per pair")
     srv.add_argument("--out")
     srv.set_defaults(func=_cmd_survey)
 

@@ -5,7 +5,8 @@ The height window H(a, b) = max(4|a|^3, 27 b^2) <= x is exactly the box
 height terms constrain a and b independently.  One numpy pass walks the box
 in blocks of 2^14 pairs; |delta| <= 2x must fit in int64, so x < 2^62.  The
 empirical_* views read the census they are given, so a survey runs it once.
-enumerate_curves streams it pair by pair (the slow oracle and CSV path).
+write_survey_csv writes one row per pair from the same blocks, and
+enumerate_curves, which streams the pairs one by one, is its test oracle.
 
 The growth census classifies each minimal nonsingular curve at a fixed
 prime p of good reduction.  Curves with bad reduction at 2 or 3 go into a
@@ -23,13 +24,14 @@ flag at p; and the Euler-term valuation v_p(prod c_ell^(p) * alpha_p^2).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 _MC_MAX_MODULUS = 1 << 19  # keeps 4*a^3 + 27*b^2 inside int64
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
 _BLOCK_PAIRS = 1 << 14  # pairs per numpy block of the height-box pass
+_CSV_BLOCK_ROWS = 1 << 12  # pairs per block of CSV rows, held as Python objects
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
 
@@ -130,8 +133,8 @@ def enumerate_curves(x: int, p: int | None = None) -> Iterator[SurveyRecord]:
     """Yield every pair in the height window exactly once.
 
     With p given, the heavier fields (Kodaira types at the bad primes >= 5
-    and the data at p) are filled in via the generic factorization path;
-    this is the slow reference pipeline.
+    and the data at p) are filled in per curve via the generic factorization
+    path; this is the test oracle of write_survey_csv.
     """
     win = HeightWindow.from_height(x)
     min_primes = win.minimality_primes()
@@ -254,11 +257,13 @@ def _tally(hist: Counter, values) -> None:
 
 
 def _valuations(values, ell: int):
-    """v_ell of each entry of an int64 array of nonzero integers."""
+    """v_ell of each entry of an int64 array of nonzero integers.  Each
+    division step touches only the entries that ell still divides."""
     v = np.zeros(len(values), dtype=np.int64)
-    while (hit := values % ell == 0).any():
-        v += hit
-        values = np.where(hit, values // ell, values)
+    hit, rest = np.arange(len(values)), values
+    while (keep := rest % ell == 0).any():
+        hit, rest = hit[keep], rest[keep] // ell
+        v[hit] += 1
     return v
 
 
@@ -282,10 +287,61 @@ def _certify(a, b, pool) -> np.ndarray:
     return certified
 
 
+def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
+    """The height box of a survey at p, checked before any pass over it, the
+    class codes at p, and the primes ell that can add to the growth at p."""
+    for prime in (p, *ells):
+        check_prime(prime, 5)
+    if x >= MAX_SURVEY_HEIGHT:
+        raise DomainError(f"height bound x = {x} must be below 2^62, so that "
+                          "|delta| <= 2x fits in int64")
+    win = HeightWindow.from_height(x)
+    codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8)
+    # only primes with ell^p <= |delta| can carry a Tamagawa number
+    # divisible by p (split I_m needs p | m = v_ell(delta))
+    candidates = tuple(ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
+                       if ell >= 5 and ell != p)
+    return win, codes, candidates
+
+
+def _blocks(win: HeightWindow, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """a, b, delta and the minimal flag of every pair of the box, in numpy
+    blocks of `size` consecutive pairs (row by row in a, then b)."""
+    min_primes = win.minimality_primes()
+    width = 2 * win.b_max + 1
+    for start in range(0, win.pair_count, size):
+        index = np.arange(start, min(start + size, win.pair_count), dtype=np.int64)
+        a, b = index // width - win.a_max, index % width - win.b_max
+        minimal = (a != 0) | (b != 0)
+        for p4, p6 in min_primes:
+            minimal &= (a % p4 != 0) | (b % p6 != 0)
+        yield a, b, 4 * a * a * a + 27 * b * b, minimal
+
+
+def _growth(a, b, delta, code, p: int, candidates: tuple[int, ...]):
+    """Strict count, Kodaira-only count and Euler valuation of the growth at
+    p, for curves good at 2, 3 and p with class codes `code` at p."""
+    g_strict = (code == ffcurve._CODE_ANOMALOUS).astype(np.int64)
+    g_kodaira = g_strict.copy()
+    euler_v = 2 * g_strict
+    for ell in candidates:
+        hit = np.flatnonzero(delta % ell**p == 0)
+        if not hit.size:
+            continue
+        v = _valuations(delta[hit], ell)
+        am, bm = a[hit] % ell, b[hit] % ell
+        tamagawa = (v % p == 0) & ((am != 0) | (bm != 0))
+        hit, v, am, bm = hit[tamagawa], v[tamagawa], am[tamagawa], bm[tamagawa]
+        g_kodaira[hit] += 1
+        split = _split_table(ell)[am, bm]
+        g_strict[hit[split]] += 1
+        euler_v[hit[split]] += _valuations(v[split], p)
+    return g_strict, g_kodaira, euler_v
+
+
 @lru_cache(maxsize=8)
 def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
-    """The one pass over the height box at the prime p, in numpy blocks of
-    _BLOCK_PAIRS consecutive pairs (row by row in a, then b).
+    """The one pass over the height box at the prime p, block by block.
 
     Every pair lands in one bucket: singular, nonminimal or curve.  For each
     ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta).
@@ -293,34 +349,15 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     torsion_uncertified or classified, and the classified ones into the
     strict, Kodaira-only and Euler histograms.
     """
-    for prime in (p, *ells):
-        check_prime(prime, 5)
-    if x >= MAX_SURVEY_HEIGHT:
-        raise DomainError(f"height bound x = {x} must be below 2^62, so that "
-                          "|delta| <= 2x fits in int64")
-    win = HeightWindow.from_height(x)
-    min_primes = win.minimality_primes()
+    win, codes, candidates = _survey_setup(p, x, ells)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0)}
-    codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8)
     cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else None
-    # only primes with ell^p <= |delta| can carry a Tamagawa number
-    # divisible by p (split I_m needs p | m = v_ell(delta))
-    candidates = tuple(ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
-                       if ell >= 5 and ell != p)
     valuation_hists = {ell: Counter() for ell in ells}
-    strict_hist, kodaira_hist, euler_hist = Counter(), Counter(), Counter()
-    width = 2 * win.b_max + 1
-    for start in range(0, win.pair_count, _BLOCK_PAIRS):
-        index = np.arange(start, min(start + _BLOCK_PAIRS, win.pair_count), dtype=np.int64)
-        a, b = index // width - win.a_max, index % width - win.b_max
-        delta = 4 * a * a * a + 27 * b * b
+    hists = Counter(), Counter(), Counter()  # strict, Kodaira-only, Euler
+    for a, b, delta, minimal in _blocks(win, _BLOCK_PAIRS):
         singular = delta == 0
-        nonminimal = np.zeros(len(a), dtype=bool)
-        for p4, p6 in min_primes:
-            nonminimal |= (a % p4 == 0) & (b % p6 == 0)
-        nonminimal &= ~singular
-        curve = ~(singular | nonminimal)
-        for name, mask in zip(_BUCKETS, (singular, nonminimal, curve)):
+        curve = minimal & ~singular
+        for name, mask in zip(_BUCKETS, (singular, ~(minimal | singular), curve)):
             counts[name] += int(mask.sum())
         a, b, delta = a[curve], b[curve], delta[curve]
         for ell in ells:
@@ -339,25 +376,9 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
             counts["torsion_uncertified"] += len(a) - int(certified.sum())
             a, b, delta, code = a[certified], b[certified], delta[certified], code[certified]
         counts["classified"] += len(a)
-        g_strict = (code == ffcurve._CODE_ANOMALOUS).astype(np.int64)
-        g_kodaira = g_strict.copy()
-        euler_v = 2 * g_strict
-        for ell in candidates:
-            hit = np.flatnonzero(delta % ell**p == 0)
-            if not hit.size:
-                continue
-            v = _valuations(delta[hit], ell)
-            am, bm = a[hit] % ell, b[hit] % ell
-            tamagawa = (v % p == 0) & ((am != 0) | (bm != 0))
-            hit, v, am, bm = hit[tamagawa], v[tamagawa], am[tamagawa], bm[tamagawa]
-            g_kodaira[hit] += 1
-            split = _split_table(ell)[am, bm]
-            g_strict[hit[split]] += 1
-            euler_v[hit[split]] += _valuations(v[split], p)
-        _tally(strict_hist, g_strict)
-        _tally(kodaira_hist, g_kodaira)
-        _tally(euler_hist, euler_v)
-    return GrowthCensus(p, x, counts, strict_hist, kodaira_hist, euler_hist, valuation_hists)
+        for hist, values in zip(hists, _growth(a, b, delta, code, p, candidates)):
+            _tally(hist, values)
+    return GrowthCensus(p, x, counts, *hists, valuation_hists)
 
 
 def empirical_selmer_growth(census: GrowthCensus, n: int) -> SurveySummary:
@@ -476,31 +497,78 @@ CSV_COLUMNS = ("a", "b", "height", "minimal", "delta", "kodaira",
                "ordinary", "anomalous", "growth_count", "euler_valuation")
 
 
-def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], path) -> int:
-    """Write survey records; returns the number of rows written."""
+def _record_fields(rec: SurveyRecord) -> tuple:
+    kod = None if rec.kodaira is None else ";".join(f"{ell}:{kt}" for ell, kt in rec.kodaira)
+    return (rec.a, rec.b, rec.height, int(rec.minimal), rec.delta, kod,
+            *(None if flag is None else int(flag) for flag in (rec.ordinary, rec.anomalous)),
+            rec.growth_count, rec.euler_valuation)
+
+
+def _write_rows(blocks: Iterable[list[tuple]], path) -> int:
+    """Write the header, then blocks of rows of CSV_COLUMNS fields (None
+    prints empty); returns the number of rows written."""
     rows = 0
-    close = False
-    if isinstance(path, (str, bytes)):
-        handle = open(path, "w", newline="")
-        close = True
-    else:
-        handle = path
-    try:
+    opened = isinstance(path, (str, bytes))
+    with open(path, "w", newline="") if opened else contextlib.nullcontext(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            kod = ""
-            if rec.kodaira is not None:
-                kod = ";".join(f"{ell}:{kt}" for ell, kt in rec.kodaira)
-            writer.writerow([
-                rec.a, rec.b, rec.height, int(rec.minimal), rec.delta, kod,
-                "" if rec.ordinary is None else int(rec.ordinary),
-                "" if rec.anomalous is None else int(rec.anomalous),
-                "" if rec.growth_count is None else rec.growth_count,
-                "" if rec.euler_valuation is None else rec.euler_valuation,
-            ])
-            rows += 1
-    finally:
-        if close:
-            handle.close()
+        for block in blocks:
+            writer.writerows(block)
+            rows += len(block)
     return rows
+
+
+def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], path) -> int:
+    """Write survey records; returns the number of rows written."""
+    return _write_rows(([_record_fields(rec)] for rec in records), path)
+
+
+def _kodaira_fields(a, b, delta, primes: tuple[int, ...]) -> list[str]:
+    """The kodaira field of each curve: `ell:I<v>`, or `ell:additive` where
+    ell divides a and b, for each prime ell >= 5 dividing delta, in order.
+    Trial division by `primes`, all primes up to isqrt(max |delta|), leaves
+    1 or a prime above them all, dividing delta once: type I1."""
+    fields = [[] for _ in range(len(delta))]
+    rest = np.abs(delta)
+    for ell in primes:
+        hit = np.flatnonzero(rest % ell == 0)
+        if not hit.size:
+            continue
+        v = _valuations(rest[hit], ell)
+        rest[hit] //= ell**v
+        if ell >= 5:
+            additive = (a[hit] % ell == 0) & (b[hit] % ell == 0)
+            for i, n, add in zip(hit.tolist(), v.tolist(), additive.tolist()):
+                fields[i].append(f"{ell}:additive" if add else f"{ell}:I{n}")
+    for i in np.flatnonzero(rest >= 5).tolist():
+        fields[i].append(f"{rest[i]}:I1")
+    return [";".join(f) for f in fields]
+
+
+def _survey_rows(x: int, p: int) -> Iterator[list[tuple]]:
+    """The fields write_csv writes for enumerate_curves(x, p), one list of
+    rows per block of the height box."""
+    win, codes, candidates = _survey_setup(p, x)
+    primes = sieve_primes(math.isqrt(win.max_abs_discriminant))
+    for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
+        curve = np.flatnonzero(minimal & (delta != 0))
+        local = curve[(delta[curve] % 2 != 0) & (delta[curve] % 3 != 0)]
+        code = codes[(a[local] % p) * p + b[local] % p]
+        good = code != ffcurve._CODE_SINGULAR
+        local, code = local[good], code[good]
+        g_strict, _, euler_v = _growth(a[local], b[local], delta[local], code, p, candidates)
+        kodaira, *at_p = (np.full(len(a), None, dtype=object) for _ in range(5))
+        kodaira[curve] = _kodaira_fields(a[curve], b[curve], delta[curve], primes)
+        for column, values in zip(at_p, (code != ffcurve._CODE_SUPERSINGULAR,
+                                         code == ffcurve._CODE_ANOMALOUS, g_strict, euler_v)):
+            column[local] = values.astype(np.int64)
+        height = np.maximum(4 * np.abs(a) ** 3, 27 * b * b)
+        yield list(zip(a.tolist(), b.tolist(), height.tolist(), minimal.astype(np.int64).tolist(),
+                       delta.tolist(), *(column.tolist() for column in (kodaira, *at_p))))
+
+
+def write_survey_csv(x: int, p: int, path) -> int:
+    """Write the bytes of write_csv(enumerate_curves(x, p), path) from numpy
+    blocks of the height box, streamed block by block; returns the number of
+    rows written."""
+    return _write_rows(_survey_rows(x, p), path)

@@ -3,13 +3,14 @@ import importlib
 import importlib.util
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecstats import bounds, cli, ffcurve, survey
+from ecstats import arith, bounds, cli, ffcurve, localdata, survey
 from ecstats.arith import is_prime
 
 
@@ -79,21 +80,27 @@ def test_missing_required_args_exit_2():
     ["tables", "--pmin", "5", "--pmax", "10000000000000"],
     ["bounds", "--p", "1048583", "--n", "1"],
     ["survey", "--x", "100", "--p", "1031"],
+    ["bounds", "--p", "1009", "--n", "1", "--trunc", "5"],
 ])
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
     # over the height box (about 1.7e15 pairs) would run for years, a
-    # sieve up to --pmax = 10^13 would allocate 10 TB, and the zeta and
-    # symmetric sums at p = 1048583 would not finish in minutes
+    # sieve up to --pmax = 10^13 would allocate 10 TB, the zeta and
+    # symmetric sums at p = 1048583 would not finish in minutes, and the
+    # census and exact zeta sum at p = 1009 take seconds before a
+    # truncation below 11 is refused
     from_height = survey.HeightWindow.from_height
     primes_in = cli.primes_in
+    trunc = int(argv[argv.index("--trunc") + 1]) if "--trunc" in argv else None
 
-    def capped_p_only(name, p_index):
+    def guard(name, p_index=None):
         fn = getattr(bounds, name)
 
         def guarded(*args):
-            p = args[p_index]
-            assert p < ffcurve.MAX_FIELD_PRIME, f"bounds ran {name} at p = {p} before its cap check"
+            assert trunc is None or trunc >= 11, f"bounds ran {name} before refusing --trunc {trunc}"
+            if p_index is not None:
+                p = args[p_index]
+                assert p < ffcurve.MAX_FIELD_PRIME, f"bounds ran {name} at p = {p} before its cap check"
             return fn(*args)
         monkeypatch.setattr(bounds, name, guarded)
 
@@ -107,8 +114,9 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(survey.HeightWindow, "from_height", small_box_only)
     monkeypatch.setattr(cli, "primes_in", small_sieve_only)
-    capped_p_only("zeta_reciprocal", 0)
-    capped_p_only("_symmetric_sums", 1)
+    guard("class_weights")  # the cap on p is checked inside it
+    guard("zeta_reciprocal", 0)
+    guard("_symmetric_sums", 1)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -203,6 +211,28 @@ def test_survey_json_and_csv(tmp_path, capsys):
     assert doc["blocks"]["minimal"]["counts"]["pairs"] == 169
     assert doc["csv"]["rows"] == 169
     assert csv_path.read_text().splitlines()[0].startswith("a,b,height")
+
+
+def test_survey_csv_factors_no_curve_one_by_one(tmp_path, capsys, monkeypatch):
+    """survey --csv writes its rows from the numpy blocks of the height box:
+    no per-curve factorization and no per-curve local-data call."""
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((arith, "factorize"), (localdata, "factorize"),
+                         (localdata, "tamagawa_anomaly_count")):
+        counting(module, name)
+    code, out, _ = run_cli(["survey", "--x", "10000", "--p", "7",
+                            "--csv", str(tmp_path / "rows.csv")], capsys)
+    assert code == 0 and json.loads(out)["csv"]["rows"] == survey.count_pairs(10**4)
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("argv", [

@@ -214,6 +214,42 @@ def test_classified_csv_pinned():
         "31d9b12d7b07fa5e53a7c76c1c2236477bd64a48d330b2a0f09a6bcd65e65d3f"
 
 
+def test_survey_csv_matches_oracle():
+    """The block path writes the oracle's bytes, over boxes that together
+    hold every kind of row it must get right."""
+    kinds = Counter()
+    for p in (5, 7, 11, 13):
+        for x in (10**3, 10**4, 10**5):
+            oracle, fast = io.StringIO(), io.StringIO()
+            records = list(survey.enumerate_curves(x, p))
+            assert survey.write_survey_csv(x, p, fast) == survey.write_csv(records, oracle)
+            assert fast.getvalue() == oracle.getvalue()
+            trial_limit = math.isqrt(HeightWindow.from_height(x).max_abs_discriminant)
+            for r in records:
+                if r.kodaira is None:
+                    continue
+                kinds["additive"] += any(not kt.is_multiplicative for _, kt in r.kodaira)
+                kinds["factor above trial limit"] += any(ell > trial_limit for ell, _ in r.kodaira)
+                kinds["bad at p"] += not r.bad_small and r.ordinary is None
+                kinds["supersingular"] += r.ordinary is False
+                kinds["anomalous"] += bool(r.anomalous)
+                kinds["growth >= 1"] += (r.growth_count or 0) >= 1
+    assert len(+kinds) == 6, kinds
+
+
+def test_valuations_match_scalar():
+    rng = np.random.default_rng(11)
+    for ell in (2, 3, 5, 7, 11):
+        values = rng.integers(-2**62, 2**62, size=2000, dtype=np.int64)
+        values[::7] = rng.integers(-50, 50, size=len(values[::7])) * ell ** rng.integers(
+            1, 12, size=len(values[::7]))
+        powers = [ell**k for k in range(1, 62) if ell**k < 2**63]
+        values = np.concatenate([values[values != 0], powers, [-q for q in powers]])
+        assert survey._valuations(values, ell).tolist() == \
+            [localdata.valuation(int(v), ell) for v in values]
+    assert survey._valuations(np.array([5**26, -5**26, 7 * 5**26 // 5]), 5).tolist() == [26, 26, 25]
+
+
 def test_classify_path_work(monkeypatch):
     """The classify path works out each curve's local data once: one
     factorization per minimal curve, one point count per curve good at 2, 3
