@@ -50,7 +50,6 @@ from .bounds import (
 from .survey import (
     GrowthCensus,
     HeightWindow,
-    MonteCarloResult,
     SurveyRecord,
     SurveySummary,
     count_pairs,
@@ -59,7 +58,6 @@ from .survey import (
     empirical_minimal_density,
     empirical_selmer_growth,
     enumerate_curves,
-    montecarlo_local_measure,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,7 @@ from . import bounds, density, ffcurve, reference_tables, survey, verify
 from ._version import __version__
 from .arith import primes_in
 from .errors import DomainError
-from .intervals import fraction_to_decimal
+from .intervals import check_printable, fraction_to_decimal
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -96,7 +96,7 @@ def _cmd_densities(args) -> int:
         value = density.density_In_at_least(args.ell, args.n)
     else:  # minimal
         value = density.minimal_density(args.ell)
-    _emit(f"{value} = {fraction_to_decimal(value)}", args.out)
+    _emit(f"{check_printable(value)} = {fraction_to_decimal(value)}", args.out)
     return 0
 
 

@@ -10,9 +10,12 @@ lies in [lo, hi].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .errors import DomainError
 
 Rat = Union[Fraction, int]
 
@@ -117,7 +120,16 @@ def round_fraction(q: Fraction, significant: int, up: bool) -> Fraction:
     shift = significant - 1 - e
     scaled = q * Fraction(10) ** shift
     units = math.ceil(scaled) if up else math.floor(scaled)
-    return Fraction(units) / Fraction(10) ** shift
+    return check_printable(Fraction(units) / Fraction(10) ** shift)
+
+
+def check_printable(q: Fraction) -> Fraction:
+    """q, or DomainError where str(q) would pass Python's int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+        raise DomainError(f"an exact value cannot be printed: Exceeds the limit ({limit} digits) "
+                          "for integer string conversion; PYTHONINTMAXSTRDIGITS raises it")
+    return q
 
 
 def fraction_to_decimal(q: Fraction, places: int = 15) -> str:

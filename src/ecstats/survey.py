@@ -1,4 +1,4 @@
-"""Census of curves ordered by naive height, and Monte Carlo local measures.
+"""Census of curves ordered by naive height, and the CSV of their local data.
 
 The height window H(a, b) = max(4|a|^3, 27 b^2) <= x is exactly the box
 |a| <= floor((x/4)^(1/3)), |b| <= floor((x/27)^(1/2)) because the two
@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import DomainError
 from .intervals import QInterval
 
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
-_MC_MAX_MODULUS = 1 << 19  # keeps 4*a^3 + 27*b^2 inside int64
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
 _BLOCK_PAIRS = 1 << 14  # pairs per numpy block of the height-box pass
 _CSV_BLOCK_ROWS = 1 << 12  # pairs per block of CSV rows, held as Python objects
@@ -422,75 +421,6 @@ def empirical_euler_divisibility(census: GrowthCensus, n: int) -> SurveySummary:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimation of local measures
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    ell: int
-    exponent: int
-    samples: int
-    seed: int
-    hits: int
-    estimate: Fraction
-
-
-def montecarlo_local_measure(ell: int, exponent: int, predicate: Callable,
-                             samples: int, seed: int) -> MonteCarloResult:
-    """Estimate the measure of a congruence set by uniform sampling of
-    residue pairs mod ell^exponent.
-
-    `predicate` receives two equal-length int64 numpy arrays (a, b) of
-    residues and must return an elementwise boolean array.  Deterministic
-    for a fixed seed.
-    """
-    if exponent < 1:
-        raise DomainError("exponent must be >= 1")
-    if samples < 1000:
-        raise DomainError("samples must be >= 1000")
-    modulus = ell**exponent
-    if modulus > _MC_MAX_MODULUS:
-        raise DomainError(f"ell^exponent must be <= {_MC_MAX_MODULUS}")
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, modulus, size=samples, dtype=np.int64)
-    b = rng.integers(0, modulus, size=samples, dtype=np.int64)
-    mask = np.asarray(predicate(a, b))
-    if mask.shape != a.shape:
-        raise DomainError("predicate must return one boolean per sample")
-    hits = int(mask.sum())
-    return MonteCarloResult(ell, exponent, samples, seed, hits, Fraction(hits, samples))
-
-
-def valuation_box_predicate(ell: int, v1: int, v2: int) -> Callable:
-    """Membership test for {v(a) >= v1, v(b) >= v2}; use exponent >= max(v1, v2, 1)."""
-    m1, m2 = ell**v1, ell**v2
-
-    def predicate(a, b):
-        return (a % m1 == 0) & (b % m2 == 0)
-
-    predicate.exponent = max(v1, v2, 1)
-    predicate.exact_measure = density.valuation_box_measure(ell, v1, v2)
-    return predicate
-
-
-def kodaira_In_predicate(ell: int, n: int) -> Callable:
-    """Membership test for Kodaira type I_n at ell on residues mod ell^(n+1)."""
-    modulus = ell ** (n + 1)
-    step = ell**n
-
-    def predicate(a, b):
-        a = a % modulus
-        b = b % modulus
-        delta = (4 * a * a * a + 27 * b * b) % modulus
-        nonzero_mod_ell = (a % ell != 0) | (b % ell != 0)
-        return nonzero_mod_ell & (delta % step == 0) & (delta != 0)
-
-    predicate.exponent = n + 1
-    predicate.exact_measure = density.density_In(ell, n)
-    return predicate
-
-
-# ---------------------------------------------------------------------------
 # CSV sink
 
 CSV_COLUMNS = ("a", "b", "height", "minimal", "delta", "kodaira",
@@ -530,18 +460,21 @@ def _kodaira_fields(a, b, delta, primes: tuple[int, ...]) -> list[str]:
     1 or a prime above them all, dividing delta once: type I1."""
     fields = [[] for _ in range(len(delta))]
     rest = np.abs(delta)
-    for ell in primes:
-        hit = np.flatnonzero(rest % ell == 0)
+    live = np.arange(len(delta))
+    for i, ell in enumerate(primes):
+        if i >= 2 and i % 4 == 0:  # rows with a cofactor below ell^2 (1 or a prime) are done
+            live = live[rest[live] >= ell * ell]
+        hit = live[rest[live] % ell == 0]
         if not hit.size:
             continue
         v = _valuations(rest[hit], ell)
         rest[hit] //= ell**v
         if ell >= 5:
             additive = (a[hit] % ell == 0) & (b[hit] % ell == 0)
-            for i, n, add in zip(hit.tolist(), v.tolist(), additive.tolist()):
-                fields[i].append(f"{ell}:additive" if add else f"{ell}:I{n}")
-    for i in np.flatnonzero(rest >= 5).tolist():
-        fields[i].append(f"{rest[i]}:I1")
+            for row, n, add in zip(hit.tolist(), v.tolist(), additive.tolist()):
+                fields[row].append(f"{ell}:additive" if add else f"{ell}:I{n}")
+    for row in np.flatnonzero(rest >= 5).tolist():
+        fields[row].append(f"{rest[row]}:I1")
     return [";".join(f) for f in fields]
 
 

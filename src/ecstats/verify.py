@@ -3,9 +3,10 @@
 Each check returns CheckResult records instead of raising, so the CLI can
 print one status line per check and exit nonzero on any failure.  The
 oracles here are deliberately written against the definitions (affine
-(x, y) enumeration on the cubic) rather than through the library's counting
-paths.  The tests call these checks instead of re-deriving the laws, so
-`pytest` and `ecstats verify` check one implementation of each.
+(x, y) enumeration on the cubic, exact residue counts of local measures)
+rather than through the library's counting paths; none samples.  The tests
+call these checks instead of re-deriving the laws, so `pytest` and
+`ecstats verify` check one implementation of each.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bounds, density, ffcurve, localdata, reference_tables, survey
+import numpy as np
+
+from . import bounds, density, ffcurve, localdata, reference_tables
 from .arith import primes_in
 from .intervals import QInterval
 
@@ -148,6 +151,38 @@ def check_split_dual_oracle(max_ell: int = 50) -> list[CheckResult]:
     return out
 
 
+def counted_box_measure(ell: int, v1: int, v2: int) -> Fraction:
+    """Share of pairs mod ell^e, e = max(v1, v2, 1), with v(a) >= v1 and v(b) >= v2."""
+    r = np.arange(ell ** max(v1, v2, 1))
+    return Fraction(int(np.outer(r % ell**v1 == 0, r % ell**v2 == 0).sum()), len(r) ** 2)
+
+
+def counted_In_measure(ell: int, n: int) -> Fraction:
+    """Share of pairs mod M = ell^(n+1) of type I_n: v(4a^3 + 27b^2) = n, (a, b) != (0, 0)
+    mod ell.  Row a holds the b with 27b^2 = -4a^3 + k ell^n mod M, k = 1..ell-1, read from
+    a histogram of 27b^2 over all b, or over b != 0 mod ell when ell | a: O(M ell) work."""
+    modulus = ell ** (n + 1)
+    x = np.arange(modulus, dtype=np.int64)
+    r = x * x % modulus * 27 % modulus
+    every_b, unit_b = (np.bincount(rs, minlength=modulus) for rs in (r, r[x % ell != 0]))
+    wanted = (np.arange(1, ell) * ell**n - 4 * (x * x % modulus * x)[:, None]) % modulus
+    hits = np.where((x % ell == 0)[:, None], unit_b[wanted], every_b[wanted])
+    return Fraction(int(hits.sum()), modulus**2)
+
+
+def check_local_measures() -> list[CheckResult]:
+    """Each closed-form local measure equals its exact count over all residue
+    pairs: 10 valuation boxes, and I_n at 5 (n <= 4), 7 and 11 (n <= 3)."""
+    cases = [(f"box v(a)>={v1}, v(b)>={v2} at ell={ell}", counted_box_measure(ell, v1, v2),
+              density.valuation_box_measure(ell, v1, v2))
+             for ell, v1, v2 in ((5, 1, 1), (5, 1, 2), (5, 2, 1), (5, 0, 2), (7, 1, 1),
+                                 (7, 1, 2), (7, 2, 0), (11, 1, 1), (11, 0, 1), (11, 2, 2))]
+    cases += [(f"I_{n} at ell={ell}", counted_In_measure(ell, n), density.density_In(ell, n))
+              for ell, top in ((5, 4), (7, 3), (11, 3)) for n in range(1, top + 1)]
+    return [_result(f"{label} counted exactly", got == want, f"count {got}, closed form {want}")
+            for label, got, want in cases]
+
+
 # ---------------------------------------------------------------------------
 # density / bound laws
 
@@ -211,28 +246,10 @@ def check_bound_laws(grid_p=(5, 7, 11, 13), grid_n=(1, 2, 3)) -> list[CheckResul
     return out
 
 
-def check_montecarlo(samples: int = 20000, seed: int = 20260809) -> list[CheckResult]:
-    preds = [
-        ("box ell=5 v=(1,1)", 5, survey.valuation_box_predicate(5, 1, 1)),
-        ("box ell=7 v=(1,2)", 7, survey.valuation_box_predicate(7, 1, 2)),
-        ("I_1 at ell=5", 5, survey.kodaira_In_predicate(5, 1)),
-        ("I_1 at ell=7", 7, survey.kodaira_In_predicate(7, 1)),
-    ]
-    out = []
-    for i, (label, ell, pred) in enumerate(preds):
-        res = survey.montecarlo_local_measure(ell, pred.exponent, pred, samples, seed + i)
-        mu = pred.exact_measure
-        sigma = (float(mu) * (1 - float(mu)) / samples) ** 0.5
-        dev = abs(float(res.estimate) - float(mu))
-        out.append(_result(f"monte carlo {label} within 5 sigma", dev <= 5 * sigma,
-                           f"dev = {dev:.2e}, sigma = {sigma:.2e}"))
-    return out
-
-
 SUITES = {
     "tables": (check_reference_tables,),
     "oracles": (check_count_oracle, check_singular_counts, check_partition,
-                check_hasse, check_split_dual_oracle, check_montecarlo),
+                check_hasse, check_split_dual_oracle, check_local_measures),
     "bounds": (check_telescoping, check_symmetric_conventions, check_bound_laws),
 }
 

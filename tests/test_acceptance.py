@@ -84,35 +84,14 @@ def test_criterion_04_kodaira_density(ell):
            f"{float(s.theoretical.midpoint):.7f}, gap {float(gap):.2e}")
 
 
-def _twenty_predicates():
-    preds = []
-    for ell, v1, v2 in [(5, 1, 1), (5, 1, 2), (5, 2, 1), (5, 0, 2), (7, 1, 1),
-                        (7, 1, 2), (7, 2, 0), (11, 1, 1), (11, 0, 1), (11, 2, 2)]:
-        preds.append((f"box({ell},{v1},{v2})", ell, survey.valuation_box_predicate(ell, v1, v2)))
-    for ell, n in [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3),
-                   (11, 1), (11, 2), (11, 3)]:
-        preds.append((f"I_{n}@{ell}", ell, survey.kodaira_In_predicate(ell, n)))
-    return preds
-
-
-def test_criterion_05_montecarlo_oracle():
-    """20 exactly-known measures; >= 19 sampled estimates within 4 sigma
-    at one million samples."""
-    preds = _twenty_predicates()
-    assert len(preds) == 20
-    m = 10**6
-    inside = 0
-    worst = 0.0
-    for i, (label, ell, pred) in enumerate(preds):
-        res = survey.montecarlo_local_measure(ell, pred.exponent, pred, m, seed=20260809 + i)
-        mu = float(pred.exact_measure)
-        sigma = (mu * (1 - mu) / m) ** 0.5
-        dev = abs(float(res.estimate) - mu) / sigma
-        worst = max(worst, dev)
-        if dev <= 4.0:
-            inside += 1
-    report("5 Monte Carlo measure oracle (>=19/20 within 4 sigma, m=1e6)",
-           inside >= 19, f"{inside}/20 inside, worst deviation {worst:.2f} sigma")
+def test_criterion_05_exact_local_measures():
+    """20 closed-form local measures (10 valuation boxes, I_n at 5, 7, 11),
+    each equal to its exact count over all residue pairs."""
+    results = verify.check_local_measures()
+    assert len(results) == 20
+    bad = [r.name for r in results if not r.passed]
+    report("5 exact local-measure oracle (20 measures, all residue pairs counted)",
+           not bad, f"{20 - len(bad)}/20 equal, failures: {bad}")
 
 
 def test_criterion_06_split_dual_oracle():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecstats import arith, bounds, cli, ffcurve, localdata, survey
 from ecstats.arith import is_prime
@@ -81,6 +81,9 @@ def test_missing_required_args_exit_2():
     ["bounds", "--p", "1048583", "--n", "1"],
     ["survey", "--x", "100", "--p", "1031"],
     ["bounds", "--p", "1009", "--n", "1", "--trunc", "5"],
+    ["bounds", "--p", "7", "--n", "400"],
+    ["survey", "--x", "100", "--p", "7", "--n", "500"],
+    ["densities", "--ell", "5", "--type", "In", "--n", "8000"],
 ])
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
@@ -88,7 +91,8 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # sieve up to --pmax = 10^13 would allocate 10 TB, the zeta and
     # symmetric sums at p = 1048583 would not finish in minutes, and the
     # census and exact zeta sum at p = 1009 take seconds before a
-    # truncation below 11 is refused
+    # truncation below 11 is refused.  The last three compute exact values
+    # too small to print within Python's 4300-digit int-to-str limit.
     from_height = survey.HeightWindow.from_height
     primes_in = cli.primes_in
     trunc = int(argv[argv.index("--trunc") + 1]) if "--trunc" in argv else None
@@ -150,7 +154,7 @@ _INTS = st.integers(min_value=-3, max_value=50)
 _ARGV = st.one_of(
     st.tuples(st.just("densities"), st.just("--ell"), _INTS,
               st.just("--type"), st.sampled_from(["I0", "In", "Igeq", "minimal"]),
-              st.just("--n"), st.integers(min_value=-2, max_value=4)),
+              st.just("--n"), st.integers(min_value=-2, max_value=10**4)),
     st.tuples(st.just("bounds"), st.just("--p"), _INTS,
               st.just("--n"), st.integers(min_value=-2, max_value=4),
               st.just("--kind"), st.sampled_from(["growth", "euler", "mu-lambda"])),
@@ -163,6 +167,7 @@ _ARGV = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(_ARGV)
+@example(("densities", "--ell", 5, "--type", "In", "--n", 10**4))
 def test_cli_never_raises(argv):
     """Any argv of these shapes exits 0, 1 or 2 without a traceback, and a
     survey with a prime p >= 5, n >= 1 and x >= 0 exits 0."""

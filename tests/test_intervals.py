@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ecstats.intervals import QInterval, fraction_to_decimal, round_fraction
+from ecstats.errors import DomainError
+from ecstats.intervals import QInterval, check_printable, fraction_to_decimal, round_fraction
 
 
 def test_point_and_validation():
@@ -65,6 +66,19 @@ def test_round_fraction_beyond_str_digit_limit(q):
     # one unit in the 40th significant digit, so the exponent of q is exact
     assert q / 10**40 < up - down <= q / 10**39
     assert str(down) and str(up)
+
+
+def test_check_printable_matches_the_str_digit_limit():
+    """4300 digits print; 4301 raise DomainError where str raises ValueError."""
+    for q in (Fraction(1, 10**4299), Fraction(-(10**4300 - 1), 3)):
+        assert check_printable(q) is q and str(q)
+    for q in (Fraction(1, 10**4300), Fraction(-(10**4300), 7)):
+        with pytest.raises(DomainError, match="Exceeds the limit"):
+            check_printable(q)
+        with pytest.raises(ValueError):
+            str(q)
+    with pytest.raises(DomainError):
+        round_fraction(Fraction(1, 3**9100), 40, up=True)
 
 
 def test_outward_rounding_preserves_enclosure():

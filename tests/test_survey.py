@@ -363,63 +363,6 @@ def test_kodaira_classes_partition_curves():
     assert mult.get(1, 0) == s.counts["type_In_at_ell"]
 
 
-def test_montecarlo_determinism_and_box_measure():
-    pred = survey.valuation_box_predicate(5, 1, 1)
-    r1 = survey.montecarlo_local_measure(5, pred.exponent, pred, 10**5, seed=7)
-    r2 = survey.montecarlo_local_measure(5, pred.exponent, pred, 10**5, seed=7)
-    assert r1 == r2
-    mu = float(pred.exact_measure)
-    sigma = (mu * (1 - mu) / 10**5) ** 0.5
-    assert abs(float(r1.estimate) - mu) < 5 * sigma
-
-
-def test_montecarlo_always_true():
-    r = survey.montecarlo_local_measure(5, 1, lambda a, b: a == a, 10**4, seed=1)
-    assert r.estimate == 1
-
-
-def test_montecarlo_guards():
-    pred = survey.valuation_box_predicate(5, 1, 1)
-    with pytest.raises(ValueError):
-        survey.montecarlo_local_measure(5, 1, pred, 10, seed=1)
-    with pytest.raises(ValueError):
-        survey.montecarlo_local_measure(5, 0, pred, 10**4, seed=1)
-    with pytest.raises(ValueError):
-        survey.montecarlo_local_measure(5, 1, lambda a, b: True, 10**4, seed=1)
-
-
-def test_montecarlo_coverage_over_seeds():
-    """>= 99 of 100 seeded estimates inside 4 sigma of the exact measure."""
-    pred = survey.kodaira_In_predicate(5, 1)
-    mu = float(pred.exact_measure)
-    m = 10**4
-    sigma = (mu * (1 - mu) / m) ** 0.5
-    inside = 0
-    for seed in range(100):
-        r = survey.montecarlo_local_measure(5, pred.exponent, pred, m, seed=seed)
-        if abs(float(r.estimate) - mu) <= 4 * sigma:
-            inside += 1
-    assert inside >= 99
-
-
-def test_kodaira_predicate_agrees_with_exhaustive_measure():
-    for ell, n in [(5, 1), (5, 2), (7, 1)]:
-        pred = survey.kodaira_In_predicate(ell, n)
-        mod = ell ** (n + 1)
-        grid = np.arange(mod * mod, dtype=np.int64)
-        a, b = grid // mod, grid % mod
-        frac = Fraction(int(pred(a, b).sum()), mod * mod)
-        assert frac == density.density_In(ell, n)
-
-
-def test_box_predicate_agrees_with_exhaustive_measure():
-    pred = survey.valuation_box_predicate(5, 1, 2)
-    mod = 5**2
-    grid = np.arange(mod * mod, dtype=np.int64)
-    a, b = grid // mod, grid % mod
-    assert Fraction(int(pred(a, b).sum()), mod * mod) == Fraction(1, 125)
-
-
 def test_csv_sink():
     buf = io.StringIO()
     rows = survey.write_csv(survey.enumerate_curves(10**3, p=7), buf)
