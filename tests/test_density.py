@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from ecstats import density, verify
@@ -47,21 +46,6 @@ def test_valuation_box_measure():
     assert density.valuation_box_measure(5, 0, 0) == 1
     assert density.valuation_box_measure(5, 1, 2) == Fraction(1, 125)
     assert density.valuation_box_measure(7, 4, 6) == Fraction(1, 7**10)
-
-
-def test_local_measure_counts_match_literal_grid():
-    """The histogram count of I_n and the product count of a valuation box
-    equal a literal count over the whole grid of residue pairs."""
-    for ell, n in [(5, 1), (5, 2), (7, 1)]:
-        mod = ell ** (n + 1)
-        grid = np.arange(mod * mod, dtype=np.int64)
-        a, b = grid // mod, grid % mod
-        delta = (4 * a**3 + 27 * b**2) % mod
-        type_In = ((a % ell != 0) | (b % ell != 0)) & (delta % ell**n == 0) & (delta != 0)
-        assert verify.counted_In_measure(ell, n) == Fraction(int(type_In.sum()), mod * mod)
-    grid = np.arange(25 * 25)
-    a, b = grid // 25, grid % 25
-    assert verify.counted_box_measure(5, 1, 2) == Fraction(int(((a % 5 == 0) & (b % 25 == 0)).sum()), 625)
 
 
 def test_local_measure_check_reports_a_wrong_closed_form(monkeypatch):

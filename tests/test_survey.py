@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ecstats import arith, density, ffcurve, localdata, survey
+from ecstats import arith, density, ffcurve, localdata, survey, verify
 from ecstats.errors import DomainError, NotPrimeError, PrimeTooSmallError
 from ecstats.survey import HeightWindow
 
@@ -361,6 +361,27 @@ def test_kodaira_classes_partition_curves():
     assert good + additive + sum(mult.values()) == total
     s = survey.empirical_kodaira_density(survey._growth_census(7, x, (ell,)), ell, 1)
     assert mult.get(1, 0) == s.counts["type_In_at_ell"]
+
+
+def test_kodaira_predicate_agrees_with_exhaustive_measure():
+    """The I_n measure counted from histograms equals a literal count of the
+    type-I_n residue pairs over the whole grid, and the closed form."""
+    for ell, n in [(5, 1), (5, 2), (7, 1)]:
+        mod = ell ** (n + 1)
+        grid = np.arange(mod * mod, dtype=np.int64)
+        a, b = grid // mod, grid % mod
+        delta = (4 * a**3 + 27 * b**2) % mod
+        type_In = ((a % ell != 0) | (b % ell != 0)) & (delta % ell**n == 0) & (delta != 0)
+        frac = Fraction(int(type_In.sum()), mod * mod)
+        assert verify.counted_In_measure(ell, n) == frac == density.density_In(ell, n)
+
+
+def test_box_predicate_agrees_with_exhaustive_measure():
+    mod = 5**2
+    grid = np.arange(mod * mod, dtype=np.int64)
+    a, b = grid // mod, grid % mod
+    frac = Fraction(int(((a % 5 == 0) & (b % 25 == 0)).sum()), mod * mod)
+    assert verify.counted_box_measure(5, 1, 2) == frac == Fraction(1, 125)
 
 
 def test_csv_sink():
