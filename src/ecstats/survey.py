@@ -1,12 +1,12 @@
 """Census of curves ordered by naive height, and the CSV of their local data.
 
 The height window H(a, b) = max(4|a|^3, 27 b^2) <= x is exactly the box
-|a| <= floor((x/4)^(1/3)), |b| <= floor((x/27)^(1/2)) because the two
-height terms constrain a and b independently.  One numpy pass walks the box
-in blocks of 2^14 pairs; |delta| <= 2x must fit in int64, so x < 2^62.  The
-empirical_* views read the census they are given, so a survey runs it once.
-write_survey_csv writes one row per pair from the same blocks, and
-enumerate_curves, which streams the pairs one by one, is its test oracle.
+|a| <= floor((x/4)^(1/3)), |b| <= floor((x/27)^(1/2)), so one numpy pass walks
+it in tiles of rows a x columns b and reads every decision but v_ell(delta)
+from tables indexed by (a mod m, b mod m); |delta| <= 2x must fit in int64, so
+x < 2^62.  The empirical_* views read the census they are given, so a survey
+runs it once.  write_survey_csv writes one row per pair from the same tiles;
+enumerate_curves, streaming the pairs one by one, is its test oracle.
 
 The growth census classifies each minimal nonsingular curve at a fixed
 prime p of good reduction.  Curves with bad reduction at 2 or 3 go into a
@@ -43,8 +43,8 @@ from .intervals import QInterval
 
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
-_BLOCK_PAIRS = 1 << 14  # pairs per numpy block of the height-box pass
-_CSV_BLOCK_ROWS = 1 << 12  # pairs per block of CSV rows, held as Python objects
+_BLOCK_PAIRS = 1 << 16  # pairs per tile of the height-box pass
+_CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, held as Python objects
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
 
@@ -210,6 +210,8 @@ def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveyS
     the exact prediction density_In(ell, n) / minimal_density(ell).  The
     census must have been built with ell among its `ells`."""
     _check_view_n(n)
+    if ell not in census.valuation_hists:
+        raise DomainError(f"ell = {ell} is not in the census ells {tuple(census.valuation_hists)}")
     curves = census.counts["curves"]
     hits = census.valuation_hists[ell].get(n, 0)
     theoretical = QInterval.point(density.density_In(ell, n) / density.minimal_density(ell))
@@ -220,8 +222,8 @@ def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveyS
 
 
 def _certificate_pool(p: int, max_abs_delta: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Per-q arrays of #E(F_q) mod p (255 marks singular) for the torsion
-    certificate, over the primes q >= 5, q != p, in order.
+    """Per-q tables of #E(F_q) (0 singular, 1 divisible by p, 2 certifying)
+    for the torsion certificate, over the primes q >= 5, q != p, in order.
 
     The pool grows until the product of its first len - TORSION_CERT_PRIMES + 1
     primes exceeds max_abs_delta.  A nonzero delta with |delta| <= max_abs_delta
@@ -233,8 +235,8 @@ def _certificate_pool(p: int, max_abs_delta: int) -> tuple[tuple[int, np.ndarray
         if q != p:
             qs.append(q)
         q = next_prime(q)
-    tables = (np.array(ffcurve.point_count_table(q)) for q in qs)
-    return tuple((q, np.where(t < 0, 255, t % p).astype(np.uint8)) for q, t in zip(qs, tables))
+    tables = (np.array(ffcurve.point_count_table(q)).reshape(q, q) for q in qs)
+    return tuple((q, np.uint8(np.where(t < 0, 0, 1 + (t % p > 0)))) for q, t in zip(qs, tables))
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,10 @@ class GrowthCensus:
         return sum(c for v, c in hist.items() if v >= n)
 
 
-def _tally(hist: Counter, values) -> None:
-    hist.update({v: c for v, c in enumerate(np.bincount(values).tolist()) if c})
+def _tally(hist: Counter, values, zeros: int = 0) -> None:
+    counts = np.bincount(values, minlength=1)
+    counts[0] += zeros
+    hist.update({v: c for v, c in enumerate(counts.tolist()) if c})
 
 
 def _valuations(values, ell: int):
@@ -266,11 +270,22 @@ def _valuations(values, ell: int):
     return v
 
 
-@lru_cache(maxsize=64)
-def _split_table(ell: int):
-    """Split flags of the multiplicative pairs mod ell, indexed [a, b]."""
-    return np.array([[localdata._split_from_residues(am, bm, ell) for bm in range(ell)]
-                     for am in range(ell)], dtype=bool)
+def _reduction_table(ell: int):
+    """Reduction types mod ell, indexed [a, b]: 0 at (0, 0), 1 good, 2 nonsplit, 3 split."""
+    return np.array([[0 if am == bm == 0 else 1 if (4 * am**3 + 27 * bm**2) % ell
+                      else 2 + localdata._split_from_residues(am, bm, ell) for bm in range(ell)]
+                     for am in range(ell)], dtype=np.uint8)
+
+
+def _gather(table, a, b, columns):
+    """table[a % m, b % m] on the tile a x b.  Tiles of whole rows share b:
+    unless None, `columns` keeps the table's columns over b, so a tile copies rows."""
+    m = len(table)
+    if columns is None:
+        return np.take(table[a % m], b % m, axis=1)
+    if id(table) not in columns:  # the census holds every table it reads
+        columns[id(table)] = table[:, b % m]
+    return columns[id(table)][a % m]
 
 
 def _certify(a, b, pool) -> np.ndarray:
@@ -279,60 +294,60 @@ def _certify(a, b, pool) -> np.ndarray:
     certified = np.zeros(len(a), dtype=bool)
     good_seen = np.zeros(len(a), dtype=np.int64)
     for q, table in pool:
-        r = table[(a % q) * q + b % q]
-        good = ~certified & (good_seen < TORSION_CERT_PRIMES) & (r != 255)
+        r = table[a % q, b % q]
+        good = ~certified & (good_seen < TORSION_CERT_PRIMES) & (r != 0)
         good_seen += good
-        certified |= good & (r != 0)
+        certified |= good & (r == 2)
     return certified
 
 
 def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
     """The height box of a survey at p, checked before any pass over it, the
-    class codes at p, and the primes ell that can add to the growth at p."""
+    class codes at p, and the primes that can add to its growth, by table."""
     for prime in (p, *ells):
         check_prime(prime, 5)
     if x >= MAX_SURVEY_HEIGHT:
         raise DomainError(f"height bound x = {x} must be below 2^62, so that "
                           "|delta| <= 2x fits in int64")
     win = HeightWindow.from_height(x)
-    codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8)
-    # only primes with ell^p <= |delta| can carry a Tamagawa number
-    # divisible by p (split I_m needs p | m = v_ell(delta))
-    candidates = tuple(ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
-                       if ell >= 5 and ell != p)
+    codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8).reshape(p, p)
+    # only primes with ell^p <= |delta| can carry a Tamagawa number divisible
+    # by p (split I_m needs p | m = v_ell(delta)); each table takes ell^2 bytes
+    primes = set(sieve_primes(integer_nth_root(win.max_abs_discriminant, p))) - {2, 3, p}
+    if sum(ell * ell for ell in primes) > 1 << 27:
+        raise DomainError(f"x = {x} at p = {p} needs over 128 MB of growth-candidate tables")
+    candidates = {ell: _reduction_table(ell) for ell in sorted(primes)}
     return win, codes, candidates
 
 
-def _blocks(win: HeightWindow, size: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """a, b, delta and the minimal flag of every pair of the box, in numpy
-    blocks of `size` consecutive pairs (row by row in a, then b)."""
+def _blocks(win: HeightWindow, cap: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Row-major tiles a x b of the box, with delta and the minimal flags as 2-D
+    arrays: whole rows of at most `cap` pairs, or parts of a longer row."""
     min_primes = win.minimality_primes()
-    width = 2 * win.b_max + 1
-    for start in range(0, win.pair_count, size):
-        index = np.arange(start, min(start + size, win.pair_count), dtype=np.int64)
-        a, b = index // width - win.a_max, index % width - win.b_max
-        minimal = (a != 0) | (b != 0)
-        for p4, p6 in min_primes:
-            minimal &= (a % p4 != 0) | (b % p6 != 0)
-        yield a, b, 4 * a * a * a + 27 * b * b, minimal
+    rows, cols = max(1, cap // (2 * win.b_max + 1)), min(cap, 2 * win.b_max + 1)
+    for a0 in range(-win.a_max, win.a_max + 1, rows):
+        a = np.arange(a0, min(a0 + rows, win.a_max + 1), dtype=np.int64)
+        for b0 in range(-win.b_max, win.b_max + 1, cols):
+            b = np.arange(b0, min(b0 + cols, win.b_max + 1), dtype=np.int64)
+            minimal = np.ones((len(a), len(b)), dtype=bool)
+            for p4, p6 in ((MAX_SURVEY_HEIGHT,) * 2, *min_primes):  # the first marks (0, 0)
+                minimal[a % p4 == 0] &= b % p6 != 0
+            yield a, b, 4 * a[:, None] ** 3 + 27 * b * b, minimal
 
 
-def _growth(a, b, delta, code, p: int, candidates: tuple[int, ...]):
-    """Strict count, Kodaira-only count and Euler valuation of the growth at
-    p, for curves good at 2, 3 and p with class codes `code` at p."""
+def _growth(delta, code, p: int, reductions):
+    """Strict count, Kodaira-only count and Euler valuation of the growth at p,
+    from flat arrays of class codes at p and of _reduction_table codes per ell."""
     g_strict = (code == ffcurve._CODE_ANOMALOUS).astype(np.int64)
     g_kodaira = g_strict.copy()
     euler_v = 2 * g_strict
-    for ell in candidates:
-        hit = np.flatnonzero(delta % ell**p == 0)
-        if not hit.size:
-            continue
+    for ell, reduction in reductions:
+        hit = np.flatnonzero(reduction >= 2)
+        hit = hit[delta[hit] % ell**p == 0]
         v = _valuations(delta[hit], ell)
-        am, bm = a[hit] % ell, b[hit] % ell
-        tamagawa = (v % p == 0) & ((am != 0) | (bm != 0))
-        hit, v, am, bm = hit[tamagawa], v[tamagawa], am[tamagawa], bm[tamagawa]
+        hit, v = hit[v % p == 0], v[v % p == 0]
         g_kodaira[hit] += 1
-        split = _split_table(ell)[am, bm]
+        split = reduction[hit] == 3
         g_strict[hit[split]] += 1
         euler_v[hit[split]] += _valuations(v[split], p)
     return g_strict, g_kodaira, euler_v
@@ -340,7 +355,7 @@ def _growth(a, b, delta, code, p: int, candidates: tuple[int, ...]):
 
 @lru_cache(maxsize=8)
 def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
-    """The one pass over the height box at the prime p, block by block.
+    """The one pass over the height box at the prime p, tile by tile.
 
     Every pair lands in one bucket: singular, nonminimal or curve.  For each
     ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta).
@@ -350,33 +365,40 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     """
     win, codes, candidates = _survey_setup(p, x, ells)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0)}
-    cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else None
+    cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else ()
     valuation_hists = {ell: Counter() for ell in ells}
     hists = Counter(), Counter(), Counter()  # strict, Kodaira-only, Euler
+    reduction = {ell: _reduction_table(ell) for ell in ells}
+    first = [t for _, t in cert_pool[:TORSION_CERT_PRIMES]]
+    # tiles of whole rows share their b: gather each table's columns once, if all fit in 2 MB
+    tables = (codes, *reduction.values(), *candidates.values(), *first)
+    whole = 2 * win.b_max < min(_BLOCK_PAIRS, (1 << 21) // sum(map(len, tables)))
+    box_cols, grid_cols = ({}, {}) if whole else (None, None)
     for a, b, delta, minimal in _blocks(win, _BLOCK_PAIRS):
-        singular = delta == 0
-        curve = minimal & ~singular
+        singular, curve = delta == 0, minimal & (delta != 0)
         for name, mask in zip(_BUCKETS, (singular, ~(minimal | singular), curve)):
-            counts[name] += int(mask.sum())
-        a, b, delta = a[curve], b[curve], delta[curve]
-        for ell in ells:
-            keep = (a % ell != 0) | (b % ell != 0)
-            _tally(valuation_hists[ell], _valuations(delta[keep], ell))
-        good = (delta % 2 != 0) & (delta % 3 != 0)
-        counts["bad_at_2_or_3"] += len(delta) - int(good.sum())
-        a, b, delta = a[good], b[good], delta[good]
-        code = codes[(a % p) * p + b % p]
-        counts["bad_at_p"] += int((code == ffcurve._CODE_SINGULAR).sum())
-        counts["supersingular_at_p"] += int((code == ffcurve._CODE_SUPERSINGULAR).sum())
-        keep = (code == ffcurve._CODE_ORDINARY) | (code == ffcurve._CODE_ANOMALOUS)
-        a, b, delta, code = a[keep], b[keep], delta[keep], code[keep]
-        if cert_pool is not None:
-            certified = _certify(a, b, cert_pool)
-            counts["torsion_uncertified"] += len(a) - int(certified.sum())
-            a, b, delta, code = a[certified], b[certified], delta[certified], code[certified]
-        counts["classified"] += len(a)
-        for hist, values in zip(hists, _growth(a, b, delta, code, p, candidates)):
-            _tally(hist, values)
+            counts[name] += int(np.count_nonzero(mask))
+        for ell in ells:  # only the pairs with ell | delta have v_ell(delta) > 0
+            red = _gather(reduction[ell], a, b, box_cols)
+            _tally(valuation_hists[ell], _valuations(delta[curve & (red >= 2)], ell),
+                   np.count_nonzero(curve & (red == 1)))
+        # delta == b mod 2, delta == a mod 3: the curves good at 2 and 3 are a sub-grid
+        grid = np.ix_(a % 3 != 0, b % 2 != 0)
+        a, b, delta, curve = a[grid[0].ravel()], b[grid[1].ravel()], delta[grid], minimal[grid]
+        code = _gather(codes, a, b, grid_cols)
+        for name, c in zip(_BUCKETS[4:6], (ffcurve._CODE_SINGULAR, ffcurve._CODE_SUPERSINGULAR)):
+            counts[name] += int(np.count_nonzero(curve & (code == c)))
+        keep = curve & ((code == ffcurve._CODE_ORDINARY) | (code == ffcurve._CODE_ANOMALOUS))
+        if cert_pool:  # the first five pool primes are among any pair's first five good ones
+            i, j = np.nonzero(keep & np.all([_gather(t, a, b, grid_cols) != 2 for t in first], 0))
+            doubt = ~_certify(a[i], b[j], cert_pool)
+            keep[i[doubt], j[doubt]] = False
+            counts["torsion_uncertified"] += int(np.count_nonzero(doubt))
+        counts["classified"] += int(np.count_nonzero(keep))
+        reductions = ((ell, _gather(t, a, b, grid_cols).ravel()) for ell, t in candidates.items())
+        for hist, values in zip(hists, _growth(delta.ravel(), code.ravel(), p, reductions)):
+            _tally(hist, values[keep.ravel()])
+    counts["bad_at_2_or_3"] = counts["curves"] - sum(counts[k] for k in _BUCKETS[4:])
     return GrowthCensus(p, x, counts, *hists, valuation_hists)
 
 
@@ -480,16 +502,19 @@ def _kodaira_fields(a, b, delta, primes: tuple[int, ...]) -> list[str]:
 
 def _survey_rows(x: int, p: int) -> Iterator[list[tuple]]:
     """The fields write_csv writes for enumerate_curves(x, p), one list of
-    rows per block of the height box."""
+    rows per tile of the height box, read row-major."""
     win, codes, candidates = _survey_setup(p, x)
     primes = sieve_primes(math.isqrt(win.max_abs_discriminant))
     for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
+        a, b = np.repeat(a, len(b)), np.tile(b, len(a))
+        delta, minimal = delta.ravel(), minimal.ravel()
         curve = np.flatnonzero(minimal & (delta != 0))
         local = curve[(delta[curve] % 2 != 0) & (delta[curve] % 3 != 0)]
-        code = codes[(a[local] % p) * p + b[local] % p]
+        code = codes[a[local] % p, b[local] % p]
         good = code != ffcurve._CODE_SINGULAR
         local, code = local[good], code[good]
-        g_strict, _, euler_v = _growth(a[local], b[local], delta[local], code, p, candidates)
+        reductions = ((ell, t[a[local] % ell, b[local] % ell]) for ell, t in candidates.items())
+        g_strict, _, euler_v = _growth(delta[local], code, p, reductions)
         kodaira, *at_p = (np.full(len(a), None, dtype=object) for _ in range(5))
         kodaira[curve] = _kodaira_fields(a[curve], b[curve], delta[curve], primes)
         for column, values in zip(at_p, (code != ffcurve._CODE_SUPERSINGULAR,
@@ -501,7 +526,7 @@ def _survey_rows(x: int, p: int) -> Iterator[list[tuple]]:
 
 
 def write_survey_csv(x: int, p: int, path) -> int:
-    """Write the bytes of write_csv(enumerate_curves(x, p), path) from numpy
-    blocks of the height box, streamed block by block; returns the number of
+    """Write the bytes of write_csv(enumerate_curves(x, p), path) from the
+    tiles of the height box, streamed tile by tile; returns the number of
     rows written."""
     return _write_rows(_survey_rows(x, p), path)

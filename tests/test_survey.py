@@ -108,10 +108,10 @@ def _oracle_certified(a, b, p):
     return _certifying_prime(a, b, p) is not None
 
 
-@pytest.mark.parametrize("p, x", [(5, 10**5), (7, 10**5), (11, 10**5), (5, 10**6)])
-def test_growth_census_matches_slow_records(p, x):
-    """Every bucket and every histogram of the numpy pass, rebuilt from the
-    slow classify path with an independent torsion certificate."""
+def _slow_census(p, x):
+    """The buckets, the strict, Kodaira-only and Euler histograms and the
+    v_ell(delta) histograms at ell = 5 and 7 of the census at p, rebuilt
+    from the slow classify path with an independent torsion certificate."""
     buckets = dict.fromkeys(survey._BUCKETS, 0)
     strict, kodaira, euler = Counter(), Counter(), Counter()
     valuations = {5: Counter(), 7: Counter()}
@@ -143,8 +143,16 @@ def test_growth_census_matches_slow_records(p, x):
             kodaira[int(rec.anomalous) + sum(
                 kt.is_multiplicative and kt.n % p == 0 for kt in types.values())] += 1
             euler[rec.euler_valuation] += 1
+    return {"pairs": survey.count_pairs(x), **buckets}, strict, kodaira, euler, valuations
+
+
+@pytest.mark.parametrize("p, x", [(5, 10**5), (7, 10**5), (11, 10**5), (5, 10**6)])
+def test_growth_census_matches_slow_records(p, x):
+    """Every bucket and every histogram of the numpy pass, rebuilt from the
+    slow classify path with an independent torsion certificate."""
+    buckets, strict, kodaira, euler, valuations = _slow_census(p, x)
     census = survey._growth_census(p, x)
-    assert census.counts == {"pairs": survey.count_pairs(x), **buckets}
+    assert census.counts == buckets
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
     assert survey._growth_census(7, x, (5, 7)).valuation_hists == valuations
     if (p, x) == (5, 10**6):
@@ -284,6 +292,14 @@ PINNED_CENSUS = {
     (7, 10**8): ((19, 2284, 2249362, 1499002, 107194, 91516, 16, 551634),
                  {0: 490310, 1: 61323, 2: 1}, {0: 490304, 1: 61329, 2: 1},
                  {0: 490310, 1: 3, 2: 61320, 3: 1}),
+    # recorded from the flat-block pass that the tiled one replaced
+    (11, 10**8): ((19, 2284, 2249362, 1499002, 68214, 124596, 0, 557550),
+                  {0: 526575, 1: 30975}, {0: 526575, 1: 30975}, {0: 526575, 2: 30975}),
+}
+# v_ell(delta) at x = 10^8 does not depend on p; recorded like (11, 10^8)
+PINNED_VALUATIONS = {
+    5: {0: 1799524, 1: 287972, 2: 57600, 3: 11524, 4: 2306, 5: 386, 6: 142, 7: 22, 8: 6},
+    7: {0: 1928046, 1: 236404, 2: 33772, 3: 4856, 4: 668, 5: 68, 6: 28},
 }
 
 
@@ -294,6 +310,146 @@ def test_growth_census_pinned_histograms(p, x):
     assert census.counts == {"pairs": survey.count_pairs(x),
                              **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_growth_census_pinned_valuations(p):
+    assert survey._growth_census(p, 10**8, (5, 7)).valuation_hists == PINNED_VALUATIONS
+
+
+def test_census_divides_only_where_ell_divides_delta(monkeypatch):
+    """v_ell(delta) is worked out only on the pairs that the residue tables
+    say ell divides (about 1/ell of them); the others go straight to v = 0.
+    The flat pass divided all 4,363,324 curves, once for each of 5 and 7."""
+    entries = []
+    valuations = survey._valuations
+
+    def counted(values, ell):
+        entries.append(len(values))
+        return valuations(values, ell)
+
+    monkeypatch.setattr(survey, "_valuations", counted)
+    census = survey._growth_census.__wrapped__(11, 10**8, (5, 7))
+    assert census.valuation_hists == PINNED_VALUATIONS
+    assert sum(entries) <= 700_000
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_tile_boundaries(p, monkeypatch):
+    """Tiles of 1 and 7 pairs and of one row's width minus and plus one
+    split rows at every place; the census and the CSV still match the slow
+    path, bucket for bucket and byte for byte."""
+    x = 10**4
+    ells = tuple(ell for ell in (5, 7) if ell != p)
+    buckets, strict, kodaira, euler, valuations = _slow_census(p, x)
+    oracle = io.StringIO()
+    survey.write_csv(survey.enumerate_curves(x, p), oracle)
+    width = 2 * HeightWindow.from_height(x).b_max + 1
+    for cap in (1, 7, width - 1, width + 1):
+        monkeypatch.setattr(survey, "_BLOCK_PAIRS", cap)
+        monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
+        census = survey._growth_census.__wrapped__(p, x, ells)
+        assert census.counts == buckets
+        assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
+        assert census.valuation_hists == {ell: valuations[ell] for ell in ells}
+        fast = io.StringIO()
+        survey.write_survey_csv(x, p, fast)
+        assert fast.getvalue() == oracle.getvalue()
+
+
+def test_split_rows_keep_the_pinned_census(monkeypatch):
+    """Tiles of one row's width minus one, where every growth branch fires:
+    the tables are read row by row, not from gathered columns."""
+    x = 10**7
+    monkeypatch.setattr(survey, "_BLOCK_PAIRS", 2 * HeightWindow.from_height(x).b_max)
+    buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
+    census = survey._growth_census.__wrapped__(5, x)
+    assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
+    assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
+
+
+def _record_gathers(monkeypatch):
+    """Wrap survey._gather: the list it returns collects each store of
+    pre-gathered columns passed in, and the bytes of each gathered tile."""
+    stores, tile_bytes = [], []
+    gather = survey._gather
+
+    def recorded(table, a, b, columns):
+        values = gather(table, a, b, columns)
+        if not any(store is columns for store in stores):
+            stores.append(columns)
+        tile_bytes.append(values.nbytes)
+        return values
+
+    monkeypatch.setattr(survey, "_gather", recorded)
+    return stores, tile_bytes
+
+
+def test_column_tables_are_bounded(monkeypatch):
+    """At x = 10^8 whole rows make a tile, and the census gathers each
+    table's columns once: together under 2 MB."""
+    stores, _ = _record_gathers(monkeypatch)
+    survey._growth_census.__wrapped__(7, 10**8, (5,))
+    held = [table.nbytes for store in stores for table in store.values()]
+    assert len(held) == 1 + 1 + 5 + 3  # ell = 5; the codes, 5 certificate and 3 growth tables
+    assert sum(held) <= 2 * 2**20
+
+
+def test_tile_memory_at_the_height_limit(monkeypatch):
+    """At x = 2^62 - 1 a row holds about 8.3e8 pairs.  The first tile is
+    part of one, within the cap; the census gathers no columns ahead there,
+    so each table it reads for the tile holds at most the tile, and all 18
+    certificate tables together hold under 2 MB.  Only that tile is drawn."""
+    win = HeightWindow.from_height(2**62 - 1)
+    assert 2 * win.b_max + 1 > 8 * 10**8
+    a, b, delta, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS))
+    assert len(a) == 1 and delta.shape == minimal.shape == (1, survey._BLOCK_PAIRS)
+    pool = survey._certificate_pool(7, win.max_abs_discriminant)
+    assert len(pool) == 18  # read on the sub-grid, 3 not dividing a: the next row
+    tables = [survey._gather(table, a + 1, b[b % 2 != 0], None) for _, table in pool]
+    assert sum(t.nbytes for t in tables) <= 2 * 2**20
+    blocks = survey._blocks
+    monkeypatch.setattr(survey, "_blocks", lambda win, cap: itertools.islice(blocks(win, cap), 1))
+    # a table per growth candidate up to (2x)^(1/7) ~ 512; their values do not matter here
+    monkeypatch.setattr(survey, "_reduction_table", lambda ell: np.ones((ell, ell), dtype=np.uint8))
+    stores, tile_bytes = _record_gathers(monkeypatch)
+    census = survey._growth_census.__wrapped__(7, 2**62 - 1, (5,))
+    assert census.counts["curves"] <= survey._BLOCK_PAIRS
+    assert stores == [None] and max(tile_bytes) <= survey._BLOCK_PAIRS
+    assert sum(tile_bytes) <= 2 * 2**20
+
+
+def test_growth_tables_are_capped_before_the_pass(monkeypatch):
+    """At p = 5 the growth candidates' reduction tables pass 128 MB between
+    x = 2e15 and 3e15 (9.4 GB at x = 2^62 - 1): such a survey is refused
+    before any table or tile is built."""
+    def no_work(*args):
+        raise AssertionError("the census built tables or tiles before its cap check")
+
+    monkeypatch.setattr(survey, "_reduction_table", no_work)
+    monkeypatch.setattr(survey, "_blocks", no_work)
+    for x in (3 * 10**15, 2**62 - 1):
+        with pytest.raises(DomainError, match="128 MB"):
+            survey._growth_census.__wrapped__(5, x)
+
+
+def test_kodaira_view_needs_its_ell():
+    census = survey._growth_census(7, 10**4, (5,))
+    with pytest.raises(DomainError, match=r"ell = 11 .*\(5,\)"):
+        survey.empirical_kodaira_density(census, 11, 1)
+
+
+def test_reduction_table_matches_the_split_rule():
+    for ell in (5, 7, 11, 13, 31):
+        table = survey._reduction_table(ell)
+        for am, bm in itertools.product(range(ell), repeat=2):
+            code = table[am, bm]
+            if (am, bm) == (0, 0):
+                assert code == 0
+            elif (4 * am**3 + 27 * bm**2) % ell:
+                assert code == 1
+            else:
+                assert code == 2 + localdata._split_from_residues(am, bm, ell)
 
 
 def test_growth_census_bucket_partition():
