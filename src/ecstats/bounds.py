@@ -34,6 +34,7 @@ from .errors import DomainError, ExcludedPrimeError, TruncationError
 from .intervals import QInterval, round_fraction
 
 DEFAULT_ZETA_TERMS = 200
+MAX_TRUNCATION = 1 << 24  # the sums sieve every prime up to the truncation
 
 KIND_SELMER_GROWTH = "selmer_growth"
 KIND_EULER_DIVISIBILITY = "euler_divisibility"
@@ -63,9 +64,12 @@ def _sym_tail_majorant(p: int, truncation: int) -> Fraction:
 
 
 def _check_truncation(n: int, truncation: int) -> None:
-    """The sums of orders 1..n run over the primes up to a truncation >= 11."""
+    """The sums of orders 1..n run over the primes up to a truncation >= 11,
+    and no truncation may pass MAX_TRUNCATION."""
     if n > 0 and truncation < 11:
         raise TruncationError("truncation must be >= 11")
+    if truncation > MAX_TRUNCATION:
+        raise TruncationError(f"truncation {truncation} exceeds the cap 2^24")
 
 
 def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
@@ -81,18 +85,23 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
     if n < 0:
         return QInterval.point(0)
     _check_truncation(n, truncation)
-    return _symmetric_sums(n, p, truncation)[n]
+    return _symmetric_sums(n, p, truncation, (n,))[0]
 
 
-def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
-    """The enclosures of prime_symmetric_sum for every order 0..n, n >= 0,
+def _symmetric_sums(n: int, p: int, truncation: int,
+                    orders: Sequence[int] | None = None) -> list[QInterval]:
+    """The enclosures of prime_symmetric_sum for each of `orders` (every
+    order 0..n by default; none above n, and any below 0 gives 0), n >= 0,
     from one sweep over the primes <= truncation (checked by the caller).
 
     The sweep keeps integer numerators of e_0..e_n over one common
-    denominator, num[0], so each order is reduced to lowest terms once.
+    denominator, num[0], so each order is reduced to lowest terms once.  The
+    upper endpoint of order m sums m + 1 products, so only the orders read
+    are closed.
     """
+    orders = range(n + 1) if orders is None else orders
     if n == 0:
-        return [QInterval.point(1)]
+        return [QInterval.point(int(m == 0)) for m in orders]
     num = [1] + [0] * n
     for ell in sieve_primes(truncation):
         if ell < 5 or ell == p:
@@ -103,8 +112,9 @@ def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
         num[0] *= f.denominator
     e = [Fraction(v, num[0]) for v in num]
     tail = _sym_tail_majorant(p, truncation)
-    tk = [tail**k / math.factorial(k) for k in range(n + 1)]  # T^k / k!
-    return [QInterval(e[m], sum(e[m - k] * tk[k] for k in range(m + 1))) for m in range(n + 1)]
+    tk = [tail**k / math.factorial(k) for k in range(max(orders, default=0) + 1)]  # T^k / k!
+    return [QInterval(e[m], sum(e[m - k] * tk[k] for k in range(m + 1))) if m >= 0
+            else QInterval.point(0) for m in orders]
 
 
 def zeta_enclosure(s: int, terms: int) -> QInterval:
@@ -190,9 +200,7 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     _check_truncation(n, truncation)  # before the census and the exact zeta sum
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
-    sums = _symmetric_sums(n, p, truncation)
-    e_main = sums[n]
-    e_aux = sums[aux_index] if aux_index >= 0 else QInterval.point(0)
+    e_main, e_aux = _symmetric_sums(n, p, truncation, (n, aux_index))
     value = z * (e_main * w_ord + e_aux * w_anom)
     terms = BoundTerms(z, e_main, e_aux, w_ord, w_anom)
     return BoundReport(kind, p, n, truncation, zeta_terms, value, terms, notes)

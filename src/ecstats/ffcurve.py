@@ -19,7 +19,7 @@ costs O(p^2) per prime: all primes up to 350 take well under a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,15 +33,13 @@ MAX_FIELD_PRIME = 1 << 20
 MAX_TABLE_PRIME = 1024
 
 
-class PointClass(Enum):
-    SINGULAR = "singular"
-    ORDINARY = "ordinary"
-    ANOMALOUS = "anomalous"
-    SUPERSINGULAR = "supersingular"
+class PointClass(IntEnum):
+    """The class of a residue pair; the values are the codes of class_code_table."""
 
-
-# integer codes used in the vectorized tables
-_CODE_SINGULAR, _CODE_ORDINARY, _CODE_ANOMALOUS, _CODE_SUPERSINGULAR = 0, 1, 2, 3
+    SINGULAR = 0
+    ORDINARY = 1
+    ANOMALOUS = 2
+    SUPERSINGULAR = 3
 
 
 @dataclass(frozen=True)
@@ -81,14 +79,16 @@ def _check_field_prime(p: int, minimum: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def chi_table(p: int) -> tuple[int, ...]:
-    """Quadratic character values (chi(t) for t in [0, p)), chi(0) = 0."""
+def chi_table(p: int) -> np.ndarray:
+    """Quadratic character values chi(t) for t in [0, p), chi(0) = 0, as a
+    read-only int8 array."""
     _check_field_prime(p, 3)
-    chi = [-1] * p
+    chi = np.full(p, -1, dtype=np.int8)
+    xs = np.arange(p // 2 + 1, dtype=np.int64)
+    chi[xs * xs % p] = 1
     chi[0] = 0
-    for x in range(1, (p - 1) // 2 + 1):
-        chi[x * x % p] = 1
-    return tuple(chi)
+    chi.setflags(write=False)
+    return chi
 
 
 def discriminant_mod(p: int, a: int, b: int) -> int:
@@ -105,13 +105,8 @@ def count_points(p: int, a: int, b: int) -> int:
     _check_field_prime(p, 3)
     if discriminant_mod(p, a, b) == 0:
         raise SingularCurveError(f"discriminant vanishes mod {p} for ({a}, {b})")
-    chi = chi_table(p)
-    a %= p
-    b %= p
-    total = 0
-    for x in range(p):
-        total += chi[(x * x * x + a * x + b) % p]
-    return p + 1 + total
+    xs = np.arange(p, dtype=np.int64)
+    return p + 1 + int(chi_table(p)[(xs * xs * xs + a % p * xs + b % p) % p].sum())
 
 
 def classify_residue(p: int, a: int, b: int) -> ResidueClass:
@@ -149,12 +144,12 @@ def _twist_rows(p: int):
     u^2 a0 for a0 in (1, g), so these three rows determine the census.  The
     arrays are read-only because the cache shares them.
     """
-    chi = np.array(chi_table(p), dtype=np.int8)
+    chi = chi_table(p)
     rows = (0, 1, int(np.argmax(chi < 0)))
     bs = np.arange(p, dtype=np.int64)
     traces = np.array([_row_traces(p, chi, a) for a in rows])
     singular = np.array([(4 * a * a * a + 27 * bs * bs) % p == 0 for a in rows])
-    for arr in (chi, traces, singular):
+    for arr in (traces, singular):
         arr.setflags(write=False)
     return chi, rows, traces, singular
 
@@ -180,46 +175,36 @@ def residue_class_counts(p: int) -> ClassCounts:
     return ClassCounts(p, p * p - n_anom - n_ss - n_sing, n_anom, n_ss, n_sing)
 
 
-def _twist_table(p: int):
-    """Point counts and singular flags of all p^2 pairs as p x p arrays,
-    indexed [a, b], filled from the three rows of _twist_rows.
+@lru_cache(maxsize=32)
+def point_count_table(p: int) -> np.ndarray:
+    """#E(F_p) for all p^2 residue pairs as a read-only p x p array indexed
+    [a, b], -1 for singular pairs, filled from the three rows of _twist_rows.
 
     As u runs over 1..(p-1)/2, u^2 a0 runs once over the a != 0 in the
     square class of a0, and b -> u^3 b permutes the columns.
     """
+    _check_field_prime(p, 5)
     if p > MAX_TABLE_PRIME:
         raise PrimeTooLargeError(f"p = {p} exceeds {MAX_TABLE_PRIME}, the cap on per-p tables")
     chi, rows, traces, singular = _twist_rows(p)
     us = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    cols = np.arange(p, dtype=np.int64)[None, :] * (us * us * us % p)[:, None] % p
-    t = np.empty((p, p), dtype=np.int64)
-    sing = np.empty((p, p), dtype=bool)
-    t[0], sing[0] = traces[0], singular[0]
-    for a0, row_t, row_sing in zip(rows[1:], traces[1:], singular[1:]):
-        a = (us * us * a0 % p)[:, None]
-        t[a, cols] = chi[us][:, None] * row_t
-        sing[a, cols] = row_sing
-    return p + 1 - t, sing
+    a = np.array(rows[1:])[:, None, None] * (us * us)[:, None] % p  # rows 1 and g, twisted by u
+    cols = np.arange(p, dtype=np.int64) * (us * us * us % p)[:, None] % p
+    table = np.empty((p, p), dtype=np.int64)
+    table[0] = np.where(singular[0], -1, p + 1 - traces[0])
+    table[a, cols] = np.where(singular[1:, None], -1, p + 1 - chi[us][:, None] * traces[1:, None])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)
-def class_code_table(p: int) -> bytes:
-    """Codes for all residue pairs, indexed by a*p + b.
-
-    0 = singular, 1 = ordinary, 2 = anomalous, 3 = supersingular.  Returned
-    as bytes for O(1) scalar lookups in enumeration loops.
-    """
-    _check_field_prime(p, 5)
-    counts, sing = _twist_table(p)
+def class_code_table(p: int) -> np.ndarray:
+    """The PointClass code of every residue pair as a read-only p x p uint8
+    array indexed [a, b], read off point_count_table(p)."""
+    counts = point_count_table(p)
     r = counts % p
-    codes = np.where(r == 0, _CODE_ANOMALOUS,
-                     np.where(r == 1, _CODE_SUPERSINGULAR, _CODE_ORDINARY))
-    return np.where(sing, _CODE_SINGULAR, codes).astype(np.uint8).tobytes()
-
-
-@lru_cache(maxsize=32)
-def point_count_table(p: int) -> tuple[int, ...]:
-    """#E(F_p) for every residue pair, indexed by a*p + b; -1 for singular."""
-    _check_field_prime(p, 5)
-    counts, sing = _twist_table(p)
-    return tuple(np.where(sing, -1, counts).ravel().tolist())
+    codes = np.select([counts < 0, r == 0, r == 1],
+                      [PointClass.SINGULAR, PointClass.ANOMALOUS, PointClass.SUPERSINGULAR],
+                      PointClass.ORDINARY).astype(np.uint8)
+    codes.setflags(write=False)
+    return codes

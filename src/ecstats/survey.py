@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import bounds, density, ffcurve, localdata
+from .ffcurve import PointClass
 from ._version import __version__
 from .arith import check_prime, integer_nth_root, next_prime, sieve_primes
 from .errors import DomainError
@@ -122,7 +123,7 @@ def _classify_record(rec: SurveyRecord, p: int) -> SurveyRecord:
         # one factorization and one point count at p give every field
         growth = localdata.tamagawa_anomaly_count(rec.a, rec.b, p)
         out = dict(kodaira=growth.kodaira,
-                   ordinary=growth.kind is not ffcurve.PointClass.SUPERSINGULAR,
+                   ordinary=growth.kind is not PointClass.SUPERSINGULAR,
                    anomalous=bool(growth.anomalous_flag), growth_count=growth.total,
                    euler_valuation=growth.euler_valuation)
     return SurveyRecord(rec.a, rec.b, rec.height, delta, rec.minimal, bad_small, **out)
@@ -235,7 +236,7 @@ def _certificate_pool(p: int, max_abs_delta: int) -> tuple[tuple[int, np.ndarray
         if q != p:
             qs.append(q)
         q = next_prime(q)
-    tables = (np.array(ffcurve.point_count_table(q)).reshape(q, q) for q in qs)
+    tables = map(ffcurve.point_count_table, qs)
     return tuple((q, np.uint8(np.where(t < 0, 0, 1 + (t % p > 0)))) for q, t in zip(qs, tables))
 
 
@@ -271,10 +272,16 @@ def _valuations(values, ell: int):
 
 
 def _reduction_table(ell: int):
-    """Reduction types mod ell, indexed [a, b]: 0 at (0, 0), 1 good, 2 nonsplit, 3 split."""
-    return np.array([[0 if am == bm == 0 else 1 if (4 * am**3 + 27 * bm**2) % ell
-                      else 2 + localdata._split_from_residues(am, bm, ell) for bm in range(ell)]
-                     for am in range(ell)], dtype=np.uint8)
+    """Reduction types mod ell, indexed [a, b]: 0 at (0, 0), 1 good, 2 nonsplit, 3 split.
+
+    A nonzero pair with ell | delta has a, b != 0 mod ell.  The node's slopes
+    are +-sqrt(3e) with 3e = -9b/2a, so it splits exactly when chi(-2a) == chi(b).
+    """
+    chi, r = ffcurve.chi_table(ell), np.arange(ell, dtype=np.int64)
+    singular = (4 * r**3 % ell)[:, None] == -27 * r * r % ell
+    table = np.where(singular, (chi[-2 * r % ell, None] == chi) + np.uint8(2), np.uint8(1))
+    table[0, 0] = 0
+    return table
 
 
 def _gather(table, a, b, columns):
@@ -303,21 +310,22 @@ def _certify(a, b, pool) -> np.ndarray:
 
 def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
     """The height box of a survey at p, checked before any pass over it, the
-    class codes at p, and the primes that can add to its growth, by table."""
+    class codes at p, a reduction table for each prime in `ells` and each
+    prime that can add to the growth, and the latter primes in order."""
     for prime in (p, *ells):
         check_prime(prime, 5)
     if x >= MAX_SURVEY_HEIGHT:
         raise DomainError(f"height bound x = {x} must be below 2^62, so that "
                           "|delta| <= 2x fits in int64")
     win = HeightWindow.from_height(x)
-    codes = np.frombuffer(ffcurve.class_code_table(p), dtype=np.uint8).reshape(p, p)
+    codes = ffcurve.class_code_table(p)
     # only primes with ell^p <= |delta| can carry a Tamagawa number divisible
     # by p (split I_m needs p | m = v_ell(delta)); each table takes ell^2 bytes
     primes = set(sieve_primes(integer_nth_root(win.max_abs_discriminant, p))) - {2, 3, p}
     if sum(ell * ell for ell in primes) > 1 << 27:
         raise DomainError(f"x = {x} at p = {p} needs over 128 MB of growth-candidate tables")
-    candidates = {ell: _reduction_table(ell) for ell in sorted(primes)}
-    return win, codes, candidates
+    reduction = {ell: _reduction_table(ell) for ell in sorted(primes.union(ells))}
+    return win, codes, reduction, sorted(primes)
 
 
 def _blocks(win: HeightWindow, cap: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -338,7 +346,7 @@ def _blocks(win: HeightWindow, cap: int) -> Iterator[tuple[np.ndarray, ...]]:
 def _growth(delta, code, p: int, reductions):
     """Strict count, Kodaira-only count and Euler valuation of the growth at p,
     from flat arrays of class codes at p and of _reduction_table codes per ell."""
-    g_strict = (code == ffcurve._CODE_ANOMALOUS).astype(np.int64)
+    g_strict = (code == PointClass.ANOMALOUS).astype(np.int64)
     g_kodaira = g_strict.copy()
     euler_v = 2 * g_strict
     for ell, reduction in reductions:
@@ -363,15 +371,14 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     torsion_uncertified or classified, and the classified ones into the
     strict, Kodaira-only and Euler histograms.
     """
-    win, codes, candidates = _survey_setup(p, x, ells)
+    win, codes, reduction, candidates = _survey_setup(p, x, ells)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0)}
     cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else ()
     valuation_hists = {ell: Counter() for ell in ells}
     hists = Counter(), Counter(), Counter()  # strict, Kodaira-only, Euler
-    reduction = {ell: _reduction_table(ell) for ell in ells}
     first = [t for _, t in cert_pool[:TORSION_CERT_PRIMES]]
     # tiles of whole rows share their b: gather each table's columns once, if all fit in 2 MB
-    tables = (codes, *reduction.values(), *candidates.values(), *first)
+    tables = (codes, *reduction.values(), *first)
     whole = 2 * win.b_max < min(_BLOCK_PAIRS, (1 << 21) // sum(map(len, tables)))
     box_cols, grid_cols = ({}, {}) if whole else (None, None)
     for a, b, delta, minimal in _blocks(win, _BLOCK_PAIRS):
@@ -386,16 +393,16 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
         grid = np.ix_(a % 3 != 0, b % 2 != 0)
         a, b, delta, curve = a[grid[0].ravel()], b[grid[1].ravel()], delta[grid], minimal[grid]
         code = _gather(codes, a, b, grid_cols)
-        for name, c in zip(_BUCKETS[4:6], (ffcurve._CODE_SINGULAR, ffcurve._CODE_SUPERSINGULAR)):
+        for name, c in zip(_BUCKETS[4:6], (PointClass.SINGULAR, PointClass.SUPERSINGULAR)):
             counts[name] += int(np.count_nonzero(curve & (code == c)))
-        keep = curve & ((code == ffcurve._CODE_ORDINARY) | (code == ffcurve._CODE_ANOMALOUS))
+        keep = curve & ((code == PointClass.ORDINARY) | (code == PointClass.ANOMALOUS))
         if cert_pool:  # the first five pool primes are among any pair's first five good ones
             i, j = np.nonzero(keep & np.all([_gather(t, a, b, grid_cols) != 2 for t in first], 0))
             doubt = ~_certify(a[i], b[j], cert_pool)
             keep[i[doubt], j[doubt]] = False
             counts["torsion_uncertified"] += int(np.count_nonzero(doubt))
         counts["classified"] += int(np.count_nonzero(keep))
-        reductions = ((ell, _gather(t, a, b, grid_cols).ravel()) for ell, t in candidates.items())
+        reductions = ((ell, _gather(reduction[ell], a, b, grid_cols).ravel()) for ell in candidates)
         for hist, values in zip(hists, _growth(delta.ravel(), code.ravel(), p, reductions)):
             _tally(hist, values[keep.ravel()])
     counts["bad_at_2_or_3"] = counts["curves"] - sum(counts[k] for k in _BUCKETS[4:])
@@ -503,7 +510,7 @@ def _kodaira_fields(a, b, delta, primes: tuple[int, ...]) -> list[str]:
 def _survey_rows(x: int, p: int) -> Iterator[list[tuple]]:
     """The fields write_csv writes for enumerate_curves(x, p), one list of
     rows per tile of the height box, read row-major."""
-    win, codes, candidates = _survey_setup(p, x)
+    win, codes, reduction, candidates = _survey_setup(p, x)
     primes = sieve_primes(math.isqrt(win.max_abs_discriminant))
     for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
         a, b = np.repeat(a, len(b)), np.tile(b, len(a))
@@ -511,14 +518,14 @@ def _survey_rows(x: int, p: int) -> Iterator[list[tuple]]:
         curve = np.flatnonzero(minimal & (delta != 0))
         local = curve[(delta[curve] % 2 != 0) & (delta[curve] % 3 != 0)]
         code = codes[a[local] % p, b[local] % p]
-        good = code != ffcurve._CODE_SINGULAR
+        good = code != PointClass.SINGULAR
         local, code = local[good], code[good]
-        reductions = ((ell, t[a[local] % ell, b[local] % ell]) for ell, t in candidates.items())
+        reductions = ((ell, reduction[ell][a[local] % ell, b[local] % ell]) for ell in candidates)
         g_strict, _, euler_v = _growth(delta[local], code, p, reductions)
         kodaira, *at_p = (np.full(len(a), None, dtype=object) for _ in range(5))
         kodaira[curve] = _kodaira_fields(a[curve], b[curve], delta[curve], primes)
-        for column, values in zip(at_p, (code != ffcurve._CODE_SUPERSINGULAR,
-                                         code == ffcurve._CODE_ANOMALOUS, g_strict, euler_v)):
+        for column, values in zip(at_p, (code != PointClass.SUPERSINGULAR,
+                                         code == PointClass.ANOMALOUS, g_strict, euler_v)):
             column[local] = values.astype(np.int64)
         height = np.maximum(4 * np.abs(a) ** 3, 27 * b * b)
         yield list(zip(a.tolist(), b.tolist(), height.tolist(), minimal.astype(np.int64).tolist(),

@@ -84,6 +84,7 @@ def test_missing_required_args_exit_2():
     ["bounds", "--p", "7", "--n", "400"],
     ["survey", "--x", "100", "--p", "7", "--n", "500"],
     ["densities", "--ell", "5", "--type", "In", "--n", "8000"],
+    ["bounds", "--p", "7", "--n", "1", "--trunc", "10000000000"],
 ])
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
@@ -91,17 +92,20 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # sieve up to --pmax = 10^13 would allocate 10 TB, the zeta and
     # symmetric sums at p = 1048583 would not finish in minutes, and the
     # census and exact zeta sum at p = 1009 take seconds before a
-    # truncation below 11 is refused.  The last three compute exact values
-    # too small to print within Python's 4300-digit int-to-str limit.
+    # truncation below 11 is refused.  The next three compute exact values
+    # too small to print within Python's 4300-digit int-to-str limit, and a
+    # sieve up to --trunc = 10^10 would allocate 10 GB.
     from_height = survey.HeightWindow.from_height
     primes_in = cli.primes_in
+    sieve_primes = bounds.sieve_primes
     trunc = int(argv[argv.index("--trunc") + 1]) if "--trunc" in argv else None
 
     def guard(name, p_index=None):
         fn = getattr(bounds, name)
 
         def guarded(*args):
-            assert trunc is None or trunc >= 11, f"bounds ran {name} before refusing --trunc {trunc}"
+            assert trunc is None or 11 <= trunc <= 2**24, \
+                f"bounds ran {name} before refusing --trunc {trunc}"
             if p_index is not None:
                 p = args[p_index]
                 assert p < ffcurve.MAX_FIELD_PRIME, f"bounds ran {name} at p = {p} before its cap check"
@@ -116,8 +120,13 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
         assert hi < 2**20, f"tables sieved up to {hi} before validating its input"
         return primes_in(lo, hi)
 
+    def small_bound_sieve(limit):
+        assert limit <= 2**24, f"bounds sieved up to {limit} before refusing its truncation"
+        return sieve_primes(limit)
+
     monkeypatch.setattr(survey.HeightWindow, "from_height", small_box_only)
     monkeypatch.setattr(cli, "primes_in", small_sieve_only)
+    monkeypatch.setattr(bounds, "sieve_primes", small_bound_sieve)
     guard("class_weights")  # the cap on p is checked inside it
     guard("zeta_reciprocal", 0)
     guard("_symmetric_sums", 1)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ecstats import ffcurve, verify
@@ -12,13 +13,6 @@ from ecstats.errors import (
     SingularCurveError,
 )
 from ecstats.ffcurve import PointClass
-
-CODES = {
-    PointClass.SINGULAR: ffcurve._CODE_SINGULAR,
-    PointClass.ORDINARY: ffcurve._CODE_ORDINARY,
-    PointClass.ANOMALOUS: ffcurve._CODE_ANOMALOUS,
-    PointClass.SUPERSINGULAR: ffcurve._CODE_SUPERSINGULAR,
-}
 
 
 def test_discriminant_examples():
@@ -121,19 +115,29 @@ def test_validation_errors():
 def test_tables_match_class_codes(p):
     codes = ffcurve.class_code_table(p)
     counts = ffcurve.residue_class_counts(p)
-    assert len(codes) == p * p
-    assert codes.count(ffcurve._CODE_ORDINARY) == counts.ordinary
-    assert codes.count(ffcurve._CODE_ANOMALOUS) == counts.anomalous
-    assert codes.count(ffcurve._CODE_SINGULAR) == counts.singular
+    assert codes.shape == (p, p) and codes.dtype == np.uint8
+    assert np.count_nonzero(codes == PointClass.ORDINARY) == counts.ordinary
+    assert np.count_nonzero(codes == PointClass.ANOMALOUS) == counts.anomalous
+    assert np.count_nonzero(codes == PointClass.SINGULAR) == counts.singular
     pc = ffcurve.point_count_table(p)
+    assert pc.shape == (p, p)
     tally = {kind: 0 for kind in PointClass}
     for a in range(p):
         for b in range(p):
             cls = ffcurve.classify_residue(p, a, b)
             tally[cls.kind] += 1
             want = -1 if cls.point_count is None else cls.point_count
-            assert pc[a * p + b] == want
-            assert codes[a * p + b] == CODES[cls.kind]
+            assert pc[a, b] == want
+            assert codes[a, b] == cls.kind
     assert (counts.ordinary, counts.anomalous, counts.supersingular, counts.singular) == \
         (tally[PointClass.ORDINARY], tally[PointClass.ANOMALOUS],
          tally[PointClass.SUPERSINGULAR], tally[PointClass.SINGULAR])
+
+
+def test_tables_are_read_only():
+    """The tables are lru-cached and shared, so writing into one is refused."""
+    for table in (ffcurve.class_code_table(7), ffcurve.point_count_table(7)):
+        with pytest.raises(ValueError):
+            table[1, 1] = 0
+    with pytest.raises(ValueError):
+        ffcurve.chi_table(7)[1] = 0

@@ -410,8 +410,6 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
     assert sum(t.nbytes for t in tables) <= 2 * 2**20
     blocks = survey._blocks
     monkeypatch.setattr(survey, "_blocks", lambda win, cap: itertools.islice(blocks(win, cap), 1))
-    # a table per growth candidate up to (2x)^(1/7) ~ 512; their values do not matter here
-    monkeypatch.setattr(survey, "_reduction_table", lambda ell: np.ones((ell, ell), dtype=np.uint8))
     stores, tile_bytes = _record_gathers(monkeypatch)
     census = survey._growth_census.__wrapped__(7, 2**62 - 1, (5,))
     assert census.counts["curves"] <= survey._BLOCK_PAIRS
@@ -440,16 +438,24 @@ def test_kodaira_view_needs_its_ell():
 
 
 def test_reduction_table_matches_the_split_rule():
-    for ell in (5, 7, 11, 13, 31):
+    for ell in arith.primes_in(5, 199):
         table = survey._reduction_table(ell)
-        for am, bm in itertools.product(range(ell), repeat=2):
-            code = table[am, bm]
-            if (am, bm) == (0, 0):
-                assert code == 0
-            elif (4 * am**3 + 27 * bm**2) % ell:
-                assert code == 1
-            else:
-                assert code == 2 + localdata._split_from_residues(am, bm, ell)
+        bad = [(am, bm) for am, bm in itertools.product(range(ell), repeat=2)
+               if (4 * am**3 + 27 * bm**2) % ell == 0]
+        assert bad[0] == (0, 0) and table[0, 0] == 0 and len(bad) == ell
+        assert np.count_nonzero(table == 1) == ell * ell - ell
+        for am, bm in bad[1:]:
+            assert table[am, bm] == 2 + localdata._split_from_residues(am, bm, ell)
+
+
+def test_reduction_table_reads_the_character_table(monkeypatch):
+    """The table is one numpy broadcast over chi mod ell, not a call per pair."""
+    def per_pair(*args):
+        raise AssertionError("the reduction table called the per-pair split rule")
+
+    monkeypatch.setattr(localdata, "_split_from_residues", per_pair)
+    table = survey._reduction_table(101)
+    assert table.shape == (101, 101) and np.count_nonzero(table >= 2) == 100
 
 
 def test_growth_census_bucket_partition():
