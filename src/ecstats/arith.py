@@ -80,18 +80,17 @@ def next_prime(n: int) -> int:
 
 
 def integer_nth_root(n: int, k: int) -> int:
-    """Floor of n**(1/k) for n >= 0, k >= 1."""
+    """Floor of n**(1/k) for n >= 0, k >= 1, by integer Newton iteration."""
     if n < 0 or k < 1:
         raise ValueError("integer_nth_root requires n >= 0, k >= 1")
     if n == 0:
         return 0
-    r = int(round(n ** (1.0 / k)))
-    r = max(r, 1)
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n**(1/k)
+    while True:  # from above, Newton steps fall strictly until the floor root
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _pollard_rho(n: int) -> int:

@@ -31,10 +31,11 @@ from typing import Sequence
 from . import density, ffcurve
 from .arith import check_prime, is_prime, sieve_primes
 from .errors import DomainError, ExcludedPrimeError, TruncationError
-from .intervals import QInterval, round_fraction
+from .intervals import QInterval
 
 DEFAULT_ZETA_TERMS = 200
 MAX_TRUNCATION = 1 << 24  # the sums sieve every prime up to the truncation
+MAX_ZETA_TERMS = 1 << 12  # the exact partial sum of zeta(s) costs about s * terms^2
 
 KIND_SELMER_GROWTH = "selmer_growth"
 KIND_EULER_DIVISIBILITY = "euler_divisibility"
@@ -55,6 +56,11 @@ def kodaira_multiple_weight(ell: int, p: int) -> Fraction:
     """f(ell) = ell^8 (ell-1)^2 / ((ell^10 - 1)(ell^p - 1)), ell outside {2,3,p}."""
     check_prime(p, 5)
     _check_index_prime(ell, p)
+    return _weight(ell, p)
+
+
+def _weight(ell: int, p: int) -> Fraction:
+    """f(ell) for arguments the caller has already checked."""
     return Fraction(ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1))
 
 
@@ -106,7 +112,7 @@ def _symmetric_sums(n: int, p: int, truncation: int,
     for ell in sieve_primes(truncation):
         if ell < 5 or ell == p:
             continue
-        f = kodaira_multiple_weight(ell, p)
+        f = _weight(ell, p)
         for j in range(n, 0, -1):
             num[j] = num[j] * f.denominator + f.numerator * num[j - 1]
         num[0] *= f.denominator
@@ -169,7 +175,7 @@ class BoundReport:
     def to_json(self) -> dict:
         # serialized bounds are outward-rounded to 40 digits; the rounded
         # lower endpoint is still a true certified lower bound
-        rounded_lo = round_fraction(self.value.lo, 40, up=False)
+        value = self.value.to_json()
         return {
             "schema_version": 1,
             "kind": self.kind,
@@ -177,9 +183,9 @@ class BoundReport:
             "n": self.n,
             "truncation": self.truncation,
             "zeta_terms": self.zeta_terms,
-            "lower_bound_decimal": float(rounded_lo),
-            "lower_bound_rational_lo": str(rounded_lo),
-            "value": self.value.to_json(),
+            "lower_bound_decimal": value["lo_decimal"],
+            "lower_bound_rational_lo": value["lo"],
+            "value": value,
             "terms": {
                 "zeta_reciprocal": self.terms.zeta_reciprocal.to_json(),
                 "sym_main": self.terms.sym_main.to_json(),
@@ -198,6 +204,8 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     if truncation is None:
         truncation = default_truncation(p)
     _check_truncation(n, truncation)  # before the census and the exact zeta sum
+    if zeta_terms > MAX_ZETA_TERMS:
+        raise DomainError(f"zeta_terms {zeta_terms} exceeds the cap 2^12")
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
     e_main, e_aux = _symmetric_sums(n, p, truncation, (n, aux_index))

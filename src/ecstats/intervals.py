@@ -1,10 +1,14 @@
-"""Exact rational intervals.
+"""Exact rational enclosures of nonnegative reals.
 
-Endpoints are `fractions.Fraction`, so ordinary arithmetic on intervals is
-exact; "rounding" only ever happens where an infinite sum or product is
-replaced by a finite part plus a one-sided tail bound, and those bounds are
-themselves exact rationals.  An interval certifies: the target real number
-lies in [lo, hi].
+Every quantity the bounds enclose (local densities, sums of the positive
+weights f(ell), zeta values, class weights) is a nonnegative real, so a
+QInterval holds 0 <= lo <= hi, and its product and reciprocal need no sign
+cases: [a, b] * [c, d] = [ac, bd] and 1/[a, b] = [1/b, 1/a] for a > 0
+(Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, 2009).
+Endpoints are Fractions, so the arithmetic is exact; "rounding" happens only
+where an infinite sum or product becomes a finite part plus a one-sided tail
+bound, itself an exact rational.  An interval certifies: the target real
+number lies in [lo, hi].
 """
 
 from __future__ import annotations
@@ -28,48 +32,34 @@ class QInterval:
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval: {self.lo} > {self.hi}")
+        if not 0 <= self.lo <= self.hi:
+            raise ValueError(f"not an interval of nonnegative reals: [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, value: Rat) -> "QInterval":
-        q = Fraction(value)
-        return cls(q, q)
+        return cls(value, value)
 
     def __add__(self, other: "QInterval | Rat") -> "QInterval":
-        if isinstance(other, QInterval):
-            return QInterval(self.lo + other.lo, self.hi + other.hi)
-        q = Fraction(other)
-        return QInterval(self.lo + q, self.hi + q)
+        if not isinstance(other, QInterval):
+            other = QInterval.point(other)
+        return QInterval(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __mul__(self, other: "QInterval | Rat") -> "QInterval":
         if not isinstance(other, QInterval):
             other = QInterval.point(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return QInterval(min(products), max(products))
+        return QInterval(self.lo * other.lo, self.hi * other.hi)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "QInterval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval straddles 0")
+        if self.lo == 0:
+            raise ZeroDivisionError("interval contains 0")
         return QInterval(1 / self.hi, 1 / self.lo)
 
-    def __truediv__(self, other: "QInterval | Rat") -> "QInterval":
-        if not isinstance(other, QInterval):
-            other = QInterval.point(other)
-        return self * other.reciprocal()
-
     def contains(self, value: Rat) -> bool:
-        q = Fraction(value)
-        return self.lo <= q <= self.hi
+        return self.lo <= value <= self.hi
 
     def encloses(self, other: "QInterval") -> bool:
         """True when `other` is nested inside self."""

@@ -47,6 +47,24 @@ def test_integer_nth_root():
     assert integer_nth_root(1, 6) == 1
     r = integer_nth_root(10**30 + 7, 6)
     assert r**6 <= 10**30 + 7 < (r + 1) ** 6
+    assert integer_nth_root(10**400, 4) == 10**100  # past the float range
+    assert integer_nth_root(10**500 + 1, 1) == 10**500 + 1
+    with pytest.raises(ValueError):
+        integer_nth_root(-1, 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 12])
+def test_integer_nth_root_at_exact_powers(k):
+    """Exact powers r^k and their neighbours, up to 2^2000: no float estimate
+    to overflow or to step away from one unit at a time."""
+    for bits in range(1, 2000 // k + 1, 7):
+        for r in (2**bits - 1, 2**bits, 3**(bits * 2 // 3) + 1):
+            if r < 2 or (r**k).bit_length() > 2001:
+                continue
+            n = r**k
+            assert integer_nth_root(n - 1, k) == r - 1
+            assert integer_nth_root(n, k) == r
+            assert integer_nth_root(n + 1, k) == r
 
 
 @pytest.mark.parametrize("n", [2, 140, 2**4 * 3**6, 10**6 + 3, 7919 * 7907, 2 * 10**8 - 1])

@@ -131,16 +131,32 @@ def test_bound_report_sweeps_the_primes_once(monkeypatch):
     """The main and auxiliary orders come from one sweep: one weight per
     prime <= truncation outside {2, 3, p}."""
     calls = []
-    weight = bounds.kodaira_multiple_weight
+    weight = bounds._weight
 
     def counted(ell, p):
         calls.append(ell)
         return weight(ell, p)
 
-    monkeypatch.setattr(bounds, "kodaira_multiple_weight", counted)
+    monkeypatch.setattr(bounds, "_weight", counted)
     r = bounds.selmer_growth_bound(13, 3, 200)
     assert calls == [ell for ell in arith.primes_in(2, 200) if ell not in (2, 3, 13)]
     assert r.terms.sym_aux == bounds.prime_symmetric_sum(2, 13, 200)
+
+
+def test_bound_report_trusts_the_sieve(monkeypatch):
+    """The sweep reads f(ell) for primes the sieve has proved: a report makes
+    a handful of primality tests, not one per prime <= truncation."""
+    calls = []
+    is_prime = arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(bounds, "is_prime", counted)
+    bounds.selmer_growth_bound(13, 3, 1000)
+    assert len(arith.primes_in(5, 1000)) > 150 and len(calls) <= 5, calls
 
 
 @pytest.mark.parametrize("p, truncation", [(13, 400), (7, 1000)])

@@ -85,6 +85,7 @@ def test_missing_required_args_exit_2():
     ["survey", "--x", "100", "--p", "7", "--n", "500"],
     ["densities", "--ell", "5", "--type", "In", "--n", "8000"],
     ["bounds", "--p", "7", "--n", "1", "--trunc", "10000000000"],
+    ["bounds", "--p", "7", "--n", "1", "--zeta-terms", "100000"],
 ])
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
@@ -93,12 +94,14 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # symmetric sums at p = 1048583 would not finish in minutes, and the
     # census and exact zeta sum at p = 1009 take seconds before a
     # truncation below 11 is refused.  The next three compute exact values
-    # too small to print within Python's 4300-digit int-to-str limit, and a
-    # sieve up to --trunc = 10^10 would allocate 10 GB.
+    # too small to print within Python's 4300-digit int-to-str limit, a
+    # sieve up to --trunc = 10^10 would allocate 10 GB, and the exact zeta
+    # sum over --zeta-terms = 10^5 terms would not finish in minutes.
     from_height = survey.HeightWindow.from_height
     primes_in = cli.primes_in
     sieve_primes = bounds.sieve_primes
     trunc = int(argv[argv.index("--trunc") + 1]) if "--trunc" in argv else None
+    zeta_terms = int(argv[argv.index("--zeta-terms") + 1]) if "--zeta-terms" in argv else None
 
     def guard(name, p_index=None):
         fn = getattr(bounds, name)
@@ -106,6 +109,8 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
         def guarded(*args):
             assert trunc is None or 11 <= trunc <= 2**24, \
                 f"bounds ran {name} before refusing --trunc {trunc}"
+            assert zeta_terms is None or zeta_terms <= 2**12, \
+                f"bounds ran {name} before refusing --zeta-terms {zeta_terms}"
             if p_index is not None:
                 p = args[p_index]
                 assert p < ffcurve.MAX_FIELD_PRIME, f"bounds ran {name} at p = {p} before its cap check"

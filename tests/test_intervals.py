@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ecstats.errors import DomainError
 from ecstats.intervals import QInterval, check_printable, fraction_to_decimal, round_fraction
@@ -22,18 +24,44 @@ def test_arithmetic_exact():
 
 
 def test_mul_with_negative_endpoints():
-    a = QInterval(Fraction(-1), Fraction(2))
-    b = QInterval(Fraction(-3), Fraction(1, 2))
-    got = a * b
-    assert got == QInterval(Fraction(-6), Fraction(3))
+    """An interval encloses a nonnegative real: a negative endpoint is refused."""
+    for lo, hi in ((-1, 2), (-3, Fraction(-1, 2)), (Fraction(-1, 10**30), 0)):
+        with pytest.raises(ValueError):
+            QInterval(Fraction(lo), Fraction(hi))
+    with pytest.raises(ValueError):
+        QInterval.point(-1)
+    with pytest.raises(ValueError):
+        QInterval(Fraction(1), Fraction(2)) * -1
+
+
+def _four_product_mul(a: QInterval, b: QInterval) -> QInterval:
+    """The general signed interval product: min and max of the four endpoint products."""
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return QInterval(min(products), max(products))
+
+
+_NONNEGATIVE = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+_INTERVALS = st.one_of(
+    st.tuples(_NONNEGATIVE, _NONNEGATIVE).map(lambda t: QInterval(min(t), max(t))),
+    _NONNEGATIVE.map(QInterval.point),
+    _NONNEGATIVE.map(lambda hi: QInterval(0, hi)),
+)
+
+
+@given(_INTERVALS, _INTERVALS)
+@example(QInterval(0, 0), QInterval(2, 3))
+@example(QInterval(0, 1), QInterval(0, 1))
+@example(QInterval.point(Fraction(2, 3)), QInterval(0, Fraction(1, 2)))
+def test_mul_matches_four_product_oracle(a, b):
+    assert a * b == _four_product_mul(a, b) == b * a
 
 
 def test_reciprocal_and_division():
     a = QInterval(Fraction(2), Fraction(4))
     assert a.reciprocal() == QInterval(Fraction(1, 4), Fraction(1, 2))
-    with pytest.raises(ZeroDivisionError):
-        QInterval(Fraction(-1), Fraction(1)).reciprocal()
-    assert (QInterval.point(1) / a) == a.reciprocal()
+    for zero in (QInterval(Fraction(0), Fraction(1)), QInterval.point(0)):
+        with pytest.raises(ZeroDivisionError):
+            zero.reciprocal()
 
 
 def test_contains_encloses_width():

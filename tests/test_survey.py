@@ -17,6 +17,11 @@ def test_count_pairs_examples():
     assert survey.count_pairs(10**4) == 1053
     assert survey.count_pairs(27) == 9
     assert survey.count_pairs(0) == 1
+    # the cube root bound near 2^110 is exact, not stepped to from a float
+    x = 10**100
+    a, b = arith.integer_nth_root(x // 4, 3), math.isqrt(x // 27)
+    assert 4 * a**3 <= x < 4 * (a + 1) ** 3
+    assert survey.count_pairs(x) == (2 * a + 1) * (2 * b + 1)
     with pytest.raises(ValueError):
         survey.count_pairs(-1)
 
