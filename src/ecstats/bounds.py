@@ -13,11 +13,15 @@ symmetric function of the weights
 over all primes ell outside {2, 3, p}.  f(ell) is the relative density
 (within minimal pairs at ell) of Kodaira types I_m with p | m, m >= 1.
 
-All arithmetic is exact rational.  Infinite objects are enclosed one-sidedly
-in the safe direction: 1/zeta(p) from below via a partial sum plus integral
-tail for zeta(p), and e_j from below by truncating to primes <= L (every
-omitted term is positive), so the reported .lo endpoints are true lower
-bounds of the displayed expressions at any truncation.
+The weights are exact rationals.  The long sweeps (e_j over the primes <= L,
+the partial sum of zeta(s), a family's cofinite product) keep integers over
+a fixed power of two, lo rounded down and hi up at every step (Moore,
+Kearfott & Cloud 2009); every term is nonnegative, so they enclose the exact
+values.  Infinite objects are enclosed one-sidedly in the safe direction:
+1/zeta(p) from below via a partial sum plus integral tail for zeta(p), and
+e_j from below by truncating to primes <= L (every omitted term is
+positive), so the reported .lo endpoints are true lower bounds of the
+displayed expressions at any truncation.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from typing import Sequence
 from . import density, ffcurve
 from .arith import check_prime, is_prime, sieve_primes
 from .errors import DomainError, ExcludedPrimeError, TruncationError
-from .intervals import QInterval
+from .intervals import WORKING_BITS, QInterval, outward
 
 DEFAULT_ZETA_TERMS = 200
 MAX_TRUNCATION = 1 << 24  # the sums sieve every prime up to the truncation
-MAX_ZETA_TERMS = 1 << 12  # the exact partial sum of zeta(s) costs about s * terms^2
+MAX_ZETA_TERMS = 1 << 12  # a resource limit: the zeta(s) partial sum costs `terms` divisions
 
 KIND_SELMER_GROWTH = "selmer_growth"
 KIND_EULER_DIVISIBILITY = "euler_divisibility"
@@ -56,17 +60,12 @@ def kodaira_multiple_weight(ell: int, p: int) -> Fraction:
     """f(ell) = ell^8 (ell-1)^2 / ((ell^10 - 1)(ell^p - 1)), ell outside {2,3,p}."""
     check_prime(p, 5)
     _check_index_prime(ell, p)
-    return _weight(ell, p)
+    return Fraction(*_weight_ratio(ell, p))
 
 
-def _weight(ell: int, p: int) -> Fraction:
-    """f(ell) for arguments the caller has already checked."""
-    return Fraction(ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1))
-
-
-def _sym_tail_majorant(p: int, truncation: int) -> Fraction:
-    # f(ell) < ell^(1-p), so the omitted mass is below the integral of t^(1-p)
-    return Fraction(1, (p - 2) * truncation ** (p - 2))
+def _weight_ratio(ell: int, p: int) -> tuple[int, int]:
+    """f(ell) as (numerator, denominator), not reduced, for checked arguments."""
+    return ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1)
 
 
 def _check_truncation(n: int, truncation: int) -> None:
@@ -83,59 +82,68 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
 
     The index set is all primes ell outside {2, 3, p}.  Conventions:
     e_0 = 1 and e_n = 0 for n < 0 (exact point intervals).  The lower
-    endpoint is the symmetric function over primes <= truncation; the upper
-    endpoint adds sum_{k=1..n} e_{n-k} * T^k / k! with T bounding the total
-    weight of the omitted primes.
+    endpoint is the symmetric function over primes <= truncation, rounded
+    down; the upper endpoint adds sum_{k=1..n} e_{n-k} * T^k / k! with T
+    bounding the total weight of the omitted primes.
     """
     check_prime(p, 5)
     if n < 0:
         return QInterval.point(0)
     _check_truncation(n, truncation)
-    return _symmetric_sums(n, p, truncation, (n,))[0]
+    return _with_tail(_symmetric_sums(n, p, truncation), n, p, truncation)
 
 
-def _symmetric_sums(n: int, p: int, truncation: int,
-                    orders: Sequence[int] | None = None) -> list[QInterval]:
-    """The enclosures of prime_symmetric_sum for each of `orders` (every
-    order 0..n by default; none above n, and any below 0 gives 0), n >= 0,
-    from one sweep over the primes <= truncation (checked by the caller).
+def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
+    """Enclosures of e_0..e_n over the primes <= truncation alone, n >= 0,
+    from one sweep over them (the truncation is checked by the caller).
 
-    The sweep keeps integer numerators of e_0..e_n over one common
-    denominator, num[0], so each order is reduced to lowest terms once.  The
-    upper endpoint of order m sums m + 1 products, so only the orders read
-    are closed.
+    Order j is kept as integers lo[j] <= hi[j] over 2^bits[j].  When the
+    j-th prime ell gives e_j its first term, bits[j] is set to bits[j - 1]
+    plus the bit length of 1/f(ell), so 2^-bits[j] is below 2^-WORKING_BITS
+    of the product of the first j weights, itself a term of e_j.  So each
+    rounding is below 2^-WORKING_BITS of e_j, and e_j does not depend on n.
     """
-    orders = range(n + 1) if orders is None else orders
-    if n == 0:
-        return [QInterval.point(int(m == 0)) for m in orders]
-    num = [1] + [0] * n
-    for ell in sieve_primes(truncation):
+    bits = [WORKING_BITS] * (n + 1)
+    lo, hi = [1 << WORKING_BITS] + [0] * n, [1 << WORKING_BITS] + [0] * n
+    reached = 0  # the orders with a term so far
+    for ell in sieve_primes(truncation) if n else ():
         if ell < 5 or ell == p:
             continue
-        f = _weight(ell, p)
-        for j in range(n, 0, -1):
-            num[j] = num[j] * f.denominator + f.numerator * num[j - 1]
-        num[0] *= f.denominator
-    e = [Fraction(v, num[0]) for v in num]
-    tail = _sym_tail_majorant(p, truncation)
-    tk = [tail**k / math.factorial(k) for k in range(max(orders, default=0) + 1)]  # T^k / k!
-    return [QInterval(e[m], sum(e[m - k] * tk[k] for k in range(m + 1))) if m >= 0
-            else QInterval.point(0) for m in orders]
+        num, den = _weight_ratio(ell, p)
+        if reached < n:
+            reached += 1
+            bits[reached] = bits[reached - 1] + (den // num).bit_length()
+        for j in range(reached, 0, -1):
+            step = outward(num << (bits[j] - bits[j - 1]), den, lo[j - 1], hi[j - 1])
+            lo[j], hi[j] = lo[j] + step[0], hi[j] + step[1]
+    return [QInterval(Fraction(l, 1 << b), Fraction(h, 1 << b)) for l, h, b in zip(lo, hi, bits)]
+
+
+def _with_tail(e: list[QInterval], m: int, p: int, truncation: int) -> QInterval:
+    """prime_symmetric_sum(m, p, truncation) from the truncated sums e of
+    orders 0..m or more: the upper endpoint is sum_k e_(m-k).hi * T^k / k!."""
+    if m < 0:
+        return QInterval.point(0)
+    # f(ell) < ell^(1-p), so the omitted mass T is below the integral of t^(1-p)
+    tail = Fraction(1, (p - 2) * truncation ** (p - 2))
+    return QInterval(e[m].lo, sum(e[m - k].hi * tail**k / math.factorial(k) for k in range(m + 1)))
 
 
 def zeta_enclosure(s: int, terms: int) -> QInterval:
-    """Exact-rational enclosure of zeta(s) for integer s >= 2.
+    """Enclosure of zeta(s) for integer s >= 2.
 
-    zeta(s) lies between the partial sum over m <= terms and that sum plus
-    the integral tail terms^(1-s)/(s-1).
+    zeta(s) lies between the partial sum over m <= terms, rounded down on the
+    scale 2^-WORKING_BITS, and that sum rounded up plus the integral tail
+    terms^(1-s)/(s-1).
     """
     if s < 2:
         raise DomainError("zeta_enclosure requires s >= 2")
     if terms < 10:
         raise DomainError("terms must be >= 10")
-    partial = sum(Fraction(1, m**s) for m in range(1, terms + 1))
-    tail = Fraction(1, (s - 1) * terms ** (s - 1))
-    return QInterval(partial, partial + tail)
+    one = 1 << WORKING_BITS
+    lo, hi = (Fraction(sum(ends), one) for ends in
+              zip(*(outward(1, m**s, one, one) for m in range(1, terms + 1))))
+    return QInterval(lo, hi + Fraction(1, (s - 1) * terms ** (s - 1)))
 
 
 def zeta_reciprocal(s: int, terms: int = DEFAULT_ZETA_TERMS) -> QInterval:
@@ -208,7 +216,8 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
         raise DomainError(f"zeta_terms {zeta_terms} exceeds the cap 2^12")
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
-    e_main, e_aux = _symmetric_sums(n, p, truncation, (n, aux_index))
+    e = _symmetric_sums(n, p, truncation)
+    e_main, e_aux = (_with_tail(e, m, p, truncation) for m in (n, aux_index))
     value = z * (e_main * w_ord + e_aux * w_anom)
     terms = BoundTerms(z, e_main, e_aux, w_ord, w_anom)
     return BoundReport(kind, p, n, truncation, zeta_terms, value, terms, notes)
@@ -277,12 +286,12 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
                  * prod_{ell in sigma} sum_{j<=k} (ell-1)^2/ell^(jp+2)
                  * N_class / p^2
 
-    with the infinite product enclosed by exact factors up to the truncation
-    point and a one-sided tail.  `stated_bound` is the simplified strict
-    lower bound (1/zeta(p)) * prod_sigma-normalized * p^8 N_class/(p^10-1),
-    where each sigma factor is divided by the minimal density 1 - ell^-10;
-    the exact density always exceeds it.  Every local factor is read from
-    `density`, and p^8 N_class/(p^10-1) is the weight from class_weights.
+    with the infinite product enclosed by density.cofinite_product.
+    `stated_bound` is the simplified strict lower bound (1/zeta(p)) *
+    prod_sigma-normalized * p^8 N_class/(p^10-1), where each sigma factor is
+    divided by the minimal density 1 - ell^-10; the exact density always
+    exceeds it.  Every local factor is read from `density`, and
+    p^8 N_class/(p^10-1) is the weight from class_weights.
     """
     check_prime(p, 5)
     if k < 1:
@@ -302,15 +311,7 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
         mass = sum(density.density_In(ell, j * p) for j in range(1, k + 1))
         explicit *= mass
         stated *= mass / density.minimal_density(ell)
-    excluded = set(sigma) | {2, 3, p}
-    for ell in sieve_primes(truncation):
-        if ell not in excluded:
-            explicit *= density.minimal_density(ell) - density.density_In_at_least(ell, p)
-    # every omitted factor 1 - eps_ell has eps_ell < ell^-10 + ell^-p
-    tail_lo = 1 - (Fraction(1, 9 * truncation**9)
-                   + Fraction(1, (p - 1) * truncation ** (p - 1)))
-    if tail_lo <= 0:
-        raise TruncationError(f"tail bound vacuous at truncation {truncation}")
-    exact = zeta_enclosure(10, zeta_terms) * QInterval(tail_lo, Fraction(1)) * explicit
+    product = density.cofinite_product({*sigma, 2, 3, p}, truncation, p)
+    exact = zeta_enclosure(10, zeta_terms) * product * explicit
     stated_bound = zeta_reciprocal(p, zeta_terms) * stated
     return FamilyDensity(p, k, sigma, anomalous, exact, stated_bound)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds, density, ffcurve, reference_tables, survey, verify
 from ._version import __version__
@@ -37,39 +36,29 @@ def _cmd_tables(args) -> int:
         raise DomainError("--pmin must be >= 5")
     if args.pmax >= ffcurve.MAX_FIELD_PRIME:  # checked before the sieve allocates pmax bytes
         raise DomainError("--pmax must be below 2^20")
-    rows = [ffcurve.residue_class_counts(p) for p in primes_in(args.pmin, args.pmax)]
-
-    failures = 0
-    lines = []
-    json_rows = []
     header = ["p", "n_ordinary", "n_anomalous", "ordinary_density", "anomalous_density"]
     if args.compare_reference:
         header += ["ordinary_diff", "anomalous_diff"]
-    lines.append(",".join(header))
-    for counts in rows:
-        row = {
-            "p": counts.p,
-            "n_ordinary": counts.ordinary,
-            "n_anomalous": counts.anomalous,
-            "ordinary_density": fraction_to_decimal(counts.ordinary_density),
-            "anomalous_density": fraction_to_decimal(counts.anomalous_density),
-        }
+    failures, rows = 0, []
+    for counts in [ffcurve.residue_class_counts(p) for p in primes_in(args.pmin, args.pmax)]:
+        row = {"p": counts.p, "n_ordinary": counts.ordinary, "n_anomalous": counts.anomalous,
+               "ordinary_density": fraction_to_decimal(counts.ordinary_density),
+               "anomalous_density": fraction_to_decimal(counts.anomalous_density)}
         if args.compare_reference:
             diffs = reference_tables.reference_diffs(counts)
             if diffs is None:
                 row["ordinary_diff"] = row["anomalous_diff"] = "no-reference"
             else:
-                if max(map(abs, diffs)) > reference_tables.COMPARISON_TOLERANCE:
-                    failures += 1
+                failures += max(map(abs, diffs)) > reference_tables.COMPARISON_TOLERANCE
                 row["ordinary_diff"], row["anomalous_diff"] = (f"{float(d):.3e}" for d in diffs)
-        json_rows.append(row)
-        lines.append(",".join(str(row[k]) for k in header))
+        rows.append(row)
 
     if args.format == "json":
-        _emit(json.dumps({"schema_version": 1, "version": __version__,
-                          "rows": json_rows}, indent=2), args.out)
+        _emit(json.dumps({"schema_version": 1, "version": __version__, "rows": rows}, indent=2),
+              args.out)
     else:
-        _emit("\n".join(lines), args.out)
+        lines = [header] + [[str(row[k]) for k in header] for row in rows]
+        _emit("\n".join(map(",".join, lines)), args.out)
     if failures:
         print(f"{failures} row(s) off reference by more than 1e-12", file=sys.stderr)
         return 1
@@ -123,13 +112,10 @@ def _cmd_survey(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_suite(args.suite)
-    failures = 0
     for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        if not res.passed:
-            failures += 1
         detail = f"  ({res.detail})" if res.detail else ""
-        print(f"{tag}  {res.name}{detail}")
+        print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}{detail}")
+    failures = sum(not res.passed for res in results)
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0
 

@@ -12,20 +12,21 @@ basic congruence-defined sets:
 Global densities of congruence-defined families are products of local
 measures over the primes carrying a condition.  When the product is
 infinite (the cofinite "minimal everywhere" condition), the enclosure
-multiplies exact factors up to a truncation point L and encloses the rest
-with prod_{ell > L} (1 - eps_ell) >= 1 - sum_{n > L} n^-10 >= 1 - 1/(9 L^9),
-by comparison with the integral of t^-10.
+sweeps the factors up to a truncation point L, rounded outward, and encloses
+the rest with prod_{ell > L} (1 - eps_ell) >= 1 - sum_{n > L} n^-10 >=
+1 - 1/(9 L^9), by comparison with the integral of t^-10.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .arith import check_prime, sieve_primes
 from .errors import DomainError, TruncationError
-from .intervals import QInterval
+from .intervals import WORKING_BITS, QInterval, outward
 
 DEFAULT_TRUNCATION = 1000
 
@@ -92,11 +93,14 @@ class CongruenceDatum:
         object.__setattr__(self, "measures", clean)
 
 
-def minimal_tail(truncation: int) -> QInterval:
-    """Enclosure of prod_{ell > truncation} (1 - ell^-10) over primes."""
+def minimal_tail(truncation: int, p: int | None = None) -> QInterval:
+    """Enclosure of prod_{ell > truncation} (1 - eps_ell) over primes, where
+    eps_ell = ell^-10, plus density_In_at_least(ell, p) < ell^-p if p is given."""
     if truncation < 1:
         raise TruncationError("truncation must be >= 1")
     lo = 1 - Fraction(1, 9 * truncation**9)
+    if p is not None:
+        lo -= Fraction(1, (p - 1) * truncation ** (p - 1))
     if lo <= 0:
         raise TruncationError(f"tail bound vacuous at truncation {truncation}")
     return QInterval(lo, Fraction(1))
@@ -106,19 +110,26 @@ def congruence_density(datum: CongruenceDatum, truncation: int = DEFAULT_TRUNCAT
     """Enclosure of the height density of pairs satisfying the datum.
 
     The density equals the product of the local measures.  Explicit factors
-    are exact; the cofinite minimality condition contributes the exact
-    factors 1 - ell^-10 for primes ell <= truncation plus the rigorous tail
-    enclosure from minimal_tail.
+    are exact; the cofinite minimality condition contributes its
+    cofinite_product.
     """
-    acc = Fraction(1)
-    for mu in datum.measures.values():
-        acc *= mu
+    acc = math.prod(datum.measures.values(), start=Fraction(1))
     if not datum.minimal_elsewhere:
         return QInterval.point(acc)
+    return cofinite_product(datum.measures, truncation) * acc
+
+
+def cofinite_product(excluded, truncation: int, p: int | None = None) -> QInterval:
+    """Enclosure of the product over the primes ell outside `excluded` of
+    minimal_density(ell), less density_In_at_least(ell, p) if p is given (then
+    `excluded` must hold 2 and 3): the factors up to the truncation swept on
+    integers over 2^WORKING_BITS, times minimal_tail(truncation, p)."""
+    tail, lo, hi = minimal_tail(truncation, p), 1 << WORKING_BITS, 1 << WORKING_BITS
     for ell in sieve_primes(truncation):
-        if ell not in datum.measures:
-            acc *= minimal_density(ell)
-    return minimal_tail(truncation) * acc
+        if ell not in excluded:
+            f = minimal_density(ell) - (density_In_at_least(ell, p) if p is not None else 0)
+            lo, hi = outward(f.numerator, f.denominator, lo, hi)
+    return tail * QInterval(Fraction(lo, 1 << WORKING_BITS), Fraction(hi, 1 << WORKING_BITS))
 
 
 def prescribed_In_density(sigma: Sequence[int], n: int, truncation: int = DEFAULT_TRUNCATION) -> QInterval:

@@ -115,12 +115,8 @@ def classify_residue(p: int, a: int, b: int) -> ResidueClass:
     if discriminant_mod(p, a, b) == 0:
         return ResidueClass(PointClass.SINGULAR, None)
     n = count_points(p, a, b)
-    r = n % p
-    if r == 0:
-        return ResidueClass(PointClass.ANOMALOUS, n)
-    if r == 1:
-        return ResidueClass(PointClass.SUPERSINGULAR, n)
-    return ResidueClass(PointClass.ORDINARY, n)
+    kind = {0: PointClass.ANOMALOUS, 1: PointClass.SUPERSINGULAR}.get(n % p, PointClass.ORDINARY)
+    return ResidueClass(kind, n)
 
 
 def _row_traces(p: int, chi, a: int):

@@ -5,10 +5,11 @@ weights f(ell), zeta values, class weights) is a nonnegative real, so a
 QInterval holds 0 <= lo <= hi, and its product and reciprocal need no sign
 cases: [a, b] * [c, d] = [ac, bd] and 1/[a, b] = [1/b, 1/a] for a > 0
 (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, 2009).
-Endpoints are Fractions, so the arithmetic is exact; "rounding" happens only
-where an infinite sum or product becomes a finite part plus a one-sided tail
-bound, itself an exact rational.  An interval certifies: the target real
-number lies in [lo, hi].
+Endpoints are Fractions and the arithmetic on them is exact.  A long sum or
+product of nonnegative terms is swept on integers over 2^WORKING_BITS by
+`outward`, which rounds lo down and hi up; an infinite one becomes a finite
+part plus an exact one-sided tail bound.  An interval certifies: the target
+real number lies in [lo, hi].
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from typing import Union
 from .errors import DomainError
 
 Rat = Union[Fraction, int]
+WORKING_BITS = 256  # a sweep's unit is about 2^-256 of the value it encloses, or finer
+
+
+def outward(num: int, den: int, lo: int, hi: int) -> tuple[int, int]:
+    """num/den times [lo, hi] on an integer scale, lo rounded down and hi up."""
+    return num * lo // den, -(-num * hi // den)
 
 
 @dataclass(frozen=True)

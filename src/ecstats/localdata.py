@@ -58,12 +58,13 @@ def is_minimal_at(a: int, b: int, ell: int) -> bool:
 
 
 def _minimality_candidates(a: int, b: int) -> Sequence[int]:
-    # non-minimality needs ell^4 | a (so ell <= |a|^(1/4)), except a == 0
-    # where it needs ell^6 | b
-    if a != 0:
-        bound = integer_nth_root(abs(a), 4)
-    else:
-        bound = integer_nth_root(abs(b), 6)
+    # non-minimality at ell needs ell^4 | a and ell^6 | b, so ell^4 | gcd(a, b)
+    # and, when b != 0, ell <= |b|^(1/6)
+    bound = integer_nth_root(math.gcd(a, b), 4)
+    if b != 0:
+        bound = min(bound, integer_nth_root(abs(b), 6))
+    if bound > 1 << 24:
+        raise DomainError(f"minimality of ({a}, {b}) would need primes up to {bound}, past 2^24")
     return sieve_primes(bound)
 
 

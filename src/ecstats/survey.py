@@ -164,13 +164,11 @@ class SurveySummary:
         """Distance from the empirical ratio to the theoretical enclosure."""
         if self.empirical is None or self.theoretical is None:
             return None
-        if self.theoretical.contains(self.empirical):
-            return 0.0
-        gap = max(self.theoretical.lo - self.empirical, self.empirical - self.theoretical.hi)
-        return float(gap)
+        empirical, theoretical = self.empirical, self.theoretical
+        return float(max(0, theoretical.lo - empirical, empirical - theoretical.hi))
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "schema_version": 2,
             "kind": self.kind,
             "version": __version__,
@@ -179,16 +177,12 @@ class SurveySummary:
             "ell": self.ell,
             "n": self.n,
             "counts": dict(self.counts),
-            "empirical": None,
-            "theoretical": None,
+            "empirical": None if self.empirical is None else
+            {"fraction": str(self.empirical), "decimal": float(self.empirical)},
+            "theoretical": None if self.theoretical is None else self.theoretical.to_json(),
             "absolute_gap": self.absolute_gap,
             "extras": {k: None if v is None else str(v) for k, v in self.extras.items()},
         }
-        if self.empirical is not None:
-            out["empirical"] = {"fraction": str(self.empirical), "decimal": float(self.empirical)}
-        if self.theoretical is not None:
-            out["theoretical"] = self.theoretical.to_json()
-        return out
 
 
 def empirical_minimal_density(census: GrowthCensus) -> SurveySummary:

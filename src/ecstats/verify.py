@@ -11,6 +11,7 @@ call these checks instead of re-deriving the laws, so `pytest` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
 def check_reference_tables(pmin: int = 7, pmax: int = 149) -> list[CheckResult]:
     """Recompute both densities for each reference prime and compare."""
     out = []
-    for p in reference_tables.REFERENCE_PRIMES:
+    for p in reference_tables.REFERENCE_DENSITIES:
         if not pmin <= p <= pmax:
             continue
         worst = max(map(abs, reference_tables.reference_diffs(ffcurve.residue_class_counts(p))))
@@ -246,20 +247,52 @@ def check_bound_laws(grid_p=(5, 7, 11, 13), grid_n=(1, 2, 3)) -> list[CheckResul
     return out
 
 
+SWEEP_GAP = Fraction(1, 2**200)  # how far a swept endpoint may sit outside the exact one
+
+
+def _encloses_within_gap(swept: QInterval, exact: QInterval) -> bool:
+    return (swept.encloses(exact) and exact.lo - swept.lo <= SWEEP_GAP * exact.lo
+            and swept.hi - exact.hi <= SWEEP_GAP * exact.hi)
+
+
+def check_sweeps_enclose_exact(sums=((3, 13, 400), (2, 7, 1000))) -> list[CheckResult]:
+    """Each outward-rounded sweep of `bounds` and `density` encloses the exact
+    value, within SWEEP_GAP relative: e_0..e_n over the primes <= truncation
+    at each (n, p, truncation) of `sums`, from the recurrence
+    e_j += f * e_(j-1) on integers over one common denominator; zeta(7) over
+    200 terms; and the cofinite product of the family ((5,), p = 7) up to 200,
+    from exact Fraction factors."""
+    cases = []
+    for n, p, truncation in sums:
+        num = [1] + [0] * n
+        for ell in primes_in(5, truncation):
+            if ell != p:
+                fn, fd = bounds._weight_ratio(ell, p)
+                num = [num[0] * fd] + [num[j] * fd + fn * num[j - 1] for j in range(1, n + 1)]
+        cases.append((f"e_0..e_{n} at p={p}, L={truncation}",
+                      bounds._symmetric_sums(n, p, truncation),
+                      [QInterval.point(Fraction(v, num[0])) for v in num]))
+    partial = sum(Fraction(1, m**7) for m in range(1, 201))
+    cases.append(("zeta(7) over 200 terms", [bounds.zeta_enclosure(7, 200)],
+                  [QInterval(partial, partial + Fraction(1, 6 * 200**6))]))
+    product = math.prod(density.minimal_density(ell) - density.density_In_at_least(ell, 7)
+                        for ell in primes_in(11, 200))
+    cases.append(("family product at p=7 outside (5,), L=200",
+                  [density.cofinite_product({5, 2, 3, 7}, 200, 7)],
+                  [density.minimal_tail(200, 7) * product]))
+    return [_result(f"swept {name} encloses exact", all(map(_encloses_within_gap, swept, exact)))
+            for name, swept, exact in cases]
+
+
 SUITES = {
     "tables": (check_reference_tables,),
     "oracles": (check_count_oracle, check_singular_counts, check_partition,
                 check_hasse, check_split_dual_oracle, check_local_measures),
-    "bounds": (check_telescoping, check_symmetric_conventions, check_bound_laws),
+    "bounds": (check_telescoping, check_symmetric_conventions, check_bound_laws,
+               check_sweeps_enclose_exact),
 }
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        checks = [fn for suite in SUITES.values() for fn in suite]
-    else:
-        checks = SUITES[name]
-    results = []
-    for fn in checks:
-        results.extend(fn())
-    return results
+    checks = [fn for suite in SUITES.values() for fn in suite] if name == "all" else SUITES[name]
+    return [result for fn in checks for result in fn()]

@@ -90,13 +90,13 @@ def test_missing_required_args_exit_2():
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
     # over the height box (about 1.7e15 pairs) would run for years, a
-    # sieve up to --pmax = 10^13 would allocate 10 TB, the zeta and
-    # symmetric sums at p = 1048583 would not finish in minutes, and the
-    # census and exact zeta sum at p = 1009 take seconds before a
-    # truncation below 11 is refused.  The next three compute exact values
-    # too small to print within Python's 4300-digit int-to-str limit, a
-    # sieve up to --trunc = 10^10 would allocate 10 GB, and the exact zeta
-    # sum over --zeta-terms = 10^5 terms would not finish in minutes.
+    # sieve up to --pmax = 10^13 would allocate 10 TB, the census and the
+    # sums at p = 1048583 would not finish in minutes, and neither the
+    # census nor the zeta sum at p = 1009 may run before a truncation below
+    # 11 is refused.  The next three compute values too small to print
+    # within Python's 4300-digit int-to-str limit, a sieve up to --trunc =
+    # 10^10 would allocate 10 GB, and --zeta-terms = 10^5 passes the cap of
+    # 2^12 terms, a resource limit on the zeta sum's one division per term.
     from_height = survey.HeightWindow.from_height
     primes_in = cli.primes_in
     sieve_primes = bounds.sieve_primes
@@ -217,6 +217,20 @@ def test_bounds_kinds_agree(capsys):
     g, m = json.loads(growth_out), json.loads(ml_out)
     assert g["value"] == m["value"]
     assert (g["kind"], m["kind"]) == ("selmer_growth", "mu_lambda")
+
+
+@pytest.mark.parametrize("argv", [["survey", "--x", "100", "--p", "1021"],
+                                  ["bounds", "--p", "1009", "--n", "1"]])
+def test_bounds_near_p_1000_finish(argv, capsys):
+    """The bound sums cost about one integer division per prime and order on a
+    fixed scale, so a bound near p = 1000 at its default truncation takes
+    about a second; exact rational sums, whose denominators grow like
+    p * pi(L) * log L, would make this test hang."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    value = doc["value"] if argv[0] == "bounds" else doc["blocks"]["selmer_growth"]["theoretical"]
+    assert 0 < Fraction(value["lo"]) <= Fraction(value["hi"]) < 1
 
 
 def test_survey_json_and_csv(tmp_path, capsys):

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from ecstats import ffcurve, localdata, verify
-from ecstats.arith import factorize
+from ecstats.arith import factorize, is_prime
 from ecstats.errors import (
     BadReductionError,
+    DomainError,
     NotMinimalError,
     NotMultiplicativeError,
     PrimeTooSmallError,
@@ -43,6 +44,20 @@ def test_is_globally_minimal():
     assert localdata.is_globally_minimal(0, 2**6 - 1) is True
     with pytest.raises(SingularCurveError):
         localdata.is_globally_minimal(0, 0)
+
+
+def test_is_globally_minimal_sieves_up_to_the_gcd():
+    """Non-minimality at ell needs ell^4 | gcd(a, b), so a huge coprime pair
+    needs no sieve, a pair non-minimal only at ell = 1_000_003 is found, and a
+    search past 2^24 is refused in one line."""
+    assert localdata.is_globally_minimal(10**400 + 1, 7) is True
+    ell = 1_000_003
+    assert is_prime(ell)
+    assert localdata.is_globally_minimal(ell**4, ell**6) is False
+    assert localdata.is_globally_minimal(ell**4, 2 * ell**5) is True
+    q = (1 << 24) + 43
+    with pytest.raises(DomainError, match="past 2\\^24"):
+        localdata.is_globally_minimal(q**4, q**6)
 
 
 def test_kodaira_examples():
