@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, density, ffcurve, reference_tables, survey, verify
+from . import bounds, density, ffcurve, reference_tables
 from ._version import __version__
 from .arith import primes_in
 from .errors import DomainError
@@ -90,6 +90,8 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    from . import survey  # survey and verify load numpy; no other command needs it
+
     # checked before the one pass over the height box, which every block reads
     if args.n < 1:
         raise DomainError("n must be >= 1")
@@ -111,6 +113,7 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     results = verify.run_suite(args.suite)
     for res in results:
         detail = f"  ({res.detail})" if res.detail else ""

@@ -34,8 +34,12 @@ DEFAULT_TRUNCATION = 1000
 def minimal_density(ell: int) -> Fraction:
     """Local density of minimal pairs at any prime ell: 1 - ell^-10."""
     check_prime(ell)
-    q = ell**10
-    return Fraction(q - 1, q)
+    return Fraction(*_minimal_ratio(ell))
+
+
+def _minimal_ratio(ell: int) -> tuple[int, int]:
+    """1 - ell^-10 as (numerator, denominator), for a checked prime."""
+    return ell**10 - 1, ell**10
 
 
 def density_good(ell: int) -> Fraction:
@@ -57,7 +61,12 @@ def density_In_at_least(ell: int, n: int) -> Fraction:
     check_prime(ell, minimum=5)
     if n < 1:
         raise DomainError("density_In_at_least requires n >= 1")
-    return Fraction(ell - 1, ell ** (n + 1))
+    return Fraction(*_In_at_least_ratio(ell, n))
+
+
+def _In_at_least_ratio(ell: int, n: int) -> tuple[int, int]:
+    """(ell - 1) / ell^(n+1) as (numerator, denominator), for checked arguments."""
+    return ell - 1, ell ** (n + 1)
 
 
 def valuation_box_measure(ell: int, v1: int, v2: int) -> Fraction:
@@ -122,13 +131,17 @@ def congruence_density(datum: CongruenceDatum, truncation: int = DEFAULT_TRUNCAT
 def cofinite_product(excluded, truncation: int, p: int | None = None) -> QInterval:
     """Enclosure of the product over the primes ell outside `excluded` of
     minimal_density(ell), less density_In_at_least(ell, p) if p is given (then
-    `excluded` must hold 2 and 3): the factors up to the truncation swept on
-    integers over 2^WORKING_BITS, times minimal_tail(truncation, p)."""
+    `excluded` must hold 2 and 3): the factors up to the truncation, from
+    the closed forms of the sieved primes, swept on integers over
+    2^WORKING_BITS, times minimal_tail(truncation, p)."""
     tail, lo, hi = minimal_tail(truncation, p), 1 << WORKING_BITS, 1 << WORKING_BITS
     for ell in sieve_primes(truncation):
         if ell not in excluded:
-            f = minimal_density(ell) - (density_In_at_least(ell, p) if p is not None else 0)
-            lo, hi = outward(f.numerator, f.denominator, lo, hi)
+            num, den = _minimal_ratio(ell)
+            if p is not None:
+                less, per = _In_at_least_ratio(ell, p)
+                num, den = num * per - less * den, den * per
+            lo, hi = outward(num, den, lo, hi)
     return tail * QInterval(Fraction(lo, 1 << WORKING_BITS), Fraction(hi, 1 << WORKING_BITS))
 
 

@@ -11,22 +11,29 @@ are classified by the point count N = #E(F_p):
 
 Counting is by character sums: N = p + 1 + sum_x chi(x^3 + a x + b) with chi
 the quadratic character (chi(0) = 0).  One residue table per p, O(p) per
-curve.  The exhaustive per-p census counts only the rows a = 0, 1 and g (a
-non-residue) and reads every other row off them as a quadratic twist, so it
-costs O(p^2) per prime: all primes up to 350 take well under a second.
+curve.  The census of all p^2 pairs is Deuring's count: (p-1)/2 * H(4p - t^2)
+nonsingular pairs have trace t, H the Hurwitz class number, so it reads
+two class numbers (three at p = 5) in pure Python, O(p) at worst (Deuring
+1941; Lenstra, Ann. of Math. 126, 1987).  The per-pair tables count the
+rows a = 0, 1 and g (a non-residue) and read every other row off them as a
+quadratic twist, O(p^2) per prime; numpy is imported only by the functions
+that count points or build tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import check_prime
 from .errors import PrimeTooLargeError, SingularCurveError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_FIELD_PRIME = 1 << 20
 # class_code_table / point_count_table materialize p^2 entries
@@ -82,6 +89,7 @@ def _check_field_prime(p: int, minimum: int) -> None:
 def chi_table(p: int) -> np.ndarray:
     """Quadratic character values chi(t) for t in [0, p), chi(0) = 0, as a
     read-only int8 array."""
+    import numpy as np
     _check_field_prime(p, 3)
     chi = np.full(p, -1, dtype=np.int8)
     xs = np.arange(p // 2 + 1, dtype=np.int64)
@@ -102,6 +110,7 @@ def count_points(p: int, a: int, b: int) -> int:
     Raises SingularCurveError when 4a^3 + 27b^2 == 0 mod p.  The result is
     always in the Hasse interval [p + 1 - 2 sqrt(p), p + 1 + 2 sqrt(p)].
     """
+    import numpy as np
     _check_field_prime(p, 3)
     if discriminant_mod(p, a, b) == 0:
         raise SingularCurveError(f"discriminant vanishes mod {p} for ({a}, {b})")
@@ -122,6 +131,7 @@ def classify_residue(p: int, a: int, b: int) -> ResidueClass:
 def _row_traces(p: int, chi, a: int):
     """Traces p + 1 - #E(F_p) of (a, b) for b = 0..p-1 (the character sum
     also for singular b), in blocks of about 2^22 character lookups."""
+    import numpy as np
     xs = np.arange(p, dtype=np.int64)
     f = (xs * xs * xs + a * xs) % p
     chunk = max(1, (1 << 22) // p)
@@ -129,63 +139,60 @@ def _row_traces(p: int, chi, a: int):
                             for lo in range(0, p, chunk)])
 
 
-@lru_cache(maxsize=32)
-def _twist_rows(p: int):
-    """(chi, rows, traces, singular): chi(x) for x in [0, p), the rows
-    a in (0, 1, g) with g the least quadratic non-residue mod p, and per row
-    the traces t(a, b) and the singular flags for b = 0..p-1.  O(p^2).
-
-    (u^2 a0, u^3 b) is the quadratic twist of (a0, b) by u, with trace
-    chi(u) t(a0, b) and the same discriminant up to u^6.  Every a != 0 is
-    u^2 a0 for a0 in (1, g), so these three rows determine the census.  The
-    arrays are read-only because the cache shares them.
-    """
-    chi = chi_table(p)
-    rows = (0, 1, int(np.argmax(chi < 0)))
-    bs = np.arange(p, dtype=np.int64)
-    traces = np.array([_row_traces(p, chi, a) for a in rows])
-    singular = np.array([(4 * a * a * a + 27 * bs * bs) % p == 0 for a in rows])
-    for arr in (traces, singular):
-        arr.setflags(write=False)
-    return chi, rows, traces, singular
+def _hurwitz6(n: int) -> int:
+    """6 H(n) for n > 0, n = 0 or 3 mod 4: the reduced forms (a, b, c) with
+    b^2 - 4ac = -n, |b| <= a <= c and b >= 0 when |b| = a or a = c, each
+    weighing 6, but 3 for a(x^2 + y^2) and 2 for a(x^2 + x y + y^2).  One
+    divisor scan of (b^2 + n)/4 per b: O(n) at worst, about 20 ms near 2^22."""
+    total = 0
+    for b in range(n & 1, math.isqrt(n // 3) + 1, 2):
+        m = (b * b + n) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a == 0:
+                sides = (b == 0) + (a == b) + (a * a == m)  # each equality fixes the sign of b
+                total += (12, 6, 3 if b == 0 else 2)[sides]
+    return total
 
 
 @lru_cache(maxsize=128)
 def residue_class_counts(p: int) -> ClassCounts:
-    """Classify all p^2 residue pairs mod p and return exact counts.
+    """Exact counts of the p^2 residue pairs mod p in each class.
 
     The densities ordinary_density and anomalous_density are the exact
-    rationals count / p^2.  Row a = 0 is counted directly.  Each of rows 1
-    and g stands for (p-1)/2 rows whose traces are its own times chi(u);
-    twisting keeps t = 0 and singularity, and as u runs over F_p^* half the
-    rows see t == 1 and half see t == -1 mod p as anomalous.
+    rationals count / p^2.  (p-1)/2 * H(4p - t^2) nonsingular pairs have
+    trace t; anomalous means t == 1 mod p (t = 1, and t = -4 at p = 5),
+    supersingular means t = 0, the p pairs (-3s^2, 2s^3) are singular, and
+    the ordinary pairs are the rest.
     """
     _check_field_prime(p, 5)
-    _, _, traces, singular = _twist_rows(p)
-    residues = [t[~sing] % p for t, sing in zip(traces, singular)]
-    n_sing = int(singular[0].sum()) + (p - 1) // 2 * int(singular[1:].sum())
-    n_ss = int((residues[0] == 0).sum()) + (p - 1) // 2 * sum(
-        int((r == 0).sum()) for r in residues[1:])
-    n_anom = int((residues[0] == 1).sum()) + (p - 1) * sum(
-        int((r == 1).sum()) + int((r == p - 1).sum()) for r in residues[1:]) // 4
-    return ClassCounts(p, p * p - n_anom - n_ss - n_sing, n_anom, n_ss, n_sing)
+    anomalous = sum(_hurwitz6(4 * p - t * t) for t in (1, 1 - p) if t * t < 4 * p)
+    n_anom, n_ss = ((p - 1) * h // 12 for h in (anomalous, _hurwitz6(4 * p)))
+    return ClassCounts(p, p * p - p - n_anom - n_ss, n_anom, n_ss, p)
 
 
 @lru_cache(maxsize=32)
 def point_count_table(p: int) -> np.ndarray:
     """#E(F_p) for all p^2 residue pairs as a read-only p x p array indexed
-    [a, b], -1 for singular pairs, filled from the three rows of _twist_rows.
+    [a, b], -1 for singular pairs.  O(p^2): only the rows a in (0, 1, g) are
+    counted, g the least quadratic non-residue mod p.
 
-    As u runs over 1..(p-1)/2, u^2 a0 runs once over the a != 0 in the
-    square class of a0, and b -> u^3 b permutes the columns.
+    (u^2 a0, u^3 b) is the quadratic twist of (a0, b) by u, with trace
+    chi(u) t(a0, b) and the same discriminant up to u^6.  As u runs over
+    1..(p-1)/2, u^2 a0 runs once over the a != 0 in the square class of a0,
+    and b -> u^3 b permutes the columns.
     """
+    import numpy as np
     _check_field_prime(p, 5)
     if p > MAX_TABLE_PRIME:
         raise PrimeTooLargeError(f"p = {p} exceeds {MAX_TABLE_PRIME}, the cap on per-p tables")
-    chi, rows, traces, singular = _twist_rows(p)
+    chi = chi_table(p)
+    rows = (0, 1, int(np.argmax(chi < 0)))
+    bs = np.arange(p, dtype=np.int64)
+    traces = np.array([_row_traces(p, chi, a) for a in rows])
+    singular = np.array([(4 * a * a * a + 27 * bs * bs) % p == 0 for a in rows])
     us = np.arange(1, (p + 1) // 2, dtype=np.int64)
     a = np.array(rows[1:])[:, None, None] * (us * us)[:, None] % p  # rows 1 and g, twisted by u
-    cols = np.arange(p, dtype=np.int64) * (us * us * us % p)[:, None] % p
+    cols = bs * (us * us * us % p)[:, None] % p
     table = np.empty((p, p), dtype=np.int64)
     table[0] = np.where(singular[0], -1, p + 1 - traces[0])
     table[a, cols] = np.where(singular[1:, None], -1, p + 1 - chi[us][:, None] * traces[1:, None])
@@ -197,6 +204,7 @@ def point_count_table(p: int) -> np.ndarray:
 def class_code_table(p: int) -> np.ndarray:
     """The PointClass code of every residue pair as a read-only p x p uint8
     array indexed [a, b], read off point_count_table(p)."""
+    import numpy as np
     counts = point_count_table(p)
     r = counts % p
     codes = np.select([counts < 0, r == 0, r == 1],

@@ -88,13 +88,18 @@ def check_singular_counts(limit: int = 200) -> list[CheckResult]:
     return out
 
 
-def check_partition(primes=(5, 7, 11, 13, 17, 19, 23, 29, 31, 37)) -> list[CheckResult]:
+def check_class_number_relation(primes=(5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 1009)
+                                ) -> list[CheckResult]:
+    """sum_{t^2 < 4p} H(4p - t^2) = 2p: the census reads the class numbers at
+    t = 0 and t = 1 only, and this checks the same form count at every trace
+    (the census's partition of the p^2 pairs holds by construction)."""
     out = []
     for p in primes:
-        counts = ffcurve.residue_class_counts(p)
-        out.append(_result(f"classes partition p^2 at p={p}",
-                           counts.total == p * p and counts.singular == p,
-                           f"total {counts.total} vs {p * p}, singular {counts.singular}"))
+        r = math.isqrt(4 * p - 1)
+        total = ffcurve._hurwitz6(4 * p) + 2 * sum(ffcurve._hurwitz6(4 * p - t * t)
+                                                    for t in range(1, r + 1))
+        out.append(_result(f"class numbers H(4p - t^2) sum to 2p at p={p}",
+                           total == 12 * p, f"6 * sum {total} vs 12p = {12 * p}"))
     return out
 
 
@@ -286,7 +291,7 @@ def check_sweeps_enclose_exact(sums=((3, 13, 400), (2, 7, 1000))) -> list[CheckR
 
 SUITES = {
     "tables": (check_reference_tables,),
-    "oracles": (check_count_oracle, check_singular_counts, check_partition,
+    "oracles": (check_count_oracle, check_singular_counts, check_class_number_relation,
                 check_hasse, check_split_dual_oracle, check_local_measures),
     "bounds": (check_telescoping, check_symmetric_conventions, check_bound_laws,
                check_sweeps_enclose_exact),

@@ -3,6 +3,9 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecstats import arith, bounds, cli, ffcurve, localdata, survey
+from ecstats import arith, bounds, cli, errors, ffcurve, localdata, survey
 from ecstats.arith import is_prime
 
 
@@ -316,3 +319,40 @@ def test_traced_layers_exist():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), (module, attr)
+
+
+STARTUP = """
+import contextlib, io, sys
+from ecstats import cli
+for argv in (["--version"], ["tables", "--pmin", "5", "--pmax", "13"],
+             ["bounds", "--p", "7", "--n", "1"], ["densities", "--ell", "5", "--type", "In"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(argv)
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["survey", "--x", "1000", "--p", "7"]) == 0
+assert '"blocks"' in out.getvalue() and "numpy" in sys.modules
+"""
+
+
+def test_startup_loads_no_numpy():
+    """tables, bounds, densities and --version run without importing numpy;
+    survey still runs after them.  A fresh interpreter, since this one has
+    numpy loaded already."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve():
+    """Every name in __all__ resolves, the survey names through the module
+    __getattr__; an unknown name is still an AttributeError."""
+    import ecstats
+
+    assert len(set(ecstats.__all__)) == len(ecstats.__all__)
+    for name in ecstats.__all__:
+        assert getattr(ecstats, name) is not None, name
+    assert ecstats.count_pairs is survey.count_pairs and ecstats.DomainError is errors.DomainError
+    with pytest.raises(AttributeError):
+        ecstats.no_such_name

@@ -3,10 +3,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from ecstats import density, verify
+from ecstats import arith, density, verify
 from ecstats.density import CongruenceDatum
 from ecstats.errors import NotPrimeError, PrimeTooSmallError, TruncationError
-from ecstats.intervals import QInterval
+from ecstats.intervals import WORKING_BITS, QInterval, outward
 
 mp.mp.dps = 40
 
@@ -116,3 +116,27 @@ def test_truncation_guard():
         density.minimal_tail(0)
     ok = density.minimal_tail(2)
     assert 0 < ok.lo < 1 and ok.hi == 1
+
+
+def test_cofinite_product_trusts_the_sieve(monkeypatch):
+    """The product reads each factor's closed form at a prime the sieve has
+    proved, with no primality test per factor, and sweeps the same rationals
+    as minimal_density(ell) - density_In_at_least(ell, p)."""
+    calls = []
+    is_prime = arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    product = density.cofinite_product({2, 3, 211}, 2210, 211)
+    assert len(arith.primes_in(5, 2210)) > 300 and not calls, calls
+    monkeypatch.undo()
+    lo = hi = 1 << WORKING_BITS
+    for ell in arith.primes_in(5, 2210):
+        if ell != 211:
+            f = density.minimal_density(ell) - density.density_In_at_least(ell, 211)
+            lo, hi = outward(f.numerator, f.denominator, lo, hi)
+    assert product == density.minimal_tail(2210, 211) * QInterval(
+        Fraction(lo, 1 << WORKING_BITS), Fraction(hi, 1 << WORKING_BITS))

@@ -1,11 +1,12 @@
 """Counting and classification against literal (x, y)-enumeration oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ecstats import ffcurve, verify
+from ecstats import arith, ffcurve, verify
 from ecstats.errors import (
     NotPrimeError,
     PrimeTooLargeError,
@@ -65,7 +66,68 @@ def test_census_known_rows():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
 def test_partition_invariant(p):
-    [r] = verify.check_partition((p,))
+    """The census partitions the p^2 pairs, and its form count satisfies the
+    class-number relation at every trace t."""
+    counts = ffcurve.residue_class_counts(p)
+    assert counts.total == p * p and counts.singular == p
+    [r] = verify.check_class_number_relation((p,))
+    assert r.passed, r.detail
+
+
+def test_census_equals_twist_tables():
+    """The class-number census against the class codes of the twist-orbit
+    tables, at every prime up to 400 and at 1009 and 1021 below the cap."""
+    for p in [*arith.primes_in(5, 400), 1009, 1021]:
+        counts = ffcurve.residue_class_counts(p)
+        tally = np.bincount(ffcurve.class_code_table(p).ravel(), minlength=4)
+        assert (tally[PointClass.ORDINARY], tally[PointClass.ANOMALOUS],
+                tally[PointClass.SUPERSINGULAR], tally[PointClass.SINGULAR]) == \
+            (counts.ordinary, counts.anomalous, counts.supersingular, counts.singular), p
+
+
+def hurwitz6_by_trace(p):
+    """6 H(4p - t^2) for t = 0..isqrt(4p - 1), from one pass over the reduced
+    forms (a, b, c): for each a, the (b, t) with 0 <= b <= a, t^2 = 4p + b^2
+    mod 4a and c = (4p + b^2 - t^2) / 4a >= a.  A numpy count independent of
+    ffcurve._hurwitz6, which takes one scan per t."""
+    ts = np.arange(math.isqrt(4 * p - 1) + 1)
+    out = np.zeros(len(ts), dtype=np.int64)
+    for a in range(1, math.isqrt(4 * p // 3) + 1):
+        residues = ts * ts % (4 * a)
+        order = np.argsort(residues, kind="stable")
+        bs = np.arange(a + 1)
+        want = (4 * p + bs * bs) % (4 * a)
+        lo, hi = (np.searchsorted(residues[order], want, side) for side in ("left", "right"))
+        b = np.repeat(bs, hi - lo)
+        t = order[np.arange(len(b)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+        c = (4 * p + b * b - t * t) // (4 * a)
+        b, t, c = b[c >= a], t[c >= a], c[c >= a]
+        sides = (b == 0).astype(np.int64) + (b == a) + (c == a)
+        weight = np.where(sides == 0, 12, np.where(sides == 1, 6, np.where(b == 0, 3, 2)))
+        out += np.bincount(t, weights=weight, minlength=len(ts)).astype(np.int64)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_hurwitz_by_trace_matches_form_count(p):
+    assert hurwitz6_by_trace(p).tolist() == [ffcurve._hurwitz6(4 * p - t * t)
+                                             for t in range(math.isqrt(4 * p - 1) + 1)]
+
+
+def test_census_at_the_field_cap():
+    """At the largest prime below 2^20 the per-p tables are refused, but the
+    census needs none: it partitions the p^2 pairs, its class numbers are
+    those of the by-trace count, and those satisfy the class-number relation
+    sum_t H(4p - t^2) = 2p.  The relation also holds through verify at 10007."""
+    p = 1048573
+    with pytest.raises(PrimeTooLargeError):
+        ffcurve.class_code_table(p)
+    counts = ffcurve.residue_class_counts(p)
+    assert counts.total == p * p and counts.singular == p
+    h6 = hurwitz6_by_trace(p)
+    assert h6[0] + 2 * h6[1:].sum() == 12 * p
+    assert (counts.supersingular, counts.anomalous) == ((p - 1) * h6[0] // 12, (p - 1) * h6[1] // 12)
+    [r] = verify.check_class_number_relation((10007,))
     assert r.passed, r.detail
 
 
