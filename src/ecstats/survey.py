@@ -480,25 +480,33 @@ def _kodaira_fields(a, b, delta, primes: tuple[int, ...]) -> list[str]:
     """The kodaira field of each curve: `ell:I<v>`, or `ell:additive` where
     ell divides a and b, for each prime ell >= 5 dividing delta, in order.
     Trial division by `primes`, all primes up to isqrt(max |delta|), leaves
-    1 or a prime above them all, dividing delta once: type I1."""
-    fields = [[] for _ in range(len(delta))]
+    1 or a prime above them all, dividing delta once: type I1.  Each label
+    is an integer key, ell << 8 | v with v = 0 for additive, or -q for the
+    cofactor q (which may not fit a shift), formatted once per distinct key."""
     rest = np.abs(delta)
     live = np.arange(len(delta))
+    rows, keys = [], []
     for i, ell in enumerate(primes):
         if i >= 2 and i % 4 == 0:  # rows with a cofactor below ell^2 (1 or a prime) are done
-            live = live[rest[live] >= ell * ell]
+            if not (live := live[rest[live] >= ell * ell]).size:
+                break
         hit = live[rest[live] % ell == 0]
         if not hit.size:
             continue
         v = _valuations(rest[hit], ell)
         rest[hit] //= ell**v
         if ell >= 5:
-            additive = (a[hit] % ell == 0) & (b[hit] % ell == 0)
-            for row, n, add in zip(hit.tolist(), v.tolist(), additive.tolist()):
-                fields[row].append(f"{ell}:additive" if add else f"{ell}:I{n}")
-    for row in np.flatnonzero(rest >= 5).tolist():
-        fields[row].append(f"{rest[row]}:I1")
-    return [";".join(f) for f in fields]
+            rows.append(hit)
+            keys.append(ell << 8 | np.where((a[hit] % ell == 0) & (b[hit] % ell == 0), 0, v))
+    rows.append(np.flatnonzero(rest >= 5))
+    keys.append(-rest[rows[-1]])
+    rows, keys = np.concatenate(rows), np.concatenate(keys)
+    order = np.argsort(rows, kind="stable")
+    label = {k: f"{-k}:I1" if k < 0 else f"{k >> 8}:I{k & 255}" if k & 255 else f"{k >> 8}:additive"
+             for k in set(keys.tolist())}
+    labels = [label[k] for k in keys[order].tolist()]
+    ends = np.cumsum(np.bincount(rows, minlength=len(delta))).tolist()
+    return [";".join(labels[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _survey_rows(x: int, p: int) -> Iterator[list[tuple]]:

@@ -78,14 +78,17 @@ def check_count_oracle(primes=(5, 7, 11, 13)) -> list[CheckResult]:
     return out
 
 
+def _singular_grid(ell: int) -> np.ndarray:
+    """[a, b] -> discriminant_mod(ell, a, b) == 0: one call on all ell^2 residue pairs."""
+    r = np.arange(ell, dtype=np.int64)
+    return ffcurve.discriminant_mod(ell, r[:, None], r) == 0
+
+
 def check_singular_counts(limit: int = 200) -> list[CheckResult]:
     """#{(a, b) mod ell : 4a^3 + 27b^2 == 0} equals ell exactly."""
-    out = []
-    for ell in primes_in(5, limit):
-        n = sum(1 for a in range(ell) for b in range(ell)
-                if ffcurve.discriminant_mod(ell, a, b) == 0)
-        out.append(_result(f"singular count at {ell} equals {ell}", n == ell, f"got {n}"))
-    return out
+    counts = ((ell, int(np.count_nonzero(_singular_grid(ell)))) for ell in primes_in(5, limit))
+    return [_result(f"singular count at {ell} equals {ell}", n == ell, f"got {n}")
+            for ell, n in counts]
 
 
 def check_class_number_relation(primes=(5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 1009)
@@ -137,17 +140,14 @@ def check_split_dual_oracle(max_ell: int = 50) -> list[CheckResult]:
     """
     out = []
     for ell in primes_in(5, max_ell):
-        classes = disagreements = 0
-        for a in range(ell):
-            for b in range(ell):
-                if (a, b) == (0, 0) or ffcurve.discriminant_mod(ell, a, b) != 0:
-                    continue
-                classes += 1
-                slope_split = localdata._split_from_residues(a, b, ell)
-                smooth = smooth_point_count(a, b, ell)
-                count_split = smooth == ell - 1
-                if smooth not in (ell - 1, ell + 1) or slope_split != count_split:
-                    disagreements += 1
+        pairs = [(a, b) for a, b in np.argwhere(_singular_grid(ell)).tolist() if a or b]
+        classes, disagreements = len(pairs), 0
+        for a, b in pairs:
+            slope_split = localdata._split_from_residues(a, b, ell)
+            smooth = smooth_point_count(a, b, ell)
+            count_split = smooth == ell - 1
+            if smooth not in (ell - 1, ell + 1) or slope_split != count_split:
+                disagreements += 1
         out.append(_result(
             f"split dual oracle at ell={ell}",
             disagreements == 0 and classes == ell - 1,

@@ -345,6 +345,23 @@ def test_startup_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("user, want", [(None, "1"), ("3", "3")])
+def test_cli_pins_openblas_to_one_thread(user, want):
+    """Importing the CLI sets OPENBLAS_NUM_THREADS to 1 unless the user set
+    it, and loads no numpy.  A fresh interpreter, since numpy reads the
+    variable once, when it is first imported."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    code = ("import os, sys\nfrom ecstats import cli\nassert 'numpy' not in sys.modules\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
+
+
 def test_public_names_resolve():
     """Every name in __all__ resolves, the survey names through the module
     __getattr__; an unknown name is still an AttributeError."""

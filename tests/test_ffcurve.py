@@ -203,3 +203,23 @@ def test_tables_are_read_only():
             table[1, 1] = 0
     with pytest.raises(ValueError):
         ffcurve.chi_table(7)[1] = 0
+
+
+@pytest.mark.parametrize("ell", [7, 13])
+@pytest.mark.parametrize("to_singular", [False, True])
+def test_residue_oracles_run_discriminant_on_every_pair(ell, to_singular, monkeypatch):
+    """discriminant_mod wrong on one residue pair at ell, a singular nonzero
+    pair read as smooth or a smooth pair read as singular: both residue
+    oracles fail at ell and pass elsewhere, so their array evaluation still
+    runs the library function on every pair."""
+    discriminant = ffcurve.discriminant_mod
+    a0, b0 = next((a, b) for a in range(1, ell) for b in range(1, ell)
+                  if (discriminant(ell, a, b) == 0) != to_singular)
+
+    def wrong(p, a, b):
+        d = discriminant(p, a, b)
+        return np.where((p == ell) & (a % p == a0) & (b % p == b0), int(not to_singular), d)
+
+    monkeypatch.setattr(ffcurve, "discriminant_mod", wrong)
+    for results in (verify.check_singular_counts(30), verify.check_split_dual_oracle(30)):
+        assert [r.passed for r in results] == [q != ell for q in arith.primes_in(5, 30)]

@@ -362,6 +362,64 @@ def test_tile_boundaries(p, monkeypatch):
         assert fast.getvalue() == oracle.getvalue()
 
 
+@pytest.mark.parametrize("x, p", [(5 * 10**4, 5), (10**4, 13)])
+def test_csv_tile_boundaries(x, p, monkeypatch):
+    """CSV tiles of 1 and 7 pairs and of one row's width minus and plus one:
+    empty tiles, tiles with no factor >= 5, part rows, and tiles whose trial
+    division stops early once every row is done.  The bytes match the slow
+    path at every cap."""
+    oracle = io.StringIO()
+    survey.write_csv(survey.enumerate_curves(x, p), oracle)
+    width = 2 * HeightWindow.from_height(x).b_max + 1
+    stopped_early, fields = [], survey._kodaira_fields
+
+    def counted(a, b, delta, primes):
+        seen = []
+        out = fields(a, b, delta, (seen.append(ell) or ell for ell in primes))
+        stopped_early.append(len(seen) < len(primes))
+        return out
+
+    monkeypatch.setattr(survey, "_kodaira_fields", counted)
+    for cap in (1, 7, width - 1, width + 1):
+        monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
+        stopped_early.clear()
+        fast = io.StringIO()
+        survey.write_survey_csv(x, p, fast)
+        assert fast.getvalue() == oracle.getvalue(), cap
+        assert any(stopped_early), cap
+
+
+KODAIRA_FIELDS = {
+    (5, 5): "5:additive;47:I1",          # delta = 5^2 * 47
+    (-2, 1): "5:I1",                     # delta = -5
+    (-3, 1): "",                         # delta = -3^4
+    (6, 0): "",                          # delta = 2^5 * 3^3
+    (2, 3): "5:I2;11:I1",                # delta = 5^2 * 11
+    (10, -15): "5:additive;13:I1;31:I1",
+    (14, -7): "7:additive;251:I1",       # 251 is above the trial limit
+    (4, 1): "283:I1",                    # so is 283
+    (-8, 5): "1373:I1",                  # delta = -1373
+}
+
+
+def test_kodaira_fields_match_the_slow_path():
+    """Hand-picked curves: an additive prime, I2, negative deltas, a delta of
+    2s and 3s only, and prime cofactors above the trial limit, each field
+    equal to the per-curve classification's; the trial division stops once
+    every cofactor is 1 or a prime."""
+    a, b = (np.array(column, dtype=np.int64) for column in zip(*KODAIRA_FIELDS))
+    delta = 4 * a**3 + 27 * b * b
+    primes = arith.sieve_primes(math.isqrt(int(np.abs(delta).max())))
+    seen = []
+    got = survey._kodaira_fields(a, b, delta, (seen.append(ell) or ell for ell in primes))
+    assert got == list(KODAIRA_FIELDS.values())
+    assert len(seen) < len(primes)
+    for (ai, bi), want in KODAIRA_FIELDS.items():
+        rec = survey.SurveyRecord(ai, bi, localdata.naive_height(ai, bi),
+                                  4 * ai**3 + 27 * bi * bi, True)
+        assert survey._record_fields(survey._classify_record(rec, 7))[5] == want
+
+
 def test_split_rows_keep_the_pinned_census(monkeypatch):
     """Tiles of one row's width minus one, where every growth branch fires:
     the tables are read row by row, not from gathered columns."""
