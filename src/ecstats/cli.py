@@ -4,8 +4,8 @@ Subcommands: tables (mod-p census rows), bounds (certified lower bounds as
 JSON), densities (closed-form local densities), survey (height census with
 empirical-vs-theoretical blocks), verify (self-check suites).  Exit codes:
 0 success, 1 verification/compare failure, 2 usage or domain error (any
-errors.DomainError, reported in one line; other exceptions keep their
-traceback).
+errors.DomainError, reported in one line, as is an --out or --csv path that
+cannot be opened for writing; other exceptions keep their traceback).
 """
 
 from __future__ import annotations
@@ -27,9 +27,17 @@ from .intervals import check_printable, fraction_to_decimal
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
+def _open_out(path: str, newline: str | None = None):
+    """`path` opened for writing; an unwritable path is a DomainError."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as handle:
+        with _open_out(out_path) as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -112,7 +120,8 @@ def _cmd_survey(args) -> int:
     doc = {"schema_version": 2, "version": __version__, "x": args.x,
            "p": args.p, "n": args.n, "blocks": blocks}
     if args.csv:
-        rows = survey.write_survey_csv(args.x, args.p, args.csv)
+        with _open_out(args.csv, newline="") as handle:
+            rows = survey.write_survey_csv(args.x, args.p, handle)
         doc["csv"] = {"path": args.csv, "rows": rows}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0

@@ -27,11 +27,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +46,9 @@ from .intervals import QInterval
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
 _BLOCK_PAIRS = 1 << 16  # pairs per tile of the height-box pass
-_CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, held as Python objects
+_CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, joined into one string
+_DIVISOR_BLOCK = 16  # trial divisors tested at once by the CSV's factoring
+_MINIMAL = np.array(["0,", "1,"], dtype=object)
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
 
@@ -457,85 +460,160 @@ def _record_fields(rec: SurveyRecord) -> tuple:
             rec.growth_count, rec.euler_valuation)
 
 
-def _write_rows(blocks: Iterable[list[tuple]], path) -> int:
-    """Write the header, then blocks of rows of CSV_COLUMNS fields (None
-    prints empty); returns the number of rows written."""
-    rows = 0
-    opened = isinstance(path, (str, bytes))
-    with open(path, "w", newline="") if opened else contextlib.nullcontext(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for block in blocks:
-            writer.writerows(block)
-            rows += len(block)
-    return rows
+def _sink(path):
+    """A text handle for `path`: the file opened for writing when `path` is a
+    file name or a path object, else `path` itself, left open."""
+    if isinstance(path, (str, bytes, os.PathLike)):
+        return open(path, "w", newline="")
+    return contextlib.nullcontext(path)
 
 
 def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], path) -> int:
-    """Write survey records; returns the number of rows written."""
-    return _write_rows(([_record_fields(rec)] for rec in records), path)
+    """Write survey records through csv.writer (None prints empty); returns
+    the number of rows written."""
+    rows = 0
+    with _sink(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            writer.writerow(_record_fields(rec))
+            rows += 1
+    return rows
 
 
-def _kodaira_fields(a, b, delta, primes: tuple[int, ...]) -> list[str]:
-    """The kodaira field of each curve: `ell:I<v>`, or `ell:additive` where
-    ell divides a and b, for each prime ell >= 5 dividing delta, in order.
-    Trial division by `primes`, all primes up to isqrt(max |delta|), leaves
-    1 or a prime above them all, dividing delta once: type I1.  Each label
-    is an integer key, ell << 8 | v with v = 0 for additive, or -q for the
-    cofactor q (which may not fit a shift), formatted once per distinct key."""
+def _divisor_blocks(limit: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The odd primes up to `limit` in blocks of _DIVISOR_BLOCK, each as the
+    arrays ell (int64), ell^-1 mod 2^64 and (2^64 - 1) // ell (uint64).  The
+    odd ell divides an n in [0, 2^64) exactly when n * ell^-1 mod 2^64 <=
+    (2^64 - 1) // ell, and the product is then n / ell (Granlund & Montgomery,
+    "Division by invariant integers using multiplication", PLDI 1994)."""
+    ell = np.array(sieve_primes(limit)[1:], dtype=np.uint64)
+    inv = ell.copy()  # right mod 8, as ell * ell == 1 mod 8; each Newton step doubles the bits
+    for _ in range(5):
+        inv *= 2 - ell * inv
+    lim = np.uint64(2**64 - 1) // ell
+    return tuple((ell[i:i + _DIVISOR_BLOCK].astype(np.int64), inv[i:i + _DIVISOR_BLOCK],
+                  lim[i:i + _DIVISOR_BLOCK]) for i in range(0, len(ell), _DIVISOR_BLOCK))
+
+
+def _kodaira_fields(a, delta, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The kodaira field of each curve, as its number of labels and the labels
+    of all the curves in order, each curve's first bare and the rest led by
+    ";": `ell:I<v>`, or `ell:additive` where ell divides a (and so b), for each
+    prime ell >= 5 dividing delta, in order.  Trial division by the blocks of
+    _divisor_blocks, all odd primes up to isqrt(max |delta|), tests a block of
+    primes on every live curve at once and leaves 1 or a prime above them all,
+    dividing delta once: type I1.  A curve leaves the division once its
+    cofactor is below (ell + 2)^2 for the block's last ell, so 1 or a prime.
+    Each label is an integer key, ell << 8 | v with v = 0 for additive, or -q
+    for the cofactor q, formatted once per distinct key in each form."""
     rest = np.abs(delta)
-    live = np.arange(len(delta))
-    rows, keys = [], []
-    for i, ell in enumerate(primes):
-        if i >= 2 and i % 4 == 0:  # rows with a cofactor below ell^2 (1 or a prime) are done
-            if not (live := live[rest[live] >= ell * ell]).size:
-                break
-        hit = live[rest[live] % ell == 0]
-        if not hit.size:
-            continue
-        v = _valuations(rest[hit], ell)
-        rest[hit] //= ell**v
-        if ell >= 5:
-            rows.append(hit)
-            keys.append(ell << 8 | np.where((a[hit] % ell == 0) & (b[hit] % ell == 0), 0, v))
-    rows.append(np.flatnonzero(rest >= 5))
-    keys.append(-rest[rows[-1]])
-    rows, keys = np.concatenate(rows), np.concatenate(keys)
-    order = np.argsort(rows, kind="stable")
-    label = {k: f"{-k}:I1" if k < 0 else f"{k >> 8}:I{k & 255}" if k & 255 else f"{k >> 8}:additive"
-             for k in set(keys.tolist())}
-    labels = [label[k] for k in keys[order].tolist()]
-    ends = np.cumsum(np.bincount(rows, minlength=len(delta))).tolist()
-    return [";".join(labels[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    rest //= rest & -rest  # the odd part
+    rest = rest.view(np.uint64)
+    live, left = np.arange(len(delta)), rest
+    curves, keys = [], []
+    for ell, inv, lim in blocks:
+        quotient = left[:, None] * inv
+        i, j = np.nonzero(quotient <= lim)
+        q, inv, lim, v = quotient[i, j], inv[j], lim[j], np.ones(len(i), dtype=np.int64)
+        power = inv  # ell^-v mod 2^64
+        while (again := (m := q * inv) <= lim).any():
+            q, power, v = np.where(again, m, q), np.where(again, power * inv, power), v + again
+        np.multiply.at(left, i, power)  # exact: each ell^v divides the cofactor
+        done = left < (int(ell[-1]) + 2) ** 2
+        ell, i = ell[j], live[i]
+        big = ell >= 5
+        curves.append(i[big])
+        keys.append((ell << 8 | np.where(a[i] % ell == 0, 0, v))[big])
+        rest[live[done]] = left[done]
+        live, left = live[~done], left[~done]
+        if not live.size:
+            break
+    rest[live] = left
+    cofactor = np.flatnonzero(rest >= 5)
+    curves = np.concatenate([*curves, cofactor])
+    order = np.argsort(curves, kind="stable")
+    curves, keys = curves[order], np.concatenate([*keys, -rest[cofactor].astype(np.int64)])[order]
+    values, which = np.unique(keys, return_inverse=True)
+    bare = [f"{-k}:I1" if k < 0 else f"{k >> 8}:I{k & 255}" if k & 255 else f"{k >> 8}:additive"
+            for k in values.tolist()]
+    forms = np.array(bare + [";" + label for label in bare], dtype=object)
+    later = np.concatenate(([False], curves[1:] == curves[:-1]))  # not its curve's first label
+    return np.bincount(curves, minlength=len(delta)), forms[which + len(values) * later]
 
 
-def _survey_rows(x: int, p: int) -> Iterator[list[tuple]]:
-    """The fields write_csv writes for enumerate_curves(x, p), one list of
-    rows per tile of the height box, read row-major."""
+def _pieces(values, end: str = ",") -> np.ndarray:
+    """The strings f"{v}{end}" of an integer array, as an object array."""
+    return np.array([f"{v}{end}" for v in values.ravel().tolist()], dtype=object).reshape(values.shape)
+
+
+def _tail(key: int) -> str:
+    """The fields after kodaira for a _survey_rows key: empty for -1, else
+    ordinary, anomalous, growth_count and euler_valuation from key =
+    (euler << 6 | growth) << 2 | ordinary << 1 | anomalous."""
+    if key < 0:
+        return ",,,,\r\n"
+    return f",{key >> 1 & 1},{key & 1},{key >> 2 & 63},{key >> 8}\r\n"
+
+
+def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
+    """The rows write_csv writes for enumerate_curves(x, p), as one string and
+    its number of rows per tile of the height box, read row-major.  A tile's
+    text is one join over pieces: "a," and "4|a|^3," are formatted once per
+    row and "b," and "27b^2," once per column, the fields at p once per
+    distinct value and each kodaira label once per distinct label, so only
+    delta and the prime cofactors are formatted per pair.  (At most 16 primes
+    divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
     win, codes, reduction, candidates = _survey_setup(p, x)
-    primes = sieve_primes(math.isqrt(win.max_abs_discriminant))
+    blocks = _divisor_blocks(math.isqrt(win.max_abs_discriminant))
     for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
-        a, b = np.repeat(a, len(b)), np.tile(b, len(a))
-        delta, minimal = delta.ravel(), minimal.ravel()
-        curve = np.flatnonzero(minimal & (delta != 0))
+        # (a, b) and (a, -b) share delta and the kodaira field, so a tile of
+        # whole rows formats and factors its columns b >= 0 alone; `fold`
+        # maps each column to its image among the columns b[lo:]
+        lo = len(b) // 2 if b[0] == -b[-1] else 0
+        fold = np.abs(np.arange(len(b)) - lo)
+        curve = minimal & (delta != 0)
+        half = np.flatnonzero(curve[:, lo:])
+        count = np.zeros((len(a), len(b) - lo), dtype=np.int64)
+        count.flat[half], labels = _kodaira_fields(
+            np.repeat(a, len(b) - lo)[half], delta[:, lo:].ravel()[half], blocks)
+        first = (np.cumsum(count) - count.ravel()).reshape(count.shape)[:, fold].ravel()
+        count = count[:, fold].ravel()
+        a3, b2 = 4 * np.abs(a) ** 3, 27 * b * b
+        fixed = (np.repeat(_pieces(a), len(b)), np.tile(_pieces(b), len(a)),
+                 np.where(a3[:, None] >= b2, _pieces(a3)[:, None], _pieces(b2)).ravel(),
+                 _MINIMAL[minimal.ravel().astype(np.intp)], _pieces(delta[:, lo:])[:, fold].ravel())
+        a, b, delta = np.repeat(a, len(b)), np.tile(b, len(a)), delta.ravel()
+        curve = np.flatnonzero(curve)
         local = curve[(delta[curve] % 2 != 0) & (delta[curve] % 3 != 0)]
         code = codes[a[local] % p, b[local] % p]
         good = code != PointClass.SINGULAR
         local, code = local[good], code[good]
         reductions = ((ell, reduction[ell][a[local] % ell, b[local] % ell]) for ell in candidates)
         g_strict, _, euler_v = _growth(delta[local], code, p, reductions)
-        kodaira, *at_p = (np.full(len(a), None, dtype=object) for _ in range(5))
-        kodaira[curve] = _kodaira_fields(a[curve], b[curve], delta[curve], primes)
-        for column, values in zip(at_p, (code != PointClass.SUPERSINGULAR,
-                                         code == PointClass.ANOMALOUS, g_strict, euler_v)):
-            column[local] = values.astype(np.int64)
-        height = np.maximum(4 * np.abs(a) ** 3, 27 * b * b)
-        yield list(zip(a.tolist(), b.tolist(), height.tolist(), minimal.astype(np.int64).tolist(),
-                       delta.tolist(), *(column.tolist() for column in (kodaira, *at_p))))
+        key = np.full(len(delta), -1, dtype=np.int64)
+        key[local] = ((euler_v << 6 | g_strict) << 2 | (code != PointClass.SUPERSINGULAR) << 1
+                      | (code == PointClass.ANOMALOUS))
+        values, which = np.unique(key, return_inverse=True)
+        width = count + len(fixed) + 1
+        start = np.cumsum(width) - width
+        pieces = np.empty(int(width.sum()), dtype=object)
+        for k, column in enumerate(fixed):
+            pieces[start + k] = column
+        pieces[start + width - 1] = np.array([_tail(k) for k in values.tolist()], dtype=object)[which]
+        rank = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+        pieces[np.repeat(start + len(fixed), count) + rank] = labels[np.repeat(first, count) + rank]
+        yield "".join(pieces.tolist()), len(delta)
 
 
 def write_survey_csv(x: int, p: int, path) -> int:
     """Write the bytes of write_csv(enumerate_curves(x, p), path) from the
-    tiles of the height box, streamed tile by tile; returns the number of
-    rows written."""
-    return _write_rows(_survey_rows(x, p), path)
+    tiles of the height box, one string per tile; returns the number of rows
+    written."""
+    rows = 0
+    with _sink(path) as handle:
+        handle.write(",".join(CSV_COLUMNS) + "\r\n")
+        for text, count in _survey_rows(x, p):
+            handle.write(text)
+            rows += count
+    return rows

@@ -249,6 +249,25 @@ def test_survey_json_and_csv(tmp_path, capsys):
     assert csv_path.read_text().splitlines()[0].startswith("a,b,height")
 
 
+@pytest.mark.parametrize("argv", [
+    ["survey", "--x", "1000", "--p", "7", "--csv", "{tmp}/missing/rows.csv"],
+    ["survey", "--x", "1000", "--p", "7", "--csv", "{tmp}"],
+    ["survey", "--x", "1000", "--p", "7", "--out", "{tmp}/missing/doc.json"],
+    ["tables", "--pmax", "31", "--out", "{tmp}/missing/x.csv"],
+    ["densities", "--ell", "5", "--type", "I0", "--out", "{tmp}"],
+])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    """An --out or --csv path in a missing directory, or naming a directory,
+    exits 2 with one line that names it, as a domain error does."""
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ecstats: error: cannot write {argv[-1]}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_survey_csv_factors_no_curve_one_by_one(tmp_path, capsys, monkeypatch):
     """survey --csv writes its rows from the numpy blocks of the height box:
     no per-curve factorization and no per-curve local-data call."""

@@ -362,24 +362,31 @@ def test_tile_boundaries(p, monkeypatch):
         assert fast.getvalue() == oracle.getvalue()
 
 
-@pytest.mark.parametrize("x, p", [(5 * 10**4, 5), (10**4, 13)])
-def test_csv_tile_boundaries(x, p, monkeypatch):
-    """CSV tiles of 1 and 7 pairs and of one row's width minus and plus one:
-    empty tiles, tiles with no factor >= 5, part rows, and tiles whose trial
-    division stops early once every row is done.  The bytes match the slow
-    path at every cap."""
-    oracle = io.StringIO()
-    survey.write_csv(survey.enumerate_curves(x, p), oracle)
-    width = 2 * HeightWindow.from_height(x).b_max + 1
+def _count_early_stops(monkeypatch) -> list[bool]:
+    """Wrap survey._kodaira_fields to record, per call, whether its trial
+    division stopped before the last block of primes."""
     stopped_early, fields = [], survey._kodaira_fields
 
-    def counted(a, b, delta, primes):
+    def counted(a, delta, blocks):
         seen = []
-        out = fields(a, b, delta, (seen.append(ell) or ell for ell in primes))
-        stopped_early.append(len(seen) < len(primes))
+        out = fields(a, delta, (seen.append(block) or block for block in blocks))
+        stopped_early.append(len(seen) < len(blocks))
         return out
 
     monkeypatch.setattr(survey, "_kodaira_fields", counted)
+    return stopped_early
+
+
+@pytest.mark.parametrize("x, p", [(5 * 10**4, 5), (10**4, 13)])
+def test_csv_tile_boundaries(x, p, monkeypatch):
+    """CSV tiles of 1 and 7 pairs and of one row's width minus and plus one:
+    empty tiles, tiles with no factor >= 5, part rows, runs of columns that
+    hold both b and -b, and tiles whose trial division stops early once every
+    row is done.  The bytes match the slow path at every cap."""
+    oracle = io.StringIO()
+    survey.write_csv(survey.enumerate_curves(x, p), oracle)
+    width = 2 * HeightWindow.from_height(x).b_max + 1
+    stopped_early = _count_early_stops(monkeypatch)
     for cap in (1, 7, width - 1, width + 1):
         monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
         stopped_early.clear()
@@ -387,6 +394,55 @@ def test_csv_tile_boundaries(x, p, monkeypatch):
         survey.write_survey_csv(x, p, fast)
         assert fast.getvalue() == oracle.getvalue(), cap
         assert any(stopped_early), cap
+
+
+@pytest.mark.parametrize("scale", [0.5, 1, 2])
+def test_survey_csv_pinned_at_1e6(scale, monkeypatch):
+    """The CSV at x = 10^6, p = 7, a box ten times the oracle tests' largest,
+    pinned to the benchmark's reference bytes, at the default tile size and
+    at half and twice it; some tile stops its trial division early at each."""
+    monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", int(survey._CSV_BLOCK_ROWS * scale))
+    stopped_early = _count_early_stops(monkeypatch)
+    buf = io.StringIO()
+    assert survey.write_survey_csv(10**6, 7, buf) == 48_125
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "68ffb9e6ab6a3457079aff4cf63e768b8bdff24715d2540ec8831a0387617f11"
+    assert any(stopped_early)
+
+
+def test_csv_writers_take_path_objects(tmp_path):
+    """Both writers open a str or os.PathLike file name and write the same
+    bytes as to a handle."""
+    buf = io.StringIO()
+    rows = survey.write_csv(survey.enumerate_curves(10**3, p=7), buf)
+    for path in (tmp_path / "slow.csv", str(tmp_path / "slow_str.csv")):
+        assert survey.write_csv(survey.enumerate_curves(10**3, p=7), path) == rows
+        assert open(path, newline="").read() == buf.getvalue()
+    for path in (tmp_path / "fast.csv", str(tmp_path / "fast_str.csv")):
+        assert survey.write_survey_csv(10**3, 7, path) == rows
+        assert open(path, newline="").read() == buf.getvalue()
+
+
+def test_divisor_blocks_test_divisibility_exactly():
+    """n * ell^-1 mod 2^64 <= (2^64 - 1) // ell exactly when ell | n, and the
+    product is then n / ell, for every odd prime up to 2000 and n at the ends
+    of [0, 2^63) and [0, 2^64) and at the multiples of ell nearest 2^63 and
+    2^64."""
+    blocks = survey._divisor_blocks(2000)
+    ell = np.concatenate([block[0] for block in blocks]).astype(np.uint64)
+    assert ell.tolist() == list(arith.sieve_primes(2000)[1:])
+    assert all(len(block[0]) <= survey._DIVISOR_BLOCK for block in blocks)
+    tops = [np.uint64(top) // ell * ell for top in (2**63 - 1, 2**64 - 1)]
+    steps = np.arange(5000, dtype=np.uint64)
+    n = np.concatenate([steps, np.uint64(2**63 - 1) - steps, np.uint64(2**64 - 1) - steps,
+                        *tops, *(top - ell for top in tops), *(top - 1 for top in tops)])
+    for primes, inv, lim in blocks:
+        primes = primes.astype(np.uint64)
+        assert (primes * inv == 1).all()
+        quotient = n[:, None] * inv
+        divides = n[:, None] % primes == 0
+        assert ((quotient <= lim) == divides).all()
+        assert (quotient[divides] == (n[:, None] // primes)[divides]).all()
 
 
 KODAIRA_FIELDS = {
@@ -409,11 +465,12 @@ def test_kodaira_fields_match_the_slow_path():
     every cofactor is 1 or a prime."""
     a, b = (np.array(column, dtype=np.int64) for column in zip(*KODAIRA_FIELDS))
     delta = 4 * a**3 + 27 * b * b
-    primes = arith.sieve_primes(math.isqrt(int(np.abs(delta).max())))
+    blocks = survey._divisor_blocks(math.isqrt(int(np.abs(delta).max())))
     seen = []
-    got = survey._kodaira_fields(a, b, delta, (seen.append(ell) or ell for ell in primes))
-    assert got == list(KODAIRA_FIELDS.values())
-    assert len(seen) < len(primes)
+    counts, labels = survey._kodaira_fields(a, delta, (seen.append(block) or block for block in blocks))
+    ends = np.cumsum(counts).tolist()
+    assert ["".join(labels[lo:hi]) for lo, hi in zip([0, *ends], ends)] == list(KODAIRA_FIELDS.values())
+    assert len(seen) < len(blocks)
     for (ai, bi), want in KODAIRA_FIELDS.items():
         rec = survey.SurveyRecord(ai, bi, localdata.naive_height(ai, bi),
                                   4 * ai**3 + 27 * bi * bi, True)
