@@ -189,7 +189,7 @@ def point_count_table(p: int) -> np.ndarray:
     rows = (0, 1, int(np.argmax(chi < 0)))
     bs = np.arange(p, dtype=np.int64)
     traces = np.array([_row_traces(p, chi, a) for a in rows])
-    singular = np.array([(4 * a * a * a + 27 * bs * bs) % p == 0 for a in rows])
+    singular = discriminant_mod(p, np.array(rows)[:, None], bs) == 0
     us = np.arange(1, (p + 1) // 2, dtype=np.int64)
     a = np.array(rows[1:])[:, None, None] * (us * us)[:, None] % p  # rows 1 and g, twisted by u
     cols = bs * (us * us * us % p)[:, None] % p

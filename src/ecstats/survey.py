@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 from collections import Counter
@@ -39,7 +40,7 @@ import numpy as np
 from . import bounds, density, ffcurve, localdata
 from .ffcurve import PointClass
 from ._version import __version__
-from .arith import check_prime, integer_nth_root, next_prime, sieve_primes
+from .arith import check_prime, integer_nth_root, is_prime, sieve_primes
 from .errors import DomainError
 from .intervals import QInterval
 
@@ -219,22 +220,19 @@ def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveyS
                          theoretical, ell=ell, n=n)
 
 
-def _certificate_pool(p: int, max_abs_delta: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Per-q tables of #E(F_q) (0 singular, 1 divisible by p, 2 certifying)
-    for the torsion certificate, over the primes q >= 5, q != p, in order.
+@lru_cache(maxsize=32)
+def _certificate_table(q: int, p: int) -> np.ndarray:
+    """#E(F_q) for the torsion certificate at p, coded per residue pair [a, b]
+    mod q as a read-only uint8 array: 0 singular, 1 divisible by p, 2 certifying."""
+    counts = ffcurve.point_count_table(q)
+    table = np.uint8(np.where(counts < 0, 0, 1 + (counts % p > 0)))
+    table.setflags(write=False)
+    return table
 
-    The pool grows until the product of its first len - TORSION_CERT_PRIMES + 1
-    primes exceeds max_abs_delta.  A nonzero delta with |delta| <= max_abs_delta
-    then has at most len - TORSION_CERT_PRIMES pool primes as factors, so every
-    pair finds its first TORSION_CERT_PRIMES good primes inside the pool.
-    """
-    qs, q = [], 5
-    while len(qs) < TORSION_CERT_PRIMES or math.prod(qs[:1 - TORSION_CERT_PRIMES]) <= max_abs_delta:
-        if q != p:
-            qs.append(q)
-        q = next_prime(q)
-    tables = map(ffcurve.point_count_table, qs)
-    return tuple((q, np.uint8(np.where(t < 0, 0, 1 + (t % p > 0)))) for q, t in zip(qs, tables))
+
+def _certificate_primes(p: int) -> Iterator[int]:
+    """The primes q = 5, 7, 11, ... other than p, in order."""
+    return (q for q in itertools.count(5) if q != p and is_prime(q))
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,7 @@ def _reduction_table(ell: int):
     are +-sqrt(3e) with 3e = -9b/2a, so it splits exactly when chi(-2a) == chi(b).
     """
     chi, r = ffcurve.chi_table(ell), np.arange(ell, dtype=np.int64)
-    singular = (4 * r**3 % ell)[:, None] == -27 * r * r % ell
+    singular = ffcurve.discriminant_mod(ell, r[:, None], r) == 0
     table = np.where(singular, (chi[-2 * r % ell, None] == chi) + np.uint8(2), np.uint8(1))
     table[0, 0] = 0
     return table
@@ -292,17 +290,19 @@ def _gather(table, a, b, columns):
     return columns[id(table)][a % m]
 
 
-def _certify(a, b, pool) -> np.ndarray:
-    """Torsion certificate per pair: one sweep over a pool sized by
-    _certificate_pool for the pairs' window."""
+def _certify(a, b, p: int) -> np.ndarray:
+    """Torsion certificate per pair: walk the _certificate_primes of p until
+    each pair is certified or has met TORSION_CERT_PRIMES good primes."""
     certified = np.zeros(len(a), dtype=bool)
-    good_seen = np.zeros(len(a), dtype=np.int64)
-    for q, table in pool:
-        r = table[a % q, b % q]
-        good = ~certified & (good_seen < TORSION_CERT_PRIMES) & (r != 0)
-        good_seen += good
-        certified |= good & (r == 2)
-    return certified
+    live, seen = np.arange(len(a)), np.zeros(len(a), dtype=np.int64)
+    for q in _certificate_primes(p):
+        if not live.size:
+            return certified
+        r = _certificate_table(q, p)[a[live] % q, b[live] % q]
+        certified[live[r == 2]] = True
+        seen += r == 1
+        walk = (r == 0) | (r == 1) & (seen < TORSION_CERT_PRIMES)
+        live, seen = live[walk], seen[walk]
 
 
 def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
@@ -337,7 +337,17 @@ def _blocks(win: HeightWindow, cap: int) -> Iterator[tuple[np.ndarray, ...]]:
             minimal = np.ones((len(a), len(b)), dtype=bool)
             for p4, p6 in ((MAX_SURVEY_HEIGHT,) * 2, *min_primes):  # the first marks (0, 0)
                 minimal[a % p4 == 0] &= b % p6 != 0
-            yield a, b, 4 * a[:, None] ** 3 + 27 * b * b, minimal
+            yield a, b, localdata.discriminant(a[:, None], b), minimal
+
+
+def _at_p(a, b, codes, reduction, candidates, cols):
+    """The tile's sub-grid good at 2 and 3 (delta == b mod 2, delta == a mod 3)
+    as masks of its rows and columns, the class codes at p on it, and each growth
+    candidate ell with its flat reduction codes there, read as _growth walks them."""
+    rows, columns = a % 3 != 0, b % 2 != 0
+    a, b = a[rows], b[columns]
+    reductions = ((ell, _gather(reduction[ell], a, b, cols).ravel()) for ell in candidates)
+    return rows, columns, _gather(codes, a, b, cols), reductions
 
 
 def _growth(delta, code, p: int, reductions):
@@ -370,10 +380,11 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     """
     win, codes, reduction, candidates = _survey_setup(p, x, ells)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0)}
-    cert_pool = _certificate_pool(p, win.max_abs_discriminant) if p in (5, 7) else ()
     valuation_hists = {ell: Counter() for ell in ells}
     hists = Counter(), Counter(), Counter()  # strict, Kodaira-only, Euler
-    first = [t for _, t in cert_pool[:TORSION_CERT_PRIMES]]
+    # the first five certificate primes are among any pair's first five good ones
+    first = [_certificate_table(q, p) for q in itertools.islice(
+        _certificate_primes(p), TORSION_CERT_PRIMES)] if p in (5, 7) else []
     # tiles of whole rows share their b: gather each table's columns once, if all fit in 2 MB
     tables = (codes, *reduction.values(), *first)
     whole = 2 * win.b_max < min(_BLOCK_PAIRS, (1 << 21) // sum(map(len, tables)))
@@ -386,20 +397,18 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
             red = _gather(reduction[ell], a, b, box_cols)
             _tally(valuation_hists[ell], _valuations(delta[curve & (red >= 2)], ell),
                    np.count_nonzero(curve & (red == 1)))
-        # delta == b mod 2, delta == a mod 3: the curves good at 2 and 3 are a sub-grid
-        grid = np.ix_(a % 3 != 0, b % 2 != 0)
-        a, b, delta, curve = a[grid[0].ravel()], b[grid[1].ravel()], delta[grid], minimal[grid]
-        code = _gather(codes, a, b, grid_cols)
+        rows, columns, code, reductions = _at_p(a, b, codes, reduction, candidates, grid_cols)
+        grid = np.ix_(rows, columns)
+        a, b, delta, curve = a[rows], b[columns], delta[grid], minimal[grid]
         for name, c in zip(_BUCKETS[4:6], (PointClass.SINGULAR, PointClass.SUPERSINGULAR)):
             counts[name] += int(np.count_nonzero(curve & (code == c)))
         keep = curve & ((code == PointClass.ORDINARY) | (code == PointClass.ANOMALOUS))
-        if cert_pool:  # the first five pool primes are among any pair's first five good ones
+        if first:
             i, j = np.nonzero(keep & np.all([_gather(t, a, b, grid_cols) != 2 for t in first], 0))
-            doubt = ~_certify(a[i], b[j], cert_pool)
+            doubt = ~_certify(a[i], b[j], p)
             keep[i[doubt], j[doubt]] = False
             counts["torsion_uncertified"] += int(np.count_nonzero(doubt))
         counts["classified"] += int(np.count_nonzero(keep))
-        reductions = ((ell, _gather(reduction[ell], a, b, grid_cols).ravel()) for ell in candidates)
         for hist, values in zip(hists, _growth(delta.ravel(), code.ravel(), p, reductions)):
             _tally(hist, values[keep.ravel()])
     counts["bad_at_2_or_3"] = counts["curves"] - sum(counts[k] for k in _BUCKETS[4:])
@@ -496,10 +505,9 @@ def _divisor_blocks(limit: int) -> tuple[tuple[np.ndarray, ...], ...]:
                   lim[i:i + _DIVISOR_BLOCK]) for i in range(0, len(ell), _DIVISOR_BLOCK))
 
 
-def _kodaira_fields(a, delta, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The kodaira field of each curve, as its number of labels and the labels
-    of all the curves in order, each curve's first bare and the rest led by
-    ";": `ell:I<v>`, or `ell:additive` where ell divides a (and so b), for each
+def _kodaira_fields(a, delta, blocks) -> np.ndarray:
+    """The kodaira field of each curve, one str: its labels joined by ";",
+    `ell:I<v>`, or `ell:additive` where ell divides a (and so b), for each
     prime ell >= 5 dividing delta, in order.  Trial division by the blocks of
     _divisor_blocks, all odd primes up to isqrt(max |delta|), tests a block of
     primes on every live curve at once and leaves 1 or a prime above them all,
@@ -538,13 +546,16 @@ def _kodaira_fields(a, delta, blocks) -> tuple[np.ndarray, np.ndarray]:
     bare = [f"{-k}:I1" if k < 0 else f"{k >> 8}:I{k & 255}" if k & 255 else f"{k >> 8}:additive"
             for k in values.tolist()]
     forms = np.array(bare + [";" + label for label in bare], dtype=object)
-    later = np.concatenate(([False], curves[1:] == curves[:-1]))  # not its curve's first label
-    return np.bincount(curves, minlength=len(delta)), forms[which + len(values) * later]
+    later = np.diff(curves, prepend=-1) == 0  # not its curve's first label
+    first = np.flatnonzero(~later)
+    fields = np.full(len(delta), "", dtype=object)
+    fields[curves[first]] = np.add.reduceat(forms[which + len(values) * later], first)
+    return fields
 
 
-def _pieces(values, end: str = ",") -> np.ndarray:
-    """The strings f"{v}{end}" of an integer array, as an object array."""
-    return np.array([f"{v}{end}" for v in values.ravel().tolist()], dtype=object).reshape(values.shape)
+def _pieces(values) -> np.ndarray:
+    """The strings f"{v}," of an integer array, as an object array."""
+    return np.array([f"{v}," for v in values.ravel().tolist()], dtype=object).reshape(values.shape)
 
 
 def _tail(key: int) -> str:
@@ -559,11 +570,11 @@ def _tail(key: int) -> str:
 def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
     """The rows write_csv writes for enumerate_curves(x, p), as one string and
     its number of rows per tile of the height box, read row-major.  A tile's
-    text is one join over pieces: "a," and "4|a|^3," are formatted once per
-    row and "b," and "27b^2," once per column, the fields at p once per
-    distinct value and each kodaira label once per distinct label, so only
-    delta and the prime cofactors are formatted per pair.  (At most 16 primes
-    divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
+    text is one join over its pairs x 7 pieces: "a," and "4|a|^3," are
+    formatted once per row, "b," and "27b^2," once per column, the fields at p
+    once per distinct value and each kodaira label once per distinct label,
+    so only delta and each curve's joined labels are built per pair.  (At
+    most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
     win, codes, reduction, candidates = _survey_setup(p, x)
     blocks = _divisor_blocks(math.isqrt(win.max_abs_discriminant))
     for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
@@ -574,36 +585,23 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
         fold = np.abs(np.arange(len(b)) - lo)
         curve = minimal & (delta != 0)
         half = np.flatnonzero(curve[:, lo:])
-        count = np.zeros((len(a), len(b) - lo), dtype=np.int64)
-        count.flat[half], labels = _kodaira_fields(
+        kodaira = np.full((len(a), len(b) - lo), "", dtype=object)
+        kodaira.flat[half] = _kodaira_fields(
             np.repeat(a, len(b) - lo)[half], delta[:, lo:].ravel()[half], blocks)
-        first = (np.cumsum(count) - count.ravel()).reshape(count.shape)[:, fold].ravel()
-        count = count[:, fold].ravel()
+        rows, columns, code, reductions = _at_p(a, b, codes, reduction, candidates, None)
+        grid, code = rows[:, None] & columns, code.ravel()
+        g_strict, _, euler_v = _growth(delta[grid], code, p, reductions)
+        key = np.full(delta.shape, -1, dtype=np.int64)
+        key[grid] = np.where(curve[grid] & (code != PointClass.SINGULAR), (euler_v << 6 | g_strict) << 2
+                             | (code != PointClass.SUPERSINGULAR) << 1 | (code == PointClass.ANOMALOUS), -1)
+        values, which = np.unique(key.ravel(), return_inverse=True)
         a3, b2 = 4 * np.abs(a) ** 3, 27 * b * b
-        fixed = (np.repeat(_pieces(a), len(b)), np.tile(_pieces(b), len(a)),
-                 np.where(a3[:, None] >= b2, _pieces(a3)[:, None], _pieces(b2)).ravel(),
-                 _MINIMAL[minimal.ravel().astype(np.intp)], _pieces(delta[:, lo:])[:, fold].ravel())
-        a, b, delta = np.repeat(a, len(b)), np.tile(b, len(a)), delta.ravel()
-        curve = np.flatnonzero(curve)
-        local = curve[(delta[curve] % 2 != 0) & (delta[curve] % 3 != 0)]
-        code = codes[a[local] % p, b[local] % p]
-        good = code != PointClass.SINGULAR
-        local, code = local[good], code[good]
-        reductions = ((ell, reduction[ell][a[local] % ell, b[local] % ell]) for ell in candidates)
-        g_strict, _, euler_v = _growth(delta[local], code, p, reductions)
-        key = np.full(len(delta), -1, dtype=np.int64)
-        key[local] = ((euler_v << 6 | g_strict) << 2 | (code != PointClass.SUPERSINGULAR) << 1
-                      | (code == PointClass.ANOMALOUS))
-        values, which = np.unique(key, return_inverse=True)
-        width = count + len(fixed) + 1
-        start = np.cumsum(width) - width
-        pieces = np.empty(int(width.sum()), dtype=object)
-        for k, column in enumerate(fixed):
-            pieces[start + k] = column
-        pieces[start + width - 1] = np.array([_tail(k) for k in values.tolist()], dtype=object)[which]
-        rank = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
-        pieces[np.repeat(start + len(fixed), count) + rank] = labels[np.repeat(first, count) + rank]
-        yield "".join(pieces.tolist()), len(delta)
+        pieces = np.stack([np.repeat(_pieces(a), len(b)), np.tile(_pieces(b), len(a)),
+                           np.where(a3[:, None] >= b2, _pieces(a3)[:, None], _pieces(b2)).ravel(),
+                           _MINIMAL[minimal.ravel().astype(np.intp)],
+                           _pieces(delta[:, lo:])[:, fold].ravel(), kodaira[:, fold].ravel(),
+                           np.array([_tail(k) for k in values.tolist()], dtype=object)[which]], 1)
+        yield "".join(pieces.ravel().tolist()), delta.size
 
 
 def write_survey_csv(x: int, p: int, path) -> int:

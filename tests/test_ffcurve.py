@@ -211,8 +211,9 @@ def test_residue_oracles_run_discriminant_on_every_pair(ell, to_singular, monkey
     """discriminant_mod wrong on one residue pair at ell, a singular nonzero
     pair read as smooth or a smooth pair read as singular: both residue
     oracles fail at ell and pass elsewhere, so their array evaluation still
-    runs the library function on every pair."""
-    discriminant = ffcurve.discriminant_mod
+    runs the library function on every pair.  No table that reads
+    discriminant_mod is built, so none is cached from the wrong function."""
+    discriminant, built = ffcurve.discriminant_mod, ffcurve.point_count_table.cache_info().misses
     a0, b0 = next((a, b) for a in range(1, ell) for b in range(1, ell)
                   if (discriminant(ell, a, b) == 0) != to_singular)
 
@@ -223,3 +224,4 @@ def test_residue_oracles_run_discriminant_on_every_pair(ell, to_singular, monkey
     monkeypatch.setattr(ffcurve, "discriminant_mod", wrong)
     for results in (verify.check_singular_counts(30), verify.check_split_dual_oracle(30)):
         assert [r.passed for r in results] == [q != ell for q in arith.primes_in(5, 30)]
+    assert ffcurve.point_count_table.cache_info().misses == built

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import itertools
@@ -97,20 +98,21 @@ def test_kodaira_summary_matches_slow_records():
 
 def _certifying_prime(a, b, p):
     """The q that certifies trivial p-torsion by count_points among the
-    first five good q, or None."""
+    first five good q, or None, and the last q the certificate needs: that
+    q, or the fifth good one."""
     seen, delta = 0, localdata.discriminant(a, b)
     for q in arith.primes_in(5, 1000):
         if q == p or delta % q == 0:
             continue
         if ffcurve.count_points(q, a % q, b % q) % p:
-            return q
+            return q, q
         seen += 1
         if seen == survey.TORSION_CERT_PRIMES:
-            return None
+            return None, q
 
 
 def _oracle_certified(a, b, p):
-    return _certifying_prime(a, b, p) is not None
+    return _certifying_prime(a, b, p)[0] is not None
 
 
 def _slow_census(p, x):
@@ -191,31 +193,52 @@ def _crowded_pairs(p, x, count):
     raise AssertionError("the box holds too few crowded pairs")
 
 
+@functools.lru_cache(maxsize=2)
+def _crowded_verdicts(p, count):
+    """The crowded pairs of the box at x = 2^61, the 12th certificate prime,
+    and _certifying_prime of each pair."""
+    pairs, q12 = _crowded_pairs(p, 2**61, count)
+    return pairs, q12, [_certifying_prime(a, b, p) for a, b in pairs]
+
+
+def _record_certificate_tables(monkeypatch):
+    """Wrap survey._certificate_table: the list it returns collects each q
+    and table handed out."""
+    handed, table = [], survey._certificate_table
+
+    def recorded(q, p):
+        handed.append((q, table(q, p)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(survey, "_certificate_table", recorded)
+    return handed
+
+
 @pytest.mark.parametrize("p, count", [(5, 3000), (7, 12000)])
 def test_certificate_pool_holds_five_good_primes(p, count):
-    """Pairs with 8 or 9 bad primes among the first 12 of the pool still
-    meet their first five good primes inside the pool sized for the box,
-    including pairs that no good prime among those 12 certifies."""
-    x = 2**61
-    pool = survey._certificate_pool(p, HeightWindow.from_height(x).max_abs_discriminant)
-    pairs, q12 = _crowded_pairs(p, x, count)
-    verdicts = [_certifying_prime(a, b, p) for a, b in pairs]
-    late = [i for i, q in enumerate(verdicts) if q is None or q > q12]
+    """Pairs with 8 or 9 bad primes among the first 12 certificate primes
+    still meet their first five good primes on the walk, including pairs
+    that no good prime among those 12 certifies."""
+    pairs, q12, verdicts = _crowded_verdicts(p, count)
+    late = [i for i, (q, _) in enumerate(verdicts) if q is None or q > q12]
     assert len(late) >= 5
     sample = late + list(range(300))
     a, b = np.array([pairs[i] for i in sample]).T
-    assert survey._certify(a, b, pool).tolist() == [verdicts[i] is not None for i in sample]
+    assert survey._certify(a, b, p).tolist() == [verdicts[i][0] is not None for i in sample]
 
 
-@pytest.mark.parametrize("p, x, length", [(7, 10**6, 10), (7, 10**8, 12), (7, 10**9, 12),
-                                          (5, 10**8, 11), (7, 2**62 - 1, 18)])
-def test_certificate_pool_is_shortest(p, x, length):
-    bound = HeightWindow.from_height(x).max_abs_discriminant
-    qs = [q for q, _ in survey._certificate_pool(p, bound)]
-    assert qs == [q for q in arith.primes_in(5, qs[-1]) if q != p]
-    assert len(qs) == length
-    lead = len(qs) - survey.TORSION_CERT_PRIMES + 1
-    assert math.prod(qs[:lead - 1]) <= bound < math.prod(qs[:lead])
+def test_certificate_walk_stops_where_its_pairs_stop(monkeypatch):
+    """The census at (7, 10^8) reads at most 9 certificate tables, where a
+    pool sized for the box's largest |delta| built 12.  On the crowded pairs
+    the walk reads up to the last prime that any pair needs and no further."""
+    handed = _record_certificate_tables(monkeypatch)
+    survey._growth_census.__wrapped__(7, 10**8)
+    assert len({q for q, _ in handed}) <= 9
+    for p, count in ((5, 3000), (7, 12000)):
+        pairs, _, verdicts = _crowded_verdicts(p, count)
+        handed.clear()
+        survey._certify(*np.array(pairs).T, p)
+        assert max(q for q, _ in handed) == max(last for _, last in verdicts)
 
 
 def test_classified_csv_pinned():
@@ -229,10 +252,12 @@ def test_classified_csv_pinned():
 
 def test_survey_csv_matches_oracle():
     """The block path writes the oracle's bytes, over boxes that together
-    hold every kind of row it must get right."""
+    hold every kind of row it must get right, and over the box of one pair
+    and no curve (x = 0), of three pairs (x = 4) and the first with b != 0
+    (x = 27), whose tiles hold no curve or no kodaira label."""
     kinds = Counter()
     for p in (5, 7, 11, 13):
-        for x in (10**3, 10**4, 10**5):
+        for x in (0, 4, 27, 10**3, 10**4, 10**5):
             oracle, fast = io.StringIO(), io.StringIO()
             records = list(survey.enumerate_curves(x, p))
             assert survey.write_survey_csv(x, p, fast) == survey.write_csv(records, oracle)
@@ -467,9 +492,8 @@ def test_kodaira_fields_match_the_slow_path():
     delta = 4 * a**3 + 27 * b * b
     blocks = survey._divisor_blocks(math.isqrt(int(np.abs(delta).max())))
     seen = []
-    counts, labels = survey._kodaira_fields(a, delta, (seen.append(block) or block for block in blocks))
-    ends = np.cumsum(counts).tolist()
-    assert ["".join(labels[lo:hi]) for lo, hi in zip([0, *ends], ends)] == list(KODAIRA_FIELDS.values())
+    fields = survey._kodaira_fields(a, delta, (seen.append(block) or block for block in blocks))
+    assert fields.tolist() == list(KODAIRA_FIELDS.values())
     assert len(seen) < len(blocks)
     for (ai, bi), want in KODAIRA_FIELDS.items():
         rec = survey.SurveyRecord(ai, bi, localdata.naive_height(ai, bi),
@@ -489,9 +513,10 @@ def test_split_rows_keep_the_pinned_census(monkeypatch):
 
 
 def _record_gathers(monkeypatch):
-    """Wrap survey._gather: the list it returns collects each store of
-    pre-gathered columns passed in, and the bytes of each gathered tile."""
-    stores, tile_bytes = [], []
+    """Wrap survey._gather: the lists it returns collect each store of
+    pre-gathered columns passed in, the bytes of each gathered tile and each
+    table read."""
+    stores, tile_bytes, tables = [], [], []
     gather = survey._gather
 
     def recorded(table, a, b, columns):
@@ -499,16 +524,17 @@ def _record_gathers(monkeypatch):
         if not any(store is columns for store in stores):
             stores.append(columns)
         tile_bytes.append(values.nbytes)
+        tables.append(table)
         return values
 
     monkeypatch.setattr(survey, "_gather", recorded)
-    return stores, tile_bytes
+    return stores, tile_bytes, tables
 
 
 def test_column_tables_are_bounded(monkeypatch):
     """At x = 10^8 whole rows make a tile, and the census gathers each
     table's columns once: together under 2 MB."""
-    stores, _ = _record_gathers(monkeypatch)
+    stores, _, _ = _record_gathers(monkeypatch)
     survey._growth_census.__wrapped__(7, 10**8, (5,))
     held = [table.nbytes for store in stores for table in store.values()]
     assert len(held) == 1 + 1 + 5 + 3  # ell = 5; the codes, 5 certificate and 3 growth tables
@@ -518,23 +544,24 @@ def test_column_tables_are_bounded(monkeypatch):
 def test_tile_memory_at_the_height_limit(monkeypatch):
     """At x = 2^62 - 1 a row holds about 8.3e8 pairs.  The first tile is
     part of one, within the cap; the census gathers no columns ahead there,
-    so each table it reads for the tile holds at most the tile, and all 18
-    certificate tables together hold under 2 MB.  Only that tile is drawn."""
+    so each table it reads for the tile holds at most the tile, it reads at
+    most five certificate tables densely, the rest only on the pairs they
+    leave in doubt, and the tile's reads hold under 2 MB.  Only that tile is
+    drawn."""
     win = HeightWindow.from_height(2**62 - 1)
     assert 2 * win.b_max + 1 > 8 * 10**8
     a, b, delta, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS))
     assert len(a) == 1 and delta.shape == minimal.shape == (1, survey._BLOCK_PAIRS)
-    pool = survey._certificate_pool(7, win.max_abs_discriminant)
-    assert len(pool) == 18  # read on the sub-grid, 3 not dividing a: the next row
-    tables = [survey._gather(table, a + 1, b[b % 2 != 0], None) for _, table in pool]
-    assert sum(t.nbytes for t in tables) <= 2 * 2**20
     blocks = survey._blocks
     monkeypatch.setattr(survey, "_blocks", lambda win, cap: itertools.islice(blocks(win, cap), 1))
-    stores, tile_bytes = _record_gathers(monkeypatch)
+    handed = _record_certificate_tables(monkeypatch)
+    stores, tile_bytes, tables = _record_gathers(monkeypatch)
     census = survey._growth_census.__wrapped__(7, 2**62 - 1, (5,))
     assert census.counts["curves"] <= survey._BLOCK_PAIRS
     assert stores == [None] and max(tile_bytes) <= survey._BLOCK_PAIRS
     assert sum(tile_bytes) <= 2 * 2**20
+    dense = [t for t in tables if any(t is table for _, table in handed)]
+    assert 0 < len(dense) <= survey.TORSION_CERT_PRIMES
 
 
 def test_growth_tables_are_capped_before_the_pass(monkeypatch):
