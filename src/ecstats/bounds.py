@@ -129,6 +129,11 @@ def _with_tail(e: list[QInterval], m: int, p: int, truncation: int) -> QInterval
     return QInterval(e[m].lo, sum(e[m - k].hi * tail**k / math.factorial(k) for k in range(m + 1)))
 
 
+def _check_zeta_terms(terms: int) -> None:
+    if not 10 <= terms <= MAX_ZETA_TERMS:
+        raise DomainError(f"zeta_terms {terms} must be >= 10 and within the cap 2^12")
+
+
 def zeta_enclosure(s: int, terms: int) -> QInterval:
     """Enclosure of zeta(s) for integer s >= 2.
 
@@ -138,8 +143,7 @@ def zeta_enclosure(s: int, terms: int) -> QInterval:
     """
     if s < 2:
         raise DomainError("zeta_enclosure requires s >= 2")
-    if terms < 10:
-        raise DomainError("terms must be >= 10")
+    _check_zeta_terms(terms)
     one = 1 << WORKING_BITS
     lo, hi = (Fraction(sum(ends), one) for ends in
               zip(*(outward(1, m**s, one, one) for m in range(1, terms + 1))))
@@ -212,8 +216,7 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     if truncation is None:
         truncation = default_truncation(p)
     _check_truncation(n, truncation)  # before the census and the exact zeta sum
-    if zeta_terms > MAX_ZETA_TERMS:
-        raise DomainError(f"zeta_terms {zeta_terms} exceeds the cap 2^12")
+    _check_zeta_terms(zeta_terms)
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
     e = _symmetric_sums(n, p, truncation)

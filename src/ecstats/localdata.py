@@ -42,7 +42,9 @@ def naive_height(a: int, b: int) -> int:
 
 
 def valuation(n: int, ell: int) -> int | float:
-    """Largest k with ell^k | n; math.inf for n == 0."""
+    """Largest k with ell^k | n; math.inf for n == 0.  ell must be >= 2."""
+    if ell < 2:
+        raise DomainError(f"valuation needs ell >= 2, got {ell}")
     if n == 0:
         return math.inf
     k = 0

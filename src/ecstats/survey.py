@@ -5,8 +5,10 @@ The height window H(a, b) = max(4|a|^3, 27 b^2) <= x is exactly the box
 it in tiles of rows a x columns b and reads every decision but v_ell(delta)
 from tables indexed by (a mod m, b mod m); |delta| <= 2x must fit in int64, so
 x < 2^62.  The empirical_* views read the census they are given, so a survey
-runs it once.  write_survey_csv writes one row per pair from the same tiles;
-enumerate_curves, streaming the pairs one by one, is its test oracle.
+runs it once.  write_survey_csv writes one row per pair from the same tiles,
+its Kodaira labels from the primes ell >= 5 that divide delta in a row a: the
+columns b == +-b0 mod ell, two progressions per row.  enumerate_curves,
+streaming the pairs one by one, is its test oracle.
 
 The growth census classifies each minimal nonsingular curve at a fixed
 prime p of good reduction.  Curves with bad reduction at 2 or 3 go into a
@@ -48,7 +50,7 @@ TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
 _BLOCK_PAIRS = 1 << 16  # pairs per tile of the height-box pass
 _CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, joined into one string
-_DIVISOR_BLOCK = 16  # trial divisors tested at once by the CSV's factoring
+_ROOT_BAND = 1 << 20  # (prime, row) roots the CSV holds at once, or one tile's rows
 _MINIMAL = np.array(["0,", "1,"], dtype=object)
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
@@ -255,12 +257,13 @@ def _tally(hist: Counter, values, zeros: int = 0) -> None:
     hist.update({v: c for v, c in enumerate(counts.tolist()) if c})
 
 
-def _valuations(values, ell: int):
-    """v_ell of each entry of an int64 array of nonzero integers.  Each
-    division step touches only the entries that ell still divides."""
+def _valuations(values, ell):
+    """v_ell of each entry of an int64 array of nonzero integers, for one ell or
+    one ell per entry.  Each step divides only the entries their ell divides."""
     v = np.zeros(len(values), dtype=np.int64)
     hit, rest = np.arange(len(values)), values
     while (keep := rest % ell == 0).any():
+        ell = ell[keep] if np.ndim(ell) else ell
         hit, rest = hit[keep], rest[keep] // ell
         v[hit] += 1
     return v
@@ -490,67 +493,58 @@ def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], path) ->
     return rows
 
 
-def _divisor_blocks(limit: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The odd primes up to `limit` in blocks of _DIVISOR_BLOCK, each as the
-    arrays ell (int64), ell^-1 mod 2^64 and (2^64 - 1) // ell (uint64).  The
-    odd ell divides an n in [0, 2^64) exactly when n * ell^-1 mod 2^64 <=
-    (2^64 - 1) // ell, and the product is then n / ell (Granlund & Montgomery,
-    "Division by invariant integers using multiplication", PLDI 1994)."""
-    ell = np.array(sieve_primes(limit)[1:], dtype=np.uint64)
-    inv = ell.copy()  # right mod 8, as ell * ell == 1 mod 8; each Newton step doubles the bits
-    for _ in range(5):
-        inv *= 2 - ell * inv
-    lim = np.uint64(2**64 - 1) // ell
-    return tuple((ell[i:i + _DIVISOR_BLOCK].astype(np.int64), inv[i:i + _DIVISOR_BLOCK],
-                  lim[i:i + _DIVISOR_BLOCK]) for i in range(0, len(ell), _DIVISOR_BLOCK))
+def _row_roots(rows, ells) -> np.ndarray:
+    """b0 for each prime ell >= 5 and row a, as an array [ell, a]: ell divides
+    delta = 4a^3 + 27b^2 exactly when b == +-b0 mod ell, and b0 = -1 where no b
+    does.  The singular pairs mod ell are (-3s^2, 2s^3): one table per ell maps
+    -3s^2 to s for 0 <= s <= ell/2, as -s gives -b0 (and no product passes 2^63)."""
+    roots = np.empty((len(ells), len(rows)), dtype=np.int64)
+    for i, ell in enumerate(ells.tolist()):
+        s, table = np.arange((ell + 1) // 2, dtype=np.int64), np.full(ell, -1, dtype=np.int64)
+        table[-3 * s * s % ell] = s
+        s = table[rows % ell]
+        roots[i] = np.where(s < 0, -1, 2 * (s * s % ell) * s % ell)
+    return roots
 
 
-def _kodaira_fields(a, delta, blocks) -> np.ndarray:
-    """The kodaira field of each curve, one str: its labels joined by ";",
-    `ell:I<v>`, or `ell:additive` where ell divides a (and so b), for each
-    prime ell >= 5 dividing delta, in order.  Trial division by the blocks of
-    _divisor_blocks, all odd primes up to isqrt(max |delta|), tests a block of
-    primes on every live curve at once and leaves 1 or a prime above them all,
-    dividing delta once: type I1.  A curve leaves the division once its
-    cofactor is below (ell + 2)^2 for the block's last ell, so 1 or a prime.
+def _kodaira_fields(a, b, delta, curve, roots, ells) -> np.ndarray:
+    """The kodaira field of each curve of the tile a x b (b consecutive), one
+    str: its labels joined by ";", `ell:I<v>`, or `ell:additive` where ell
+    divides a (and so b), for each prime ell >= 5 dividing delta, in order.
+    The hits of ell in row a are the columns b == +-roots[ell, a] mod ell, all
+    expanded by one np.repeat.  Once their ell^v, the 2s and the 3s are out of
+    |delta|, 1 or a prime above the ells is left, dividing delta once: I1.
     Each label is an integer key, ell << 8 | v with v = 0 for additive, or -q
     for the cofactor q, formatted once per distinct key in each form."""
-    rest = np.abs(delta)
+    width = len(b)
+    both = np.stack([roots, np.where(roots > 0, ells[:, None] - roots, -1)], axis=-1)
+    e, row, _ = np.nonzero(both >= 0)  # ell-major, so each curve meets its ells in order
+    ell, start = ells[e], (both[both >= 0] - b[0]) % ells[e]
+    count = (width - 1 - start) // ell + 1
+    which = np.repeat(np.arange(len(count)), count)
+    ell, step = ell[which], np.arange(len(which)) - (np.cumsum(count) - count)[which]
+    hit = row[which] * width + start[which] + step * ell
+    keep = curve.ravel()[hit]
+    hit, ell = hit[keep], ell[keep]
+    v = _valuations(delta.ravel()[hit], ell)
+    rest = np.where(curve, np.abs(delta), 1).ravel()
     rest //= rest & -rest  # the odd part
-    rest = rest.view(np.uint64)
-    live, left = np.arange(len(delta)), rest
-    curves, keys = [], []
-    for ell, inv, lim in blocks:
-        quotient = left[:, None] * inv
-        i, j = np.nonzero(quotient <= lim)
-        q, inv, lim, v = quotient[i, j], inv[j], lim[j], np.ones(len(i), dtype=np.int64)
-        power = inv  # ell^-v mod 2^64
-        while (again := (m := q * inv) <= lim).any():
-            q, power, v = np.where(again, m, q), np.where(again, power * inv, power), v + again
-        np.multiply.at(left, i, power)  # exact: each ell^v divides the cofactor
-        done = left < (int(ell[-1]) + 2) ** 2
-        ell, i = ell[j], live[i]
-        big = ell >= 5
-        curves.append(i[big])
-        keys.append((ell << 8 | np.where(a[i] % ell == 0, 0, v))[big])
-        rest[live[done]] = left[done]
-        live, left = live[~done], left[~done]
-        if not live.size:
-            break
-    rest[live] = left
-    cofactor = np.flatnonzero(rest >= 5)
-    curves = np.concatenate([*curves, cofactor])
+    rest //= 3 ** _valuations(rest, 3)
+    np.floor_divide.at(rest, hit, ell**v)
+    cofactor = np.flatnonzero(rest > 1)
+    curves = np.concatenate([hit, cofactor])
     order = np.argsort(curves, kind="stable")
-    curves, keys = curves[order], np.concatenate([*keys, -rest[cofactor].astype(np.int64)])[order]
+    keys = np.concatenate([ell << 8 | np.where(a[hit // width] % ell == 0, 0, v), -rest[cofactor]])
+    curves, keys = curves[order], keys[order]
     values, which = np.unique(keys, return_inverse=True)
     bare = [f"{-k}:I1" if k < 0 else f"{k >> 8}:I{k & 255}" if k & 255 else f"{k >> 8}:additive"
             for k in values.tolist()]
     forms = np.array(bare + [";" + label for label in bare], dtype=object)
     later = np.diff(curves, prepend=-1) == 0  # not its curve's first label
     first = np.flatnonzero(~later)
-    fields = np.full(len(delta), "", dtype=object)
+    fields = np.full(delta.size, "", dtype=object)
     fields[curves[first]] = np.add.reduceat(forms[which + len(values) * later], first)
-    return fields
+    return fields.reshape(delta.shape)
 
 
 def _pieces(values) -> np.ndarray:
@@ -576,18 +570,19 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
     so only delta and each curve's joined labels are built per pair.  (At
     most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
     win, codes, reduction, candidates = _survey_setup(p, x)
-    blocks = _divisor_blocks(math.isqrt(win.max_abs_discriminant))
+    ells = np.array(sieve_primes(math.isqrt(win.max_abs_discriminant))[2:], dtype=np.int64)
+    band, top = max(1, _ROOT_BAND // max(1, len(ells))), -win.a_max
     for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
+        if a[-1] >= top:  # the tile leaves the band: roots of every ell for the next
+            first, top = a[0], max(a[-1] + 1, min(a[0] + band, win.a_max + 1))
+            roots = _row_roots(np.arange(first, top), ells)
         # (a, b) and (a, -b) share delta and the kodaira field, so a tile of
         # whole rows formats and factors its columns b >= 0 alone; `fold`
         # maps each column to its image among the columns b[lo:]
         lo = len(b) // 2 if b[0] == -b[-1] else 0
         fold = np.abs(np.arange(len(b)) - lo)
         curve = minimal & (delta != 0)
-        half = np.flatnonzero(curve[:, lo:])
-        kodaira = np.full((len(a), len(b) - lo), "", dtype=object)
-        kodaira.flat[half] = _kodaira_fields(
-            np.repeat(a, len(b) - lo)[half], delta[:, lo:].ravel()[half], blocks)
+        kodaira = _kodaira_fields(a, b[lo:], delta[:, lo:], curve[:, lo:], roots[:, a - first], ells)
         rows, columns, code, reductions = _at_p(a, b, codes, reduction, candidates, None)
         grid, code = rows[:, None] & columns, code.ravel()
         g_strict, _, euler_v = _growth(delta[grid], code, p, reductions)

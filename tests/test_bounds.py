@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from ecstats import arith, bounds, ffcurve, verify
-from ecstats.errors import ExcludedPrimeError, TruncationError
+from ecstats.errors import DomainError, ExcludedPrimeError, TruncationError
 from ecstats.intervals import QInterval, round_fraction
 
 mp.mp.dps = 40
@@ -227,6 +227,22 @@ def test_family_density_guards():
         bounds.growth_family_density((7,), 1, 7)
     with pytest.raises(ExcludedPrimeError):
         bounds.growth_family_density((3,), 1, 7)
+
+
+@pytest.mark.parametrize("path", [
+    lambda terms: bounds.zeta_enclosure(7, terms),
+    lambda terms: bounds.zeta_reciprocal(7, terms),
+    lambda terms: bounds.growth_family_density((5,), 1, 7, truncation=200, zeta_terms=terms),
+    lambda terms: bounds.selmer_growth_bound(7, 1, zeta_terms=terms),
+    lambda terms: bounds.euler_divisibility_bound(7, 2, zeta_terms=terms),
+], ids=["zeta_enclosure", "zeta_reciprocal", "growth_family_density",
+        "selmer_growth_bound", "euler_divisibility_bound"])
+def test_zeta_terms_checked_on_every_public_path(path):
+    """Every public path to the zeta partial sum refuses fewer than 10 terms
+    and more than the cap of 2^12, before it sums them."""
+    for terms in (9, bounds.MAX_ZETA_TERMS + 1, 10**7):
+        with pytest.raises(DomainError, match="zeta_terms"):
+            path(terms)
 
 
 def test_report_json_schema():

@@ -27,6 +27,12 @@ def test_valuation():
     assert localdata.valuation(0, 7) == math.inf
     assert localdata.valuation(9, 3) == 2
     assert localdata.valuation(-40, 2) == 3
+    # ell = 1 and -1 divide every n: refused, not an endless division
+    for n, ell in ((5, 1), (5, -1), (5, 0), (0, 1), (-7, -2)):
+        with pytest.raises(DomainError):
+            localdata.valuation(n, ell)
+    with pytest.raises(DomainError):
+        localdata.is_minimal_at(16, 64, -1)
 
 
 def test_is_minimal_at():

@@ -262,12 +262,12 @@ def test_survey_csv_matches_oracle():
             records = list(survey.enumerate_curves(x, p))
             assert survey.write_survey_csv(x, p, fast) == survey.write_csv(records, oracle)
             assert fast.getvalue() == oracle.getvalue()
-            trial_limit = math.isqrt(HeightWindow.from_height(x).max_abs_discriminant)
+            sieve_limit = math.isqrt(HeightWindow.from_height(x).max_abs_discriminant)
             for r in records:
                 if r.kodaira is None:
                     continue
                 kinds["additive"] += any(not kt.is_multiplicative for _, kt in r.kodaira)
-                kinds["factor above trial limit"] += any(ell > trial_limit for ell, _ in r.kodaira)
+                kinds["factor above sieve limit"] += any(ell > sieve_limit for ell, _ in r.kodaira)
                 kinds["bad at p"] += not r.bad_small and r.ordinary is None
                 kinds["supersingular"] += r.ordinary is False
                 kinds["anomalous"] += bool(r.anomalous)
@@ -286,6 +286,12 @@ def test_valuations_match_scalar():
         assert survey._valuations(values, ell).tolist() == \
             [localdata.valuation(int(v), ell) for v in values]
     assert survey._valuations(np.array([5**26, -5**26, 7 * 5**26 // 5]), 5).tolist() == [26, 26, 25]
+    # one ell per entry, as the CSV reads v_ell on the hits of every prime at once
+    ells = rng.choice([5, 7, 11, 13, 1999], size=len(values))
+    assert survey._valuations(values, ells).tolist() == \
+        [localdata.valuation(int(v), int(ell)) for v, ell in zip(values, ells)]
+    values, ells = np.array([5**26, -7**22, 1999**5]), np.array([5, 7, 1999])
+    assert survey._valuations(values, ells).tolist() == [26, 22, 5]
 
 
 def test_classify_path_work(monkeypatch):
@@ -387,52 +393,49 @@ def test_tile_boundaries(p, monkeypatch):
         assert fast.getvalue() == oracle.getvalue()
 
 
-def _count_early_stops(monkeypatch) -> list[bool]:
-    """Wrap survey._kodaira_fields to record, per call, whether its trial
-    division stopped before the last block of primes."""
-    stopped_early, fields = [], survey._kodaira_fields
-
-    def counted(a, delta, blocks):
-        seen = []
-        out = fields(a, delta, (seen.append(block) or block for block in blocks))
-        stopped_early.append(len(seen) < len(blocks))
-        return out
-
-    monkeypatch.setattr(survey, "_kodaira_fields", counted)
-    return stopped_early
-
-
 @pytest.mark.parametrize("x, p", [(5 * 10**4, 5), (10**4, 13)])
 def test_csv_tile_boundaries(x, p, monkeypatch):
-    """CSV tiles of 1 and 7 pairs and of one row's width minus and plus one:
-    empty tiles, tiles with no factor >= 5, part rows, runs of columns that
-    hold both b and -b, and tiles whose trial division stops early once every
-    row is done.  The bytes match the slow path at every cap."""
+    """CSV tiles of 1 and 7 pairs, of one row's width minus and plus one and
+    of two rows: empty tiles, tiles with no factor >= 5, part rows and runs
+    of columns that hold both b and -b, all with the default band of row
+    roots.  Then bands of one tile's rows (a budget of 1 entry), over part
+    rows and whole ones, and bands of three rows, which end inside a tile of
+    two.  The bytes match the slow path at every cap and band."""
     oracle = io.StringIO()
     survey.write_csv(survey.enumerate_curves(x, p), oracle)
-    width = 2 * HeightWindow.from_height(x).b_max + 1
-    stopped_early = _count_early_stops(monkeypatch)
-    for cap in (1, 7, width - 1, width + 1):
+    win = HeightWindow.from_height(x)
+    width = 2 * win.b_max + 1
+    primes = len(arith.sieve_primes(math.isqrt(win.max_abs_discriminant))) - 2  # those >= 5
+    caps = (1, 7, width - 1, width + 1, 2 * width)
+    for cap, budget in [*((cap, survey._ROOT_BAND) for cap in caps),
+                        (7, 1), (width + 1, 1), (2 * width, 1), (2 * width, 3 * primes)]:
         monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
-        stopped_early.clear()
+        monkeypatch.setattr(survey, "_ROOT_BAND", budget)
         fast = io.StringIO()
         survey.write_survey_csv(x, p, fast)
-        assert fast.getvalue() == oracle.getvalue(), cap
-        assert any(stopped_early), cap
+        assert fast.getvalue() == oracle.getvalue(), (cap, budget)
 
 
 @pytest.mark.parametrize("scale", [0.5, 1, 2])
 def test_survey_csv_pinned_at_1e6(scale, monkeypatch):
     """The CSV at x = 10^6, p = 7, a box ten times the oracle tests' largest,
     pinned to the benchmark's reference bytes, at the default tile size and
-    at half and twice it; some tile stops its trial division early at each."""
+    at half and twice it."""
     monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", int(survey._CSV_BLOCK_ROWS * scale))
-    stopped_early = _count_early_stops(monkeypatch)
     buf = io.StringIO()
     assert survey.write_survey_csv(10**6, 7, buf) == 48_125
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
         "68ffb9e6ab6a3457079aff4cf63e768b8bdff24715d2540ec8831a0387617f11"
-    assert any(stopped_early)
+
+
+def test_survey_csv_pinned_at_1e7():
+    """The CSV at x = 10^7, p = 7, where most of the 603 primes 5 <= ell <=
+    isqrt(max |delta|) exceed a tile's width, so most progressions hold one
+    hit or none, pinned to the bytes of the trial division it replaced."""
+    buf = io.StringIO()
+    assert survey.write_survey_csv(10**7, 7, buf) == 329_807
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "3eb2fd53cecb1df532c0735d9793d6fe85731da0f18f6d277ec016cdd28a55b0"
 
 
 def test_csv_writers_take_path_objects(tmp_path):
@@ -448,26 +451,16 @@ def test_csv_writers_take_path_objects(tmp_path):
         assert open(path, newline="").read() == buf.getvalue()
 
 
-def test_divisor_blocks_test_divisibility_exactly():
-    """n * ell^-1 mod 2^64 <= (2^64 - 1) // ell exactly when ell | n, and the
-    product is then n / ell, for every odd prime up to 2000 and n at the ends
-    of [0, 2^63) and [0, 2^64) and at the multiples of ell nearest 2^63 and
-    2^64."""
-    blocks = survey._divisor_blocks(2000)
-    ell = np.concatenate([block[0] for block in blocks]).astype(np.uint64)
-    assert ell.tolist() == list(arith.sieve_primes(2000)[1:])
-    assert all(len(block[0]) <= survey._DIVISOR_BLOCK for block in blocks)
-    tops = [np.uint64(top) // ell * ell for top in (2**63 - 1, 2**64 - 1)]
-    steps = np.arange(5000, dtype=np.uint64)
-    n = np.concatenate([steps, np.uint64(2**63 - 1) - steps, np.uint64(2**64 - 1) - steps,
-                        *tops, *(top - ell for top in tops), *(top - 1 for top in tops)])
-    for primes, inv, lim in blocks:
-        primes = primes.astype(np.uint64)
-        assert (primes * inv == 1).all()
-        quotient = n[:, None] * inv
-        divides = n[:, None] % primes == 0
-        assert ((quotient <= lim) == divides).all()
-        assert (quotient[divides] == (n[:, None] // primes)[divides]).all()
+def test_row_roots_are_the_singular_columns():
+    """For every prime 5 <= ell <= 199 and every a mod ell, {b0, -b0} mod ell
+    is exactly the set of b mod ell where ell divides delta, and b0 = -1
+    exactly where that set is empty."""
+    ells = np.array(arith.sieve_primes(199)[2:], dtype=np.int64)
+    roots = survey._row_roots(np.arange(199), ells)
+    for ell, row in zip(ells.tolist(), roots.tolist()):
+        for a in range(ell):
+            want = {b for b in range(ell) if ffcurve.discriminant_mod(ell, a, b) == 0}
+            assert ({row[a], -row[a] % ell} if row[a] >= 0 else set()) == want, (ell, a)
 
 
 KODAIRA_FIELDS = {
@@ -477,7 +470,7 @@ KODAIRA_FIELDS = {
     (6, 0): "",                          # delta = 2^5 * 3^3
     (2, 3): "5:I2;11:I1",                # delta = 5^2 * 11
     (10, -15): "5:additive;13:I1;31:I1",
-    (14, -7): "7:additive;251:I1",       # 251 is above the trial limit
+    (14, -7): "7:additive;251:I1",       # 251 is above the primes sieved
     (4, 1): "283:I1",                    # so is 283
     (-8, 5): "1373:I1",                  # delta = -1373
 }
@@ -485,16 +478,21 @@ KODAIRA_FIELDS = {
 
 def test_kodaira_fields_match_the_slow_path():
     """Hand-picked curves: an additive prime, I2, negative deltas, a delta of
-    2s and 3s only, and prime cofactors above the trial limit, each field
-    equal to the per-curve classification's; the trial division stops once
-    every cofactor is 1 or a prime."""
-    a, b = (np.array(column, dtype=np.int64) for column in zip(*KODAIRA_FIELDS))
-    delta = 4 * a**3 + 27 * b * b
-    blocks = survey._divisor_blocks(math.isqrt(int(np.abs(delta).max())))
-    seen = []
-    fields = survey._kodaira_fields(a, delta, (seen.append(block) or block for block in blocks))
-    assert fields.tolist() == list(KODAIRA_FIELDS.values())
-    assert len(seen) < len(blocks)
+    2s and 3s only, and prime cofactors above the largest prime sieved, each
+    field equal to the per-curve classification's.  They sit in one tile of
+    their rows a and the run of columns b from -15 to 5, where they are the
+    only curves."""
+    a = np.array([ai for ai, _ in KODAIRA_FIELDS], dtype=np.int64)
+    b = np.arange(-15, 6, dtype=np.int64)
+    delta = 4 * a[:, None] ** 3 + 27 * b * b
+    curve = np.zeros(delta.shape, dtype=bool)
+    for i, (_, bi) in enumerate(KODAIRA_FIELDS):
+        curve[i, bi + 15] = True
+    ells = np.array(arith.sieve_primes(math.isqrt(int(np.abs(delta[curve]).max())))[2:],
+                    dtype=np.int64)
+    fields = survey._kodaira_fields(a, b, delta, curve, survey._row_roots(a, ells), ells)
+    assert fields[curve].tolist() == list(KODAIRA_FIELDS.values())
+    assert set(fields[~curve].tolist()) == {""}
     for (ai, bi), want in KODAIRA_FIELDS.items():
         rec = survey.SurveyRecord(ai, bi, localdata.naive_height(ai, bi),
                                   4 * ai**3 + 27 * bi * bi, True)
