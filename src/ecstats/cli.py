@@ -5,21 +5,19 @@ JSON), densities (closed-form local densities), survey (height census with
 empirical-vs-theoretical blocks), verify (self-check suites).  Exit codes:
 0 success, 1 verification/compare failure, 2 usage or domain error (any
 errors.DomainError, reported in one line, as is an --out or --csv path that
-cannot be opened for writing; other exceptions keep their traceback).
+cannot be opened for writing; other exceptions keep their traceback).  Each
+subcommand imports the modules it runs, so --version, --help and a usage
+error load no math module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import bounds, density, ffcurve, reference_tables
 from ._version import __version__
-from .arith import primes_in
 from .errors import DomainError
-from .intervals import check_printable, fraction_to_decimal
 
 # Nothing here calls BLAS, yet an idle OpenBLAS thread pool costs each command
 # that loads numpy (survey, verify) about 0.13 s of CPU on two cores; set before
@@ -35,7 +33,11 @@ def _open_out(path: str, newline: str | None = None):
         raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text, out_path: str | None) -> None:
+    """Write `text`, or a JSON document indented by 2, to `out_path` or stdout."""
+    if not isinstance(text, str):
+        import json
+        text = json.dumps(text, indent=2)
     if out_path:
         with _open_out(out_path) as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
@@ -44,6 +46,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_tables(args) -> int:
+    from . import arith, ffcurve, intervals
     if args.pmax < args.pmin:
         raise DomainError("--pmax must be >= --pmin")
     if args.pmin < 5:
@@ -52,12 +55,13 @@ def _cmd_tables(args) -> int:
         raise DomainError("--pmax must be below 2^20")
     header = ["p", "n_ordinary", "n_anomalous", "ordinary_density", "anomalous_density"]
     if args.compare_reference:
+        from . import reference_tables
         header += ["ordinary_diff", "anomalous_diff"]
     failures, rows = 0, []
-    for counts in [ffcurve.residue_class_counts(p) for p in primes_in(args.pmin, args.pmax)]:
+    for counts in map(ffcurve.residue_class_counts, arith.primes_in(args.pmin, args.pmax)):
         row = {"p": counts.p, "n_ordinary": counts.ordinary, "n_anomalous": counts.anomalous,
-               "ordinary_density": fraction_to_decimal(counts.ordinary_density),
-               "anomalous_density": fraction_to_decimal(counts.anomalous_density)}
+               "ordinary_density": intervals.fraction_to_decimal(counts.ordinary_density),
+               "anomalous_density": intervals.fraction_to_decimal(counts.anomalous_density)}
         if args.compare_reference:
             diffs = reference_tables.reference_diffs(counts)
             if diffs is None:
@@ -68,8 +72,7 @@ def _cmd_tables(args) -> int:
         rows.append(row)
 
     if args.format == "json":
-        _emit(json.dumps({"schema_version": 1, "version": __version__, "rows": rows}, indent=2),
-              args.out)
+        _emit({"schema_version": 1, "version": __version__, "rows": rows}, args.out)
     else:
         lines = [header] + [[str(row[k]) for k in header] for row in rows]
         _emit("\n".join(map(",".join, lines)), args.out)
@@ -80,17 +83,21 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
     maker = {
         "growth": bounds.selmer_growth_bound,
         "euler": bounds.euler_divisibility_bound,
         "mu-lambda": bounds.mu_lambda_bound,
     }[args.kind]
-    report = maker(args.p, args.n, truncation=args.trunc, zeta_terms=args.zeta_terms)
-    _emit(json.dumps(report.to_json(), indent=2), args.out)
+    zeta_terms = bounds.DEFAULT_ZETA_TERMS if args.zeta_terms is None else args.zeta_terms
+    report = maker(args.p, args.n, truncation=args.trunc, zeta_terms=zeta_terms)
+    _emit(report.to_json(), args.out)
     return 0
 
 
 def _cmd_densities(args) -> int:
+    from . import density
+    from .intervals import check_printable, fraction_to_decimal
     if args.type == "I0":
         value = density.density_good(args.ell)
     elif args.type == "In":
@@ -123,7 +130,7 @@ def _cmd_survey(args) -> int:
         with _open_out(args.csv, newline="") as handle:
             rows = survey.write_survey_csv(args.x, args.p, handle)
         doc["csv"] = {"path": args.csv, "rows": rows}
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(doc, args.out)
     return 0
 
 
@@ -161,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--n", type=int, required=True)
     bnd.add_argument("--kind", choices=("growth", "euler", "mu-lambda"), default="growth")
     bnd.add_argument("--trunc", type=int, default=None)
-    bnd.add_argument("--zeta-terms", type=int, default=bounds.DEFAULT_ZETA_TERMS)
+    bnd.add_argument("--zeta-terms", type=int)  # None: bounds.DEFAULT_ZETA_TERMS
     bnd.add_argument("--out")
     bnd.set_defaults(func=_cmd_bounds)
 

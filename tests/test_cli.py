@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecstats import arith, bounds, cli, errors, ffcurve, localdata, survey
+import ecstats
+from ecstats import arith, bounds, cli, density, errors, ffcurve, localdata, survey
 from ecstats.arith import is_prime
 
 
@@ -101,7 +102,7 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # 10^10 would allocate 10 GB, and --zeta-terms = 10^5 passes the cap of
     # 2^12 terms, a resource limit on the zeta sum's one division per term.
     from_height = survey.HeightWindow.from_height
-    primes_in = cli.primes_in
+    primes_in = arith.primes_in
     sieve_primes = bounds.sieve_primes
     trunc = int(argv[argv.index("--trunc") + 1]) if "--trunc" in argv else None
     zeta_terms = int(argv[argv.index("--zeta-terms") + 1]) if "--zeta-terms" in argv else None
@@ -133,7 +134,7 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
         return sieve_primes(limit)
 
     monkeypatch.setattr(survey.HeightWindow, "from_height", small_box_only)
-    monkeypatch.setattr(cli, "primes_in", small_sieve_only)
+    monkeypatch.setattr(arith, "primes_in", small_sieve_only)
     monkeypatch.setattr(bounds, "sieve_primes", small_bound_sieve)
     guard("class_weights")  # the cap on p is checked inside it
     guard("zeta_reciprocal", 0)
@@ -153,7 +154,7 @@ def test_internal_value_error_keeps_traceback(monkeypatch):
     def broken(ell, n):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli.density, "density_In", broken)
+    monkeypatch.setattr(density, "density_In", broken)
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["densities", "--ell", "5", "--type", "In"])
 
@@ -210,6 +211,21 @@ def test_bounds_json(capsys):
     lo = Fraction(doc["lower_bound_rational_lo"])
     assert Fraction("0.0805") < lo < Fraction("0.0815")
     assert doc["lower_bound_decimal"] == pytest.approx(float(lo))
+
+
+def test_zeta_terms_default_owned_by_bounds(capsys, monkeypatch):
+    """bounds reports the default zeta_terms that `bounds` owns, read when the
+    command runs, and a count below 10 is still a one-line exit 2."""
+    code, out, _ = run_cli(["bounds", "--p", "7", "--n", "1"], capsys)
+    assert code == 0 and json.loads(out)["zeta_terms"] == bounds.DEFAULT_ZETA_TERMS
+    monkeypatch.setattr(bounds, "DEFAULT_ZETA_TERMS", 100)
+    code, out, _ = run_cli(["bounds", "--p", "7", "--n", "1"], capsys)
+    assert code == 0 and json.loads(out)["zeta_terms"] == 100
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--p", "7", "--n", "1", "--zeta-terms", "5"])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ecstats: error: zeta_terms 5")
 
 
 def test_bounds_kinds_agree(capsys):
@@ -343,11 +359,22 @@ def test_traced_layers_exist():
 STARTUP = """
 import contextlib, io, sys
 from ecstats import cli
-for argv in (["--version"], ["tables", "--pmin", "5", "--pmax", "13"],
-             ["bounds", "--p", "7", "--n", "1"], ["densities", "--ell", "5", "--type", "In"]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-        cli.main(argv)
-    assert "numpy" not in sys.modules, argv
+
+def run(argv, absent):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+    loaded = {name[len("ecstats."):] for name in sys.modules if name.startswith("ecstats.")}
+    assert not loaded & absent and "numpy" not in sys.modules, (argv, sorted(loaded))
+    return loaded
+
+for argv in (["--version"], ["--help"], ["bounds", "--p", "7"]):  # the last a usage error
+    assert run(argv, set()) == {"cli", "_version", "errors"}, argv
+    assert "fractions" not in sys.modules and "dataclasses" not in sys.modules, argv
+run(["tables", "--pmin", "5", "--pmax", "13"],
+    {"bounds", "density", "localdata", "survey", "verify"})
+for argv in (["bounds", "--p", "7", "--n", "1"], ["densities", "--ell", "5", "--type", "In"]):
+    run(argv, {"localdata", "reference_tables", "survey", "verify"})
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["survey", "--x", "1000", "--p", "7"]) == 0
 assert '"blocks"' in out.getvalue() and "numpy" in sys.modules
@@ -355,13 +382,31 @@ assert '"blocks"' in out.getvalue() and "numpy" in sys.modules
 
 
 def test_startup_loads_no_numpy():
-    """tables, bounds, densities and --version run without importing numpy;
-    survey still runs after them.  A fresh interpreter, since this one has
-    numpy loaded already."""
+    """Each command loads only the modules it runs: --version, --help and a
+    usage error load no math module (nor fractions and dataclasses), tables
+    no bound, density, local-data, survey or verify module, and bounds and
+    densities no local-data, reference, survey or verify module; none of
+    them loads numpy, and survey still runs after them.  A fresh
+    interpreter, since this one has loaded them all."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_m_ecstats_version():
+    """`python -m ecstats --version` prints the version and imports no
+    ecstats module but the package, the CLI, `_version` and `errors`."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ecstats", "--version"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ecstats.__version__
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert {name for name in imported if name.startswith("ecstats")} == \
+        {"ecstats", "ecstats._version", "ecstats.cli", "ecstats.errors"}
+    assert not {"numpy", "fractions"} & imported
 
 
 @pytest.mark.parametrize("user, want", [(None, "1"), ("3", "3")])
@@ -381,14 +426,31 @@ def test_cli_pins_openblas_to_one_thread(user, want):
     assert proc.stdout.strip() == want
 
 
-def test_public_names_resolve():
-    """Every name in __all__ resolves, the survey names through the module
-    __getattr__; an unknown name is still an AttributeError."""
-    import ecstats
+LAZY_IMPORT = """
+import sys
+import ecstats
+assert {name for name in sys.modules if name.startswith("ecstats.")} == {"ecstats._version"}
+from ecstats import *
+assert all(name in globals() for name in ecstats.__all__)
+"""
 
+
+def test_public_names_resolve():
+    """Every name in __all__ resolves through the module __getattr__ to the
+    object its defining module holds, and dir() lists it; an unknown name is
+    still an AttributeError.  In a fresh interpreter, `import ecstats` loads
+    no submodule but `_version`, and `from ecstats import *` binds every
+    public name."""
     assert len(set(ecstats.__all__)) == len(ecstats.__all__)
     for name in ecstats.__all__:
-        assert getattr(ecstats, name) is not None, name
+        value = getattr(ecstats, name)
+        assert value.__module__.startswith("ecstats."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(ecstats.__all__) <= set(dir(ecstats))
     assert ecstats.count_pairs is survey.count_pairs and ecstats.DomainError is errors.DomainError
     with pytest.raises(AttributeError):
         ecstats.no_such_name
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
