@@ -3,7 +3,8 @@ elliptic curves over Q in short Weierstrass form.
 
 Importing the package loads only `_version`.  Every public name resolves on
 first use through the module __getattr__ (PEP 562), which imports the one
-submodule `_PUBLIC` lists it under, so a caller loads only what it uses."""
+submodule `_PUBLIC` lists it under and binds the name here, so a caller loads
+only what it uses and later reads are plain attribute reads."""
 
 import importlib
 
@@ -33,7 +34,8 @@ __all__ = list(_MODULE_OF)
 
 def __getattr__(name: str):
     if name in _MODULE_OF:
-        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

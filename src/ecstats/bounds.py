@@ -210,11 +210,12 @@ class BoundReport:
 
 
 def _bound_report(kind: str, p: int, n: int, aux_index: int,
-                  truncation: int | None, zeta_terms: int,
+                  truncation: int | None, zeta_terms: int | None,
                   notes: tuple[str, ...] = ()) -> BoundReport:
     check_prime(p, 5)
     if truncation is None:
         truncation = default_truncation(p)
+    zeta_terms = DEFAULT_ZETA_TERMS if zeta_terms is None else zeta_terms
     _check_truncation(n, truncation)  # before the census and the exact zeta sum
     _check_zeta_terms(zeta_terms)
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
@@ -227,7 +228,7 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
 
 
 def selmer_growth_bound(p: int, n: int, truncation: int | None = None,
-                        zeta_terms: int = DEFAULT_ZETA_TERMS) -> BoundReport:
+                        zeta_terms: int | None = None) -> BoundReport:
     """Certified lower bound for the density of curves with good ordinary
     reduction at p whose dual Selmer group needs at least n generators.
 
@@ -240,14 +241,14 @@ def selmer_growth_bound(p: int, n: int, truncation: int | None = None,
 
 
 def mu_lambda_bound(p: int, n: int, truncation: int | None = None,
-                    zeta_terms: int = DEFAULT_ZETA_TERMS) -> BoundReport:
+                    zeta_terms: int | None = None) -> BoundReport:
     """Identical value to selmer_growth_bound: mu + lambda >= g always."""
     report = selmer_growth_bound(p, n, truncation, zeta_terms)
     return dataclasses.replace(report, kind=KIND_MU_LAMBDA)
 
 
 def euler_divisibility_bound(p: int, n: int, truncation: int | None = None,
-                             zeta_terms: int = DEFAULT_ZETA_TERMS) -> BoundReport:
+                             zeta_terms: int | None = None) -> BoundReport:
     """Certified lower bound for the density of curves whose Euler term at p
     is divisible by p^n (or whose rank is at least 2).
 

@@ -215,9 +215,18 @@ def test_bounds_json(capsys):
 
 def test_zeta_terms_default_owned_by_bounds(capsys, monkeypatch):
     """bounds reports the default zeta_terms that `bounds` owns, read when the
-    command runs, and a count below 10 is still a one-line exit 2."""
+    command runs, and a count below 10 is still a one-line exit 2.  The makers
+    take the parsed None as that default, and `cli.bounds` is still the module,
+    as bench/record_reference.py reads them."""
     code, out, _ = run_cli(["bounds", "--p", "7", "--n", "1"], capsys)
     assert code == 0 and json.loads(out)["zeta_terms"] == bounds.DEFAULT_ZETA_TERMS
+    args = cli.build_parser().parse_args(["bounds", "--p", "7", "--n", "1", "--kind", "euler"])
+    assert cli.bounds is bounds and args.zeta_terms is None
+    report = cli.bounds.euler_divisibility_bound(args.p, args.n, truncation=args.trunc,
+                                                 zeta_terms=args.zeta_terms)
+    assert report.zeta_terms == bounds.DEFAULT_ZETA_TERMS
+    with pytest.raises(AttributeError):
+        cli.no_such_name
     monkeypatch.setattr(bounds, "DEFAULT_ZETA_TERMS", 100)
     code, out, _ = run_cli(["bounds", "--p", "7", "--n", "1"], capsys)
     assert code == 0 and json.loads(out)["zeta_terms"] == 100
@@ -446,6 +455,7 @@ def test_public_names_resolve():
         value = getattr(ecstats, name)
         assert value.__module__.startswith("ecstats."), name
         assert getattr(importlib.import_module(value.__module__), name) is value, name
+        assert vars(ecstats)[name] is value, name  # bound once; later reads skip __getattr__
     assert set(ecstats.__all__) <= set(dir(ecstats))
     assert ecstats.count_pairs is survey.count_pairs and ecstats.DomainError is errors.DomainError
     with pytest.raises(AttributeError):
