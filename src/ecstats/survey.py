@@ -1,14 +1,20 @@
 """Census of curves ordered by naive height, and the CSV of their local data.
 
 The height window H(a, b) = max(4|a|^3, 27 b^2) <= x is exactly the box
-|a| <= floor((x/4)^(1/3)), |b| <= floor((x/27)^(1/2)), so one numpy pass walks
-it in tiles of rows a x columns b and reads every decision but v_ell(delta)
-from tables indexed by (a mod m, b mod m); |delta| <= 2x must fit in int64, so
-x < 2^62.  The empirical_* views read the census they are given, so a survey
-runs it once.  write_survey_csv writes one row per pair from the same tiles,
-its Kodaira labels from the primes ell >= 5 that divide delta in a row a: the
-columns b == +-b0 mod ell, two progressions per row.  enumerate_curves,
-streaming the pairs one by one, is its test oracle.
+|a| <= floor((x/4)^(1/3)), |b| <= floor((x/27)^(1/2)); |delta| <= 2x must fit
+in int64, so x < 2^62.  The counts that do not depend on p are closed forms:
+the singular pairs are (-3t^2, +-2t^3), a Möbius sum over squarefree m of the
+sub-boxes (a_max // m^4, b_max // m^6) counts the minimal curves, and along a
+row a with ell not dividing a, ell^k | delta exactly on the columns b ==
++-r_k mod ell^k, the Hensel lifts of one root b0 mod ell, so the v_ell(delta)
+histograms are sums of progression lengths.  The rest is one numpy pass over
+the sub-grid good at 2 and 3 (3 does not divide a, b odd), in tiles of rows a
+x columns b, that reads every decision at p but v_ell(delta) from tables
+indexed by (a mod m, b mod m).  The empirical_* views read the census they are
+given, so a survey runs it once.  write_survey_csv writes one row per pair
+from the tiles of the whole box, its Kodaira labels from the primes ell >= 5
+that divide delta in a row a: the columns b == +-b0 mod ell, two progressions
+per row.  enumerate_curves, streaming the pairs one by one, is its test oracle.
 
 The growth census classifies each minimal nonsingular curve at a fixed
 prime p of good reduction.  Curves with bad reduction at 2 or 3 go into a
@@ -50,7 +56,7 @@ TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
 _BLOCK_PAIRS = 1 << 16  # pairs per tile of the height-box pass
 _CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, joined into one string
-_ROOT_BAND = 1 << 20  # (prime, row) roots the CSV holds at once, or one tile's rows
+_ROW_BAND = 1 << 18  # rows whose root progressions the box census lifts at once
 _MINIMAL = np.array(["0,", "1,"], dtype=object)
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
@@ -251,9 +257,8 @@ class GrowthCensus:
         return sum(c for v, c in hist.items() if v >= n)
 
 
-def _tally(hist: Counter, values, zeros: int = 0) -> None:
-    counts = np.bincount(values, minlength=1)
-    counts[0] += zeros
+def _tally(hist: Counter, values) -> None:
+    counts = np.bincount(values)
     hist.update({v: c for v, c in enumerate(counts.tolist()) if c})
 
 
@@ -309,9 +314,9 @@ def _certify(a, b, p: int) -> np.ndarray:
 
 
 def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
-    """The height box of a survey at p, checked before any pass over it, the
-    class codes at p, a reduction table for each prime in `ells` and each
-    prime that can add to the growth, and the latter primes in order."""
+    """The height box of a survey at p, checked before any pass over it (with
+    the primes in `ells`), the class codes at p, and a reduction table for each
+    prime that can add to the growth, in order."""
     for prime in (p, *ells):
         check_prime(prime, 5)
     if x >= MAX_SURVEY_HEIGHT:
@@ -324,33 +329,39 @@ def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
     primes = set(sieve_primes(integer_nth_root(win.max_abs_discriminant, p))) - {2, 3, p}
     if sum(ell * ell for ell in primes) > 1 << 27:
         raise DomainError(f"x = {x} at p = {p} needs over 128 MB of growth-candidate tables")
-    reduction = {ell: _reduction_table(ell) for ell in sorted(primes.union(ells))}
-    return win, codes, reduction, sorted(primes)
+    return win, codes, {ell: _reduction_table(ell) for ell in sorted(primes)}
 
 
-def _blocks(win: HeightWindow, cap: int) -> Iterator[tuple[np.ndarray, ...]]:
+def _blocks(win: HeightWindow, cap: int, good: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
     """Row-major tiles a x b of the box, with delta and the minimal flags as 2-D
-    arrays: whole rows of at most `cap` pairs, or parts of a longer row."""
-    min_primes = win.minimality_primes()
-    rows, cols = max(1, cap // (2 * win.b_max + 1)), min(cap, 2 * win.b_max + 1)
-    for a0 in range(-win.a_max, win.a_max + 1, rows):
-        a = np.arange(a0, min(a0 + rows, win.a_max + 1), dtype=np.int64)
-        for b0 in range(-win.b_max, win.b_max + 1, cols):
-            b = np.arange(b0, min(b0 + cols, win.b_max + 1), dtype=np.int64)
+    arrays: whole rows of at most `cap` pairs, or parts of a longer row.  With
+    `good`, the tiles cover only the sub-grid good at 2 and 3, the rows 3 ∤ a
+    and the columns b odd (delta == a mod 3 and == b mod 2), where delta != 0."""
+    rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
+    columns = range(-win.b_max, win.b_max + 1)
+    marks = ((MAX_SURVEY_HEIGHT,) * 2, *win.minimality_primes())  # the first marks (0, 0)
+    if good:  # no pair there is (0, 0) or divisible by (2^4, 2^6) or (3^4, 3^6)
+        rows, columns, marks = rows[rows % 3 != 0], columns[1 - win.b_max % 2::2], marks[3:]
+    if not columns:
+        return
+    step, cols = max(1, cap // len(columns)), min(cap, len(columns))
+    for i in range(0, len(rows), step):
+        a = rows[i:i + step]
+        for j in range(0, len(columns), cols):
+            run = columns[j:j + cols]
+            b = np.arange(run.start, run.stop, run.step, dtype=np.int64)
             minimal = np.ones((len(a), len(b)), dtype=bool)
-            for p4, p6 in ((MAX_SURVEY_HEIGHT,) * 2, *min_primes):  # the first marks (0, 0)
+            for p4, p6 in marks:
                 minimal[a % p4 == 0] &= b % p6 != 0
             yield a, b, localdata.discriminant(a[:, None], b), minimal
 
 
-def _at_p(a, b, codes, reduction, candidates, cols):
-    """The tile's sub-grid good at 2 and 3 (delta == b mod 2, delta == a mod 3)
-    as masks of its rows and columns, the class codes at p on it, and each growth
-    candidate ell with its flat reduction codes there, read as _growth walks them."""
-    rows, columns = a % 3 != 0, b % 2 != 0
-    a, b = a[rows], b[columns]
-    reductions = ((ell, _gather(reduction[ell], a, b, cols).ravel()) for ell in candidates)
-    return rows, columns, _gather(codes, a, b, cols), reductions
+def _at_p(a, b, codes, reduction, cols):
+    """The class codes at p on a tile a x b of the sub-grid good at 2 and 3,
+    and each growth candidate ell with its flat reduction codes there, read as
+    _growth walks them."""
+    reductions = ((ell, _gather(table, a, b, cols).ravel()) for ell, table in reduction.items())
+    return _gather(codes, a, b, cols), reductions
 
 
 def _growth(delta, code, p: int, reductions):
@@ -371,43 +382,128 @@ def _growth(delta, code, p: int, reductions):
     return g_strict, g_kodaira, euler_v
 
 
+def _row_roots(rows, ells) -> np.ndarray:
+    """b0 for each prime ell >= 5 and row a, as an array [ell, a]: ell divides
+    delta = 4a^3 + 27b^2 exactly when b == +-b0 mod ell, and b0 = -1 where no b
+    does.  The singular pairs mod ell are (-3s^2, 2s^3): one table per ell maps
+    -3s^2 to s for 0 <= s <= ell/2, as -s gives -b0 (and no product passes 2^63)."""
+    roots = np.empty((len(ells), len(rows)), dtype=np.int64)
+    for i, ell in enumerate(ells.tolist()):
+        s, table = np.arange((ell + 1) // 2, dtype=np.int64), np.full(ell, -1, dtype=np.int64)
+        table[-3 * s * s % ell] = s
+        s = table[rows % ell]
+        roots[i] = np.where(s < 0, -1, 2 * (s * s % ell) * s % ell)
+    return roots
+
+
+def _lifts(a, b0, ell: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(ell^k, r_k) for k = 1, 2, ... until ell^k > width: for rows a with ell ∤ a
+    and root b0 mod ell (_row_roots), the r_k == b0 mod ell with ell^k | 4a^3 +
+    27 r_k^2, lifted one digit at a time (Hensel; the derivative 54 r_k == 54 b0
+    is a unit mod ell).  Each r_k is held in (-ell^k/2, ell^k/2): while ell^k
+    <= width = 2 b_max + 1, a column of the box, so 4a^3 + 27 r_k^2 is one of
+    its deltas and fits in int64, and past it below ell * width."""
+    four_a3, r, modulus = 4 * a**3, np.where(b0 > ell // 2, b0 - ell, b0), ell
+    unit, inverse = 54 * b0 % ell, np.ones_like(b0)
+    for bit in bin(ell - 2)[2:]:  # unit^(ell - 2) == 1 / unit mod ell
+        inverse = inverse * inverse % ell
+        if bit == "1":
+            inverse = inverse * unit % ell
+    while True:
+        yield modulus, r
+        if modulus > width:
+            return
+        digit = -((four_a3 + 27 * r * r) // modulus) % ell * inverse % ell
+        r, modulus = r + digit * modulus, modulus * ell
+        r = (r + modulus // 2) % modulus - modulus // 2
+
+
+def _valuation_counts(a, b_max: int, ell: int) -> Counter:
+    """The nonsingular pairs (a, b), a in the rows given, |b| <= b_max, (a, b)
+    != (0, 0) mod ell, by v_ell(delta).  A row with ell | a has v = 0 wherever
+    ell ∤ b.  In another, ell^k | delta exactly on the columns b == +-r_k mod
+    ell^k (_lifts), and b -> -b keeps delta, so the r_k progression is counted
+    and doubled: by its length while ell^k <= 2 b_max + 1, then by its one
+    column at most, whose v_ell is read exactly (a singular one, delta = 0, is
+    dropped)."""
+    width, divides = 2 * b_max + 1, a % ell == 0
+    a = a[~divides]
+    b0 = _row_roots(a, np.array([ell]))[0]
+    hist = Counter({0: 2 * (b_max - b_max // ell) * int(np.count_nonzero(divides))
+                    + width * int(np.count_nonzero(b0 < 0))})
+    a, b0 = a[b0 >= 0], b0[b0 >= 0]
+    at_least = [width * len(a)]  # pairs of these rows with ell^k | delta, k = 0, 1, ...
+    for modulus, r in _lifts(a, b0, ell, width):
+        if modulus <= width:
+            at_least.append(2 * int(((b_max - r) // modulus - (-b_max - 1 - r) // modulus).sum()))
+    b = (r + b_max) % modulus - b_max
+    delta = localdata.discriminant(a[b <= b_max], b[b <= b_max])
+    at_least.append(2 * len(delta))
+    hist.update({k: at_least[k] - at_least[k + 1] for k in range(len(at_least) - 1)})
+    v = _valuations(delta[delta != 0], ell)
+    _tally(hist, np.concatenate([v, v]))
+    return hist
+
+
+def _box_census(win: HeightWindow, ells: tuple[int, ...]) -> tuple[dict, dict]:
+    """The singular, nonminimal and curves counts of the box and, for each ell
+    in `ells`, its curves not == (0, 0) mod ell by v_ell(delta), in closed
+    form: the same at every p.  A pair is minimal unless q^4 | a and q^6 | b for
+    a prime q, so each count over the curves is a Möbius sum over squarefree m
+    of the same count over the nonsingular pairs of the sub-box (a_max // m^4,
+    b_max // m^6): (a, b) = (m^4 a', m^6 b') multiplies delta by m^12.  An m
+    with ell | m adds nothing to the ell histogram, its pairs being == (0, 0)
+    mod ell.  The singular pairs are (-3t^2, +-2t^3) and (0, 0)."""
+    def singular(a_max: int, b_max: int) -> int:  # the t >= 1 inside the box
+        return min(math.isqrt(a_max // 3), integer_nth_root(b_max // 2, 3))
+
+    curves, hists = 0, {ell: Counter() for ell in ells}
+    top = max(integer_nth_root(win.a_max, 4), integer_nth_root(win.b_max, 6))
+    for m in range(1, top + 1):
+        factors = [q for q in sieve_primes(top) if m % q == 0]
+        if math.prod(factors) != m:  # m is not squarefree
+            continue
+        sign, a_max, b_max = (-1) ** len(factors), win.a_max // m**4, win.b_max // m**6
+        curves += sign * ((2 * a_max + 1) * (2 * b_max + 1) - 1 - 2 * singular(a_max, b_max))
+        for ell in (ell for ell in ells if m % ell):
+            for lo in range(-a_max, a_max + 1, _ROW_BAND):
+                counts = _valuation_counts(np.arange(lo, min(lo + _ROW_BAND, a_max + 1)), b_max, ell)
+                hists[ell].update({v: sign * c for v, c in counts.items()})
+    singular_pairs = 1 + 2 * singular(win.a_max, win.b_max)
+    return ({"singular": singular_pairs, "nonminimal": win.pair_count - singular_pairs - curves,
+             "curves": curves}, {ell: +hist for ell, hist in hists.items()})
+
+
 @lru_cache(maxsize=8)
 def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
-    """The one pass over the height box at the prime p, tile by tile.
+    """The census of the height box at the prime p.
 
-    Every pair lands in one bucket: singular, nonminimal or curve.  For each
-    ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta).
-    The curves go on into bad_at_2_or_3, bad_at_p, supersingular_at_p,
-    torsion_uncertified or classified, and the classified ones into the
-    strict, Kodaira-only and Euler histograms.
+    Every pair lands in one bucket: singular, nonminimal or curve, and for each
+    ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta);
+    _box_census counts these in closed form.  The curves go on into
+    bad_at_2_or_3, bad_at_p, supersingular_at_p, torsion_uncertified or
+    classified, and the classified ones into the strict, Kodaira-only and Euler
+    histograms: one pass, tile by tile, over the sub-grid good at 2 and 3 sorts
+    the curves there, and every other curve is bad at 2 or 3.
     """
-    win, codes, reduction, candidates = _survey_setup(p, x, ells)
-    counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0)}
-    valuation_hists = {ell: Counter() for ell in ells}
+    win, codes, reduction = _survey_setup(p, x, ells)
+    box, valuation_hists = _box_census(win, ells)
+    counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0), **box}
     hists = Counter(), Counter(), Counter()  # strict, Kodaira-only, Euler
     # the first five certificate primes are among any pair's first five good ones
     first = [_certificate_table(q, p) for q in itertools.islice(
         _certificate_primes(p), TORSION_CERT_PRIMES)] if p in (5, 7) else []
     # tiles of whole rows share their b: gather each table's columns once, if all fit in 2 MB
     tables = (codes, *reduction.values(), *first)
-    whole = 2 * win.b_max < min(_BLOCK_PAIRS, (1 << 21) // sum(map(len, tables)))
-    box_cols, grid_cols = ({}, {}) if whole else (None, None)
-    for a, b, delta, minimal in _blocks(win, _BLOCK_PAIRS):
-        singular, curve = delta == 0, minimal & (delta != 0)
-        for name, mask in zip(_BUCKETS, (singular, ~(minimal | singular), curve)):
-            counts[name] += int(np.count_nonzero(mask))
-        for ell in ells:  # only the pairs with ell | delta have v_ell(delta) > 0
-            red = _gather(reduction[ell], a, b, box_cols)
-            _tally(valuation_hists[ell], _valuations(delta[curve & (red >= 2)], ell),
-                   np.count_nonzero(curve & (red == 1)))
-        rows, columns, code, reductions = _at_p(a, b, codes, reduction, candidates, grid_cols)
-        grid = np.ix_(rows, columns)
-        a, b, delta, curve = a[rows], b[columns], delta[grid], minimal[grid]
+    width = win.b_max + win.b_max % 2  # the odd b in [-b_max, b_max]
+    cols = {} if width <= min(_BLOCK_PAIRS, (1 << 21) // sum(map(len, tables))) else None
+    for a, b, delta, curve in _blocks(win, _BLOCK_PAIRS, good=True):
+        code, reductions = _at_p(a, b, codes, reduction, cols)
         for name, c in zip(_BUCKETS[4:6], (PointClass.SINGULAR, PointClass.SUPERSINGULAR)):
             counts[name] += int(np.count_nonzero(curve & (code == c)))
         keep = curve & ((code == PointClass.ORDINARY) | (code == PointClass.ANOMALOUS))
         if first:
-            i, j = np.nonzero(keep & np.all([_gather(t, a, b, grid_cols) != 2 for t in first], 0))
+            i, j = np.nonzero(keep & np.all([_gather(t, a, b, cols) != 2 for t in first], 0))
             doubt = ~_certify(a[i], b[j], p)
             keep[i[doubt], j[doubt]] = False
             counts["torsion_uncertified"] += int(np.count_nonzero(doubt))
@@ -493,20 +589,6 @@ def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], path) ->
     return rows
 
 
-def _row_roots(rows, ells) -> np.ndarray:
-    """b0 for each prime ell >= 5 and row a, as an array [ell, a]: ell divides
-    delta = 4a^3 + 27b^2 exactly when b == +-b0 mod ell, and b0 = -1 where no b
-    does.  The singular pairs mod ell are (-3s^2, 2s^3): one table per ell maps
-    -3s^2 to s for 0 <= s <= ell/2, as -s gives -b0 (and no product passes 2^63)."""
-    roots = np.empty((len(ells), len(rows)), dtype=np.int64)
-    for i, ell in enumerate(ells.tolist()):
-        s, table = np.arange((ell + 1) // 2, dtype=np.int64), np.full(ell, -1, dtype=np.int64)
-        table[-3 * s * s % ell] = s
-        s = table[rows % ell]
-        roots[i] = np.where(s < 0, -1, 2 * (s * s % ell) * s % ell)
-    return roots
-
-
 def _kodaira_fields(a, b, delta, curve, roots, ells) -> np.ndarray:
     """The kodaira field of each curve of the tile a x b (b consecutive), one
     str: its labels joined by ";", `ell:I<v>`, or `ell:additive` where ell
@@ -569,21 +651,19 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
     once per distinct value and each kodaira label once per distinct label,
     so only delta and each curve's joined labels are built per pair.  (At
     most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
-    win, codes, reduction, candidates = _survey_setup(p, x)
+    win, codes, reduction = _survey_setup(p, x)
     ells = np.array(sieve_primes(math.isqrt(win.max_abs_discriminant))[2:], dtype=np.int64)
-    band, top = max(1, _ROOT_BAND // max(1, len(ells))), -win.a_max
+    roots = _row_roots(np.arange(-win.a_max, win.a_max + 1), ells)  # one table per ell
     for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
-        if a[-1] >= top:  # the tile leaves the band: roots of every ell for the next
-            first, top = a[0], max(a[-1] + 1, min(a[0] + band, win.a_max + 1))
-            roots = _row_roots(np.arange(first, top), ells)
         # (a, b) and (a, -b) share delta and the kodaira field, so a tile of
         # whole rows formats and factors its columns b >= 0 alone; `fold`
         # maps each column to its image among the columns b[lo:]
         lo = len(b) // 2 if b[0] == -b[-1] else 0
         fold = np.abs(np.arange(len(b)) - lo)
         curve = minimal & (delta != 0)
-        kodaira = _kodaira_fields(a, b[lo:], delta[:, lo:], curve[:, lo:], roots[:, a - first], ells)
-        rows, columns, code, reductions = _at_p(a, b, codes, reduction, candidates, None)
+        kodaira = _kodaira_fields(a, b[lo:], delta[:, lo:], curve[:, lo:], roots[:, a + win.a_max], ells)
+        rows, columns = a % 3 != 0, b % 2 != 0  # delta == a mod 3 and == b mod 2
+        code, reductions = _at_p(a[rows], b[columns], codes, reduction, None)
         grid, code = rows[:, None] & columns, code.ravel()
         g_strict, _, euler_v = _growth(delta[grid], code, p, reductions)
         key = np.full(delta.shape, -1, dtype=np.int64)

@@ -3,11 +3,13 @@ import hashlib
 import io
 import itertools
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecstats import arith, density, ffcurve, localdata, survey, verify
 from ecstats.errors import DomainError, NotPrimeError, PrimeTooSmallError
@@ -354,9 +356,11 @@ def test_growth_census_pinned_valuations(p):
 
 
 def test_census_divides_only_where_ell_divides_delta(monkeypatch):
-    """v_ell(delta) is worked out only on the pairs that the residue tables
-    say ell divides (about 1/ell of them); the others go straight to v = 0.
-    The flat pass divided all 4,363,324 curves, once for each of 5 and 7."""
+    """v_ell(delta) is worked out only where the counts along the root
+    progressions stop: at most one column per row, sub-box and ell, besides
+    the growth step's few pairs with 5^11 | delta.  The flat pass divided all
+    4,363,324 curves, once for each of 5 and 7, and the residue tables about
+    1/ell of them."""
     entries = []
     valuations = survey._valuations
 
@@ -367,23 +371,27 @@ def test_census_divides_only_where_ell_divides_delta(monkeypatch):
     monkeypatch.setattr(survey, "_valuations", counted)
     census = survey._growth_census.__wrapped__(11, 10**8, (5, 7))
     assert census.valuation_hists == PINNED_VALUATIONS
-    assert sum(entries) <= 700_000
+    assert sum(entries) <= 2 * (2 * HeightWindow.from_height(10**8).a_max + 1)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_tile_boundaries(p, monkeypatch):
-    """Tiles of 1 and 7 pairs and of one row's width minus and plus one
-    split rows at every place; the census and the CSV still match the slow
-    path, bucket for bucket and byte for byte."""
+    """Tiles of 1 and 7 pairs and of one row's width minus and plus one,
+    for the rows of the sub-grid good at 2 and 3 and for whole rows, split
+    rows at every place, and the box census lifts bands of as many rows; the
+    census and the CSV still match the slow path, bucket for bucket and byte
+    for byte."""
     x = 10**4
     ells = tuple(ell for ell in (5, 7) if ell != p)
     buckets, strict, kodaira, euler, valuations = _slow_census(p, x)
     oracle = io.StringIO()
     survey.write_csv(survey.enumerate_curves(x, p), oracle)
-    width = 2 * HeightWindow.from_height(x).b_max + 1
-    for cap in (1, 7, width - 1, width + 1):
+    b_max = HeightWindow.from_height(x).b_max
+    odd, width = b_max + b_max % 2, 2 * b_max + 1
+    for cap in (1, 7, odd - 1, odd + 1, width - 1, width + 1):
         monkeypatch.setattr(survey, "_BLOCK_PAIRS", cap)
         monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
+        monkeypatch.setattr(survey, "_ROW_BAND", cap)
         census = survey._growth_census.__wrapped__(p, x, ells)
         assert census.counts == buckets
         assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
@@ -397,23 +405,17 @@ def test_tile_boundaries(p, monkeypatch):
 def test_csv_tile_boundaries(x, p, monkeypatch):
     """CSV tiles of 1 and 7 pairs, of one row's width minus and plus one and
     of two rows: empty tiles, tiles with no factor >= 5, part rows and runs
-    of columns that hold both b and -b, all with the default band of row
-    roots.  Then bands of one tile's rows (a budget of 1 entry), over part
-    rows and whole ones, and bands of three rows, which end inside a tile of
-    two.  The bytes match the slow path at every cap and band."""
+    of columns that hold both b and -b, each reading its rows' roots out of
+    the roots of every row of the box.  The bytes match the slow path at
+    every cap."""
     oracle = io.StringIO()
     survey.write_csv(survey.enumerate_curves(x, p), oracle)
-    win = HeightWindow.from_height(x)
-    width = 2 * win.b_max + 1
-    primes = len(arith.sieve_primes(math.isqrt(win.max_abs_discriminant))) - 2  # those >= 5
-    caps = (1, 7, width - 1, width + 1, 2 * width)
-    for cap, budget in [*((cap, survey._ROOT_BAND) for cap in caps),
-                        (7, 1), (width + 1, 1), (2 * width, 1), (2 * width, 3 * primes)]:
+    width = 2 * HeightWindow.from_height(x).b_max + 1
+    for cap in (1, 7, width - 1, width + 1, 2 * width):
         monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
-        monkeypatch.setattr(survey, "_ROOT_BAND", budget)
         fast = io.StringIO()
         survey.write_survey_csv(x, p, fast)
-        assert fast.getvalue() == oracle.getvalue(), (cap, budget)
+        assert fast.getvalue() == oracle.getvalue(), cap
 
 
 @pytest.mark.parametrize("scale", [0.5, 1, 2])
@@ -463,6 +465,116 @@ def test_row_roots_are_the_singular_columns():
             assert ({row[a], -row[a] % ell} if row[a] >= 0 else set()) == want, (ell, a)
 
 
+def _slow_box(x, ells):
+    """The singular, nonminimal and curves counts and, for each ell, the
+    curves not == (0, 0) mod ell by v_ell(delta), from enumerate_curves."""
+    counts = Counter({"singular": 0, "nonminimal": 0, "curves": 0})
+    hists = {ell: Counter() for ell in ells}
+    for rec in survey.enumerate_curves(x):
+        kind = "singular" if not rec.nonsingular else "curves" if rec.minimal else "nonminimal"
+        counts[kind] += 1
+        for ell, hist in hists.items():
+            if kind == "curves" and (rec.a % ell, rec.b % ell) != (0, 0):
+                hist[localdata.valuation(rec.delta, ell)] += 1
+    return dict(counts), hists
+
+
+# the box's edges: x = 4k^3 and 27k^2 (and one below) step a_max and b_max, and
+# the singular pair (-3t^2, 2t^3) has height 108t^6, on both edges at once
+BOX_EDGES = (0, 1, 4 * 6**3 - 1, 4 * 6**3, 4 * 13**3, 27 * 19**2 - 1, 27 * 19**2, 27 * 50**2,
+             107, 108, 109, 108 * 2**6 - 1, 108 * 2**6, 108 * 3**6)
+
+
+@pytest.mark.parametrize("x", BOX_EDGES)
+def test_box_census_matches_enumerate_curves(x):
+    """The closed-form counts and v_ell histograms equal the per-pair ones."""
+    ells = (5, 7, 11, 13)
+    counts, hists = _slow_box(x, ells)
+    census = survey._growth_census.__wrapped__(7, x, ells)
+    assert {k: census.counts[k] for k in counts} == counts
+    assert census.counts["pairs"] == survey.count_pairs(x)
+    assert census.valuation_hists == hists
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 * 10**5))
+def test_box_census_matches_enumerate_curves_drawn(x):
+    counts, hists = _slow_box(x, (5, 7, 11, 13))
+    assert survey._box_census(HeightWindow.from_height(x), (5, 7, 11, 13)) == (counts, hists)
+
+
+@pytest.mark.parametrize("x", [10**12, 10**15])
+def test_box_census_totals_past_the_oracles(x):
+    """Where 5^4 <= a_max, so that the sub-boxes of m = 5, 10, ... hold pairs
+    other than (0, 0): each v_ell histogram sums to the curves not == (0, 0)
+    mod ell, counted as curves minus a Möbius sum over the pairs (ell a,
+    ell b), and the buckets partition the pairs."""
+    win = HeightWindow.from_height(x)
+    assert win.a_max >= 5**4
+    box, hists = survey._box_census(win, (5, 7, 11, 13))
+    assert box["singular"] + box["nonminimal"] + box["curves"] == win.pair_count
+    for ell, hist in hists.items():
+        zero = 0  # minimal nonsingular (a, b) == (0, 0) mod ell
+        for m in range(1, 33):
+            factors = [q for q in arith.primes_in(2, 31) if m % q == 0]
+            if math.prod(factors) != m:
+                continue
+            da, db = math.lcm(ell, m**4), math.lcm(ell, m**6)
+            rows, cols = win.a_max // da, win.b_max // db
+            t = [t for t in range(1, math.isqrt(win.a_max // 3) + 1)
+                 if 3 * t * t % da == 0 and 2 * t**3 % db == 0 and 2 * t**3 <= win.b_max]
+            zero += (-1) ** len(factors) * ((2 * rows + 1) * (2 * cols + 1) - 1 - 2 * len(t))
+        assert sum(hist.values()) == box["curves"] - zero
+
+
+def test_root_lifts_at_the_height_limit():
+    """On the rows of largest |a| at x = 2^62 - 1, where 2 b_max + 1 ~ 1.65e9:
+    every root _lifts gives is re-checked with Python integers (r_k == b0 mod
+    ell, |r_k| < ell^k / 2, ell^k | 4a^3 + 27 r_k^2), as is the v_ell of each
+    column listed past the last counted level, and the histogram, summed
+    over the Möbius sub-bands as the census sums it, counts exactly the
+    curves of the band not == (0, 0) mod ell.  The band at -a_max holds the
+    singular pairs (-3 * 591^2, +-2 * 591^3)."""
+    win = HeightWindow.from_height(2**62 - 1)
+    width = 2 * win.b_max + 1
+    bands = [(-win.a_max, -win.a_max + 800), (win.a_max - 800, win.a_max)]
+    assert -3 * 591**2 in range(*bands[0]) and 2 * 591**3 <= win.b_max
+    for ell in (5, 7, 11, 13):
+        for lo, hi in bands:
+            a = np.arange(lo, hi + 1)
+            a = a[a % ell != 0]
+            b0 = survey._row_roots(a, np.array([ell]))[0]
+            a, b0 = a[b0 >= 0], b0[b0 >= 0]
+            levels = list(survey._lifts(a, b0, ell, width))
+            assert [m for m, _ in levels] == [ell**k for k in range(1, len(levels) + 1)]
+            assert levels[-2][0] <= width < levels[-1][0]
+            for modulus, r in levels:
+                for ai, ri, si in zip(a.tolist(), r.tolist(), b0.tolist()):
+                    assert (4 * ai**3 + 27 * ri * ri) % modulus == 0 and (ri - si) % ell == 0
+                    assert 2 * abs(ri) < modulus
+            listed = Counter()
+            for ai, ri in zip(a.tolist(), levels[-1][1].tolist()):
+                b = (ri + win.b_max) % levels[-1][0] - win.b_max
+                if b <= win.b_max and 4 * ai**3 + 27 * b * b:
+                    listed[localdata.valuation(4 * ai**3 + 27 * b * b, ell)] += 2
+            hist = survey._valuation_counts(np.arange(lo, hi + 1), win.b_max, ell)
+            assert {v: c for v, c in hist.items() if v >= len(levels)} == listed
+            # the Möbius sums over m, ell ∤ m, of the histogram and of an independent count
+            total = count = 0
+            for m in range(1, 33):
+                factors = [q for q in arith.primes_in(2, 31) if m % q == 0]
+                if math.prod(factors) != m or m % ell == 0:
+                    continue
+                mu, rows = (-1) ** len(factors), range(-(-lo // m**4), hi // m**4 + 1)
+                b_max = win.b_max // m**6
+                total += mu * sum(survey._valuation_counts(np.arange(rows.start, rows.stop),
+                                                           b_max, ell).values())
+                t = [t for t in range(1, 600) if -3 * t * t in rows and 2 * t**3 <= b_max and t % ell]
+                zero_rows = sum(1 for ai in rows if ai % ell == 0)
+                count += mu * (len(rows) * (2 * b_max + 1) - zero_rows * (2 * (b_max // ell) + 1) - 2 * len(t))
+            assert total == count > 0
+
+
 KODAIRA_FIELDS = {
     (5, 5): "5:additive;47:I1",          # delta = 5^2 * 47
     (-2, 1): "5:I1",                     # delta = -5
@@ -500,10 +612,12 @@ def test_kodaira_fields_match_the_slow_path():
 
 
 def test_split_rows_keep_the_pinned_census(monkeypatch):
-    """Tiles of one row's width minus one, where every growth branch fires:
-    the tables are read row by row, not from gathered columns."""
+    """Tiles of one row's width minus one, in the sub-grid good at 2 and 3
+    (the odd b), where every growth branch fires: the tables are read row by
+    row, not from gathered columns."""
     x = 10**7
-    monkeypatch.setattr(survey, "_BLOCK_PAIRS", 2 * HeightWindow.from_height(x).b_max)
+    b_max = HeightWindow.from_height(x).b_max
+    monkeypatch.setattr(survey, "_BLOCK_PAIRS", b_max + b_max % 2 - 1)
     buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
     census = survey._growth_census.__wrapped__(5, x)
     assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
@@ -513,9 +627,13 @@ def test_split_rows_keep_the_pinned_census(monkeypatch):
 def _record_gathers(monkeypatch):
     """Wrap survey._gather: the lists it returns collect each store of
     pre-gathered columns passed in, the bytes of each gathered tile and each
-    table read."""
-    stores, tile_bytes, tables = [], [], []
+    table read; the dict holds the bytes of the reads alive at once, now and
+    at the most."""
+    stores, tile_bytes, tables, held = [], [], [], {"now": 0, "peak": 0}
     gather = survey._gather
+
+    def release(nbytes):
+        held["now"] -= nbytes
 
     def recorded(table, a, b, columns):
         values = gather(table, a, b, columns)
@@ -523,41 +641,52 @@ def _record_gathers(monkeypatch):
             stores.append(columns)
         tile_bytes.append(values.nbytes)
         tables.append(table)
+        if columns is None:  # a read of its own, freed with its last view
+            held["now"] += values.nbytes
+            held["peak"] = max(held["peak"], held["now"])
+            weakref.finalize(values, release, values.nbytes)
         return values
 
     monkeypatch.setattr(survey, "_gather", recorded)
-    return stores, tile_bytes, tables
+    return stores, tile_bytes, tables, held
 
 
 def test_column_tables_are_bounded(monkeypatch):
     """At x = 10^8 whole rows make a tile, and the census gathers each
-    table's columns once: together under 2 MB."""
-    stores, _, _ = _record_gathers(monkeypatch)
+    table's columns once, over the odd b alone: together under 256 KB.  No
+    table is read for ell = 5, whose histogram is counted along the rows."""
+    stores, _, _, _ = _record_gathers(monkeypatch)
     survey._growth_census.__wrapped__(7, 10**8, (5,))
-    held = [table.nbytes for store in stores for table in store.values()]
-    assert len(held) == 1 + 1 + 5 + 3  # ell = 5; the codes, 5 certificate and 3 growth tables
-    assert sum(held) <= 2 * 2**20
+    held = [table for store in stores for table in store.values()]
+    assert len(held) == 1 + 5 + 3  # the codes, 5 certificate and 3 growth tables
+    assert {table.shape[1] for table in held} == {HeightWindow.from_height(10**8).b_max}
+    assert sum(table.nbytes for table in held) <= 2**18
 
 
 def test_tile_memory_at_the_height_limit(monkeypatch):
-    """At x = 2^62 - 1 a row holds about 8.3e8 pairs.  The first tile is
-    part of one, within the cap; the census gathers no columns ahead there,
-    so each table it reads for the tile holds at most the tile, it reads at
-    most five certificate tables densely, the rest only on the pairs they
-    leave in doubt, and the tile's reads hold under 2 MB.  Only that tile is
-    drawn."""
+    """At x = 2^62 - 1 a row of the sub-grid good at 2 and 3 holds about
+    4.1e8 pairs.  The first tile is part of one, within the cap; the census
+    gathers no columns ahead there, so each table it reads for the tile holds
+    at most the tile, it reads at most five certificate tables densely, the
+    rest only on the pairs they leave in doubt, and the growth tables (95 at
+    p = 7) one at a time, so that the reads alive at once hold at most four
+    tiles' codes.  The box census hands its rows to the progression counts in
+    bands of at most _ROW_BAND.  Only that tile is drawn, and the bands are
+    not counted."""
     win = HeightWindow.from_height(2**62 - 1)
-    assert 2 * win.b_max + 1 > 8 * 10**8
-    a, b, delta, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS))
+    assert win.b_max + win.b_max % 2 > 4 * 10**8
+    a, b, delta, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS, good=True))
     assert len(a) == 1 and delta.shape == minimal.shape == (1, survey._BLOCK_PAIRS)
-    blocks = survey._blocks
-    monkeypatch.setattr(survey, "_blocks", lambda win, cap: itertools.islice(blocks(win, cap), 1))
+    blocks, bands = survey._blocks, []
+    monkeypatch.setattr(survey, "_blocks", lambda *args, **kw: itertools.islice(blocks(*args, **kw), 1))
+    monkeypatch.setattr(survey, "_valuation_counts", lambda a, b_max, ell: bands.append(len(a)) or Counter())
     handed = _record_certificate_tables(monkeypatch)
-    stores, tile_bytes, tables = _record_gathers(monkeypatch)
+    stores, tile_bytes, tables, held = _record_gathers(monkeypatch)
     census = survey._growth_census.__wrapped__(7, 2**62 - 1, (5,))
-    assert census.counts["curves"] <= survey._BLOCK_PAIRS
+    assert sum(census.counts[k] for k in survey._BUCKETS[4:]) <= survey._BLOCK_PAIRS
+    assert sum(bands) > 2 * win.a_max and max(bands) <= survey._ROW_BAND
     assert stores == [None] and max(tile_bytes) <= survey._BLOCK_PAIRS
-    assert sum(tile_bytes) <= 2 * 2**20
+    assert len(tile_bytes) > 95 and held["peak"] <= 4 * survey._BLOCK_PAIRS
     dense = [t for t in tables if any(t is table for _, table in handed)]
     assert 0 < len(dense) <= survey.TORSION_CERT_PRIMES
 
@@ -565,15 +694,15 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
 def test_growth_tables_are_capped_before_the_pass(monkeypatch):
     """At p = 5 the growth candidates' reduction tables pass 128 MB between
     x = 2e15 and 3e15 (9.4 GB at x = 2^62 - 1): such a survey is refused
-    before any table or tile is built."""
-    def no_work(*args):
-        raise AssertionError("the census built tables or tiles before its cap check")
+    before any table, box count or tile is built."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the census did work before its cap check")
 
-    monkeypatch.setattr(survey, "_reduction_table", no_work)
-    monkeypatch.setattr(survey, "_blocks", no_work)
+    for name in ("_reduction_table", "_blocks", "_box_census", "_valuation_counts", "_row_roots"):
+        monkeypatch.setattr(survey, name, no_work)
     for x in (3 * 10**15, 2**62 - 1):
         with pytest.raises(DomainError, match="128 MB"):
-            survey._growth_census.__wrapped__(5, x)
+            survey._growth_census.__wrapped__(5, x, (7,))
 
 
 def test_kodaira_view_needs_its_ell():
