@@ -26,11 +26,9 @@ displayed expressions at any truncation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import density, ffcurve
 from .arith import check_prime, is_prime, sieve_primes
@@ -162,8 +160,7 @@ def class_weights(p: int) -> tuple[Fraction, Fraction]:
     return scale * counts.ordinary, scale * counts.anomalous
 
 
-@dataclass(frozen=True)
-class BoundTerms:
+class BoundTerms(NamedTuple):
     zeta_reciprocal: QInterval
     sym_main: QInterval
     sym_aux: QInterval
@@ -171,8 +168,7 @@ class BoundTerms:
     anomalous_weight: Fraction
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """An evaluated lower bound; the certified number is value.lo."""
 
     kind: str
@@ -244,7 +240,7 @@ def mu_lambda_bound(p: int, n: int, truncation: int | None = None,
                     zeta_terms: int | None = None) -> BoundReport:
     """Identical value to selmer_growth_bound: mu + lambda >= g always."""
     report = selmer_growth_bound(p, n, truncation, zeta_terms)
-    return dataclasses.replace(report, kind=KIND_MU_LAMBDA)
+    return report._replace(kind=KIND_MU_LAMBDA)
 
 
 def euler_divisibility_bound(p: int, n: int, truncation: int | None = None,
@@ -264,8 +260,7 @@ def euler_divisibility_bound(p: int, n: int, truncation: int | None = None,
     return _bound_report(KIND_EULER_DIVISIBILITY, p, n, n - 2, truncation, zeta_terms, notes)
 
 
-@dataclass(frozen=True)
-class FamilyDensity:
+class FamilyDensity(NamedTuple):
     """Exact density of one prescribed-growth congruence family next to the
     simplified closed-form lower bound for the same family."""
 

@@ -7,7 +7,10 @@ empirical-vs-theoretical blocks), verify (self-check suites).  Exit codes:
 errors.DomainError, reported in one line, as is an --out or --csv path that
 cannot be opened for writing; other exceptions keep their traceback).  Each
 subcommand imports the modules it runs, so --version, --help and a usage
-error load no math module.
+error load no math module, and no command loads dataclasses or inspect: the
+records are NamedTuples.  The two that validate do so on construction: a
+QInterval's endpoints are Fractions with 0 <= lo <= hi, and a
+CongruenceDatum checks each prime and each measure, which lies in [0, 1].
 """
 
 from __future__ import annotations

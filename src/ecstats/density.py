@@ -20,9 +20,8 @@ the rest with prod_{ell > L} (1 - eps_ell) >= 1 - sum_{n > L} n^-10 >=
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .arith import check_prime, sieve_primes
 from .errors import DomainError, TruncationError
@@ -77,29 +76,34 @@ def valuation_box_measure(ell: int, v1: int, v2: int) -> Fraction:
     return Fraction(1, ell ** (v1 + v2))
 
 
-@dataclass(frozen=True)
-class CongruenceDatum:
+class CongruenceDatum(NamedTuple("CongruenceDatum", [("measures", dict),
+                                                     ("minimal_elsewhere", bool)])):
     """A finite set of primes with an exact local measure at each, plus an
     optional minimality condition at every other prime.
 
     `measures` maps a prime ell to the exact measure of the congruence set
     imposed there.  With `minimal_elsewhere` set, every prime not listed
     carries the minimal-pair condition of measure 1 - ell^-10; otherwise
-    unlisted primes are unconstrained (factor 1).
+    unlisted primes are unconstrained (factor 1).  Construction, and
+    _replace, check that each key is a prime and that each measure, made a
+    Fraction, lies in [0, 1], and store them in a fresh dict.
     """
 
-    measures: Mapping[int, Fraction] = field(default_factory=dict)
-    minimal_elsewhere: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, measures: Mapping[int, Fraction] = (), minimal_elsewhere: bool = False):
         clean = {}
-        for ell, mu in dict(self.measures).items():
+        for ell, mu in dict(measures).items():
             check_prime(ell)
             mu = Fraction(mu)
             if not 0 <= mu <= 1:
                 raise DomainError(f"measure at {ell} outside [0, 1]: {mu}")
             clean[int(ell)] = mu
-        object.__setattr__(self, "measures", clean)
+        return tuple.__new__(cls, (clean, minimal_elsewhere))
+
+    @classmethod
+    def _make(cls, iterable) -> "CongruenceDatum":  # _replace builds through here
+        return cls(*iterable)
 
 
 def minimal_tail(truncation: int, p: int | None = None) -> QInterval:

@@ -23,11 +23,10 @@ that count points or build tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import check_prime
 from .errors import PrimeTooLargeError, SingularCurveError
@@ -49,14 +48,12 @@ class PointClass(IntEnum):
     SUPERSINGULAR = 3
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(NamedTuple):
     kind: PointClass
     point_count: int | None  # None exactly when the pair is singular
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(NamedTuple):
     """Exhaustive census of the p^2 residue pairs mod p."""
 
     p: int

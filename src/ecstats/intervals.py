@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DomainError
 
@@ -31,16 +30,22 @@ def outward(num: int, den: int, lo: int, hi: int) -> tuple[int, int]:
     return num * lo // den, -(-num * hi // den)
 
 
-@dataclass(frozen=True)
-class QInterval:
-    lo: Fraction
-    hi: Fraction
+class QInterval(NamedTuple("QInterval", [("lo", Fraction), ("hi", Fraction)])):
+    """The closed interval [lo, hi] of nonnegative reals.  Construction, and
+    _replace, coerce both endpoints to Fractions and enforce 0 <= lo <= hi,
+    raising ValueError otherwise."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError(f"not an interval of nonnegative reals: [{self.lo}, {self.hi}]")
+    __slots__ = ()
+
+    def __new__(cls, lo: Rat, hi: Rat) -> "QInterval":
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not 0 <= lo <= hi:
+            raise ValueError(f"not an interval of nonnegative reals: [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable) -> "QInterval":  # _replace builds through here
+        return cls(*iterable)
 
     @classmethod
     def point(cls, value: Rat) -> "QInterval":

@@ -16,9 +16,8 @@ package filters such curves into a separate bucket instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import ffcurve
 from .arith import check_prime, factorize, integer_nth_root, sieve_primes
@@ -83,8 +82,7 @@ class ReductionKind(Enum):
     ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(NamedTuple):
     kind: ReductionKind
     ell: int
     n: int | None = None  # v_ell(delta), set only for multiplicative types
@@ -179,8 +177,7 @@ def tamagawa_p_part(a: int, b: int, ell: int, p: int) -> int:
     return p ** _tamagawa_exponent(a, b, kodaira_type(a, b, ell), p)
 
 
-@dataclass(frozen=True)
-class TamagawaAnomalyCount:
+class TamagawaAnomalyCount(NamedTuple):
     """Count of primes where p divides the Tamagawa number, plus the
     anomalous flag at p; total is their sum.  euler_valuation is the sum of
     the exponents v_p(c_ell) plus twice the flag.  They are read from kodaira,

@@ -38,10 +38,10 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +62,7 @@ _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
 
 
-@dataclass(frozen=True)
-class HeightWindow:
+class HeightWindow(NamedTuple):
     """The exact box of integer pairs with naive height <= x."""
 
     x: int
@@ -104,8 +103,7 @@ def _is_minimal_pair(a: int, b: int, min_primes) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     a: int
     b: int
     height: int
@@ -159,8 +157,7 @@ def enumerate_curves(x: int, p: int | None = None) -> Iterator[SurveyRecord]:
             yield rec if p is None else _classify_record(rec, p)
 
 
-@dataclass(frozen=True)
-class SurveySummary:
+class SurveySummary(NamedTuple):
     kind: str
     x: int
     counts: dict
@@ -169,7 +166,7 @@ class SurveySummary:
     p: int | None = None
     ell: int | None = None
     n: int | None = None
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = MappingProxyType({})  # read-only, so one default serves every summary
 
     @property
     def absolute_gap(self) -> float | None:
@@ -243,8 +240,7 @@ def _certificate_primes(p: int) -> Iterator[int]:
     return (q for q in itertools.count(5) if q != p and is_prime(q))
 
 
-@dataclass(frozen=True)
-class GrowthCensus:
+class GrowthCensus(NamedTuple):
     p: int
     x: int
     counts: dict

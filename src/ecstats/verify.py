@@ -12,8 +12,8 @@ call these checks instead of re-deriving the laws, so `pytest` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .arith import primes_in
 from .intervals import QInterval
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -374,12 +374,13 @@ def run(argv, absent):
         with contextlib.suppress(SystemExit):
             cli.main(argv)
     loaded = {name[len("ecstats."):] for name in sys.modules if name.startswith("ecstats.")}
-    assert not loaded & absent and "numpy" not in sys.modules, (argv, sorted(loaded))
+    assert not loaded & absent, (argv, sorted(loaded))
+    assert not {"numpy", "dataclasses", "inspect"} & sys.modules.keys(), argv
     return loaded
 
 for argv in (["--version"], ["--help"], ["bounds", "--p", "7"]):  # the last a usage error
     assert run(argv, set()) == {"cli", "_version", "errors"}, argv
-    assert "fractions" not in sys.modules and "dataclasses" not in sys.modules, argv
+    assert "fractions" not in sys.modules, argv
 run(["tables", "--pmin", "5", "--pmax", "13"],
     {"bounds", "density", "localdata", "survey", "verify"})
 for argv in (["bounds", "--p", "7", "--n", "1"], ["densities", "--ell", "5", "--type", "In"]):
@@ -392,11 +393,11 @@ assert '"blocks"' in out.getvalue() and "numpy" in sys.modules
 
 def test_startup_loads_no_numpy():
     """Each command loads only the modules it runs: --version, --help and a
-    usage error load no math module (nor fractions and dataclasses), tables
-    no bound, density, local-data, survey or verify module, and bounds and
-    densities no local-data, reference, survey or verify module; none of
-    them loads numpy, and survey still runs after them.  A fresh
-    interpreter, since this one has loaded them all."""
+    usage error load no math module (nor fractions), tables no bound,
+    density, local-data, survey or verify module, and bounds and densities
+    no local-data, reference, survey or verify module; none of them loads
+    numpy, dataclasses or inspect, and survey still runs after them.  A
+    fresh interpreter, since this one has loaded them all."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
@@ -415,7 +416,7 @@ def test_python_m_ecstats_version():
                 if line.startswith("import time:") and "|" in line}
     assert {name for name in imported if name.startswith("ecstats")} == \
         {"ecstats", "ecstats._version", "ecstats.cli", "ecstats.errors"}
-    assert not {"numpy", "fractions"} & imported
+    assert not {"numpy", "fractions", "dataclasses", "inspect"} & imported
 
 
 @pytest.mark.parametrize("user, want", [(None, "1"), ("3", "3")])
