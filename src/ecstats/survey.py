@@ -9,12 +9,13 @@ row a with ell not dividing a, ell^k | delta exactly on the columns b ==
 +-r_k mod ell^k, the Hensel lifts of one root b0 mod ell, so the v_ell(delta)
 histograms are sums of progression lengths.  The rest is one numpy pass over
 the sub-grid good at 2 and 3 (3 does not divide a, b odd), in tiles of rows a
-x columns b, that reads every decision at p but v_ell(delta) from tables
-indexed by (a mod m, b mod m).  The empirical_* views read the census they are
-given, so a survey runs it once.  write_survey_csv writes one row per pair
-from the tiles of the whole box, its Kodaira labels from the primes ell >= 5
-that divide delta in a row a: the columns b == +-b0 mod ell, two progressions
-per row.  enumerate_curves, streaming the pairs one by one, is its test oracle.
+x columns b, that reads the class at p and the torsion certificate from
+tables indexed by (a mod m, b mod m), and finds the pairs where a prime ell
+!= p adds to the growth on the progressions lifted to ell^p.  The empirical_*
+views read the census they are given, so a survey runs it once.
+write_survey_csv writes one row per pair from the tiles of the whole box, its
+Kodaira labels from the progressions mod ell of the primes ell >= 5 dividing
+delta.  enumerate_curves, streaming the pairs one by one, is its test oracle.
 
 The growth census classifies each minimal nonsingular curve at a fixed
 prime p of good reduction.  Curves with bad reduction at 2 or 3 go into a
@@ -270,19 +271,6 @@ def _valuations(values, ell):
     return v
 
 
-def _reduction_table(ell: int):
-    """Reduction types mod ell, indexed [a, b]: 0 at (0, 0), 1 good, 2 nonsplit, 3 split.
-
-    A nonzero pair with ell | delta has a, b != 0 mod ell.  The node's slopes
-    are +-sqrt(3e) with 3e = -9b/2a, so it splits exactly when chi(-2a) == chi(b).
-    """
-    chi, r = ffcurve.chi_table(ell), np.arange(ell, dtype=np.int64)
-    singular = ffcurve.discriminant_mod(ell, r[:, None], r) == 0
-    table = np.where(singular, (chi[-2 * r % ell, None] == chi) + np.uint8(2), np.uint8(1))
-    table[0, 0] = 0
-    return table
-
-
 def _gather(table, a, b, columns):
     """table[a % m, b % m] on the tile a x b.  Tiles of whole rows share b:
     unless None, `columns` keeps the table's columns over b, so a tile copies rows."""
@@ -311,21 +299,17 @@ def _certify(a, b, p: int) -> np.ndarray:
 
 def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
     """The height box of a survey at p, checked before any pass over it (with
-    the primes in `ells`), the class codes at p, and a reduction table for each
-    prime that can add to the growth, in order."""
+    the primes in `ells`), the class codes at p, and the primes that can add
+    to the growth, in order: split I_m needs p | m = v_ell(delta), so ell^p <=
+    |delta|."""
     for prime in (p, *ells):
         check_prime(prime, 5)
     if x >= MAX_SURVEY_HEIGHT:
         raise DomainError(f"height bound x = {x} must be below 2^62, so that "
                           "|delta| <= 2x fits in int64")
     win = HeightWindow.from_height(x)
-    codes = ffcurve.class_code_table(p)
-    # only primes with ell^p <= |delta| can carry a Tamagawa number divisible
-    # by p (split I_m needs p | m = v_ell(delta)); each table takes ell^2 bytes
-    primes = set(sieve_primes(integer_nth_root(win.max_abs_discriminant, p))) - {2, 3, p}
-    if sum(ell * ell for ell in primes) > 1 << 27:
-        raise DomainError(f"x = {x} at p = {p} needs over 128 MB of growth-candidate tables")
-    return win, codes, {ell: _reduction_table(ell) for ell in sorted(primes)}
+    primes = sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
+    return win, ffcurve.class_code_table(p), [ell for ell in primes if ell not in (2, 3, p)]
 
 
 def _blocks(win: HeightWindow, cap: int, good: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
@@ -352,32 +336,6 @@ def _blocks(win: HeightWindow, cap: int, good: bool = False) -> Iterator[tuple[n
             yield a, b, localdata.discriminant(a[:, None], b), minimal
 
 
-def _at_p(a, b, codes, reduction, cols):
-    """The class codes at p on a tile a x b of the sub-grid good at 2 and 3,
-    and each growth candidate ell with its flat reduction codes there, read as
-    _growth walks them."""
-    reductions = ((ell, _gather(table, a, b, cols).ravel()) for ell, table in reduction.items())
-    return _gather(codes, a, b, cols), reductions
-
-
-def _growth(delta, code, p: int, reductions):
-    """Strict count, Kodaira-only count and Euler valuation of the growth at p,
-    from flat arrays of class codes at p and of _reduction_table codes per ell."""
-    g_strict = (code == PointClass.ANOMALOUS).astype(np.int64)
-    g_kodaira = g_strict.copy()
-    euler_v = 2 * g_strict
-    for ell, reduction in reductions:
-        hit = np.flatnonzero(reduction >= 2)
-        hit = hit[delta[hit] % ell**p == 0]
-        v = _valuations(delta[hit], ell)
-        hit, v = hit[v % p == 0], v[v % p == 0]
-        g_kodaira[hit] += 1
-        split = reduction[hit] == 3
-        g_strict[hit[split]] += 1
-        euler_v[hit[split]] += _valuations(v[split], p)
-    return g_strict, g_kodaira, euler_v
-
-
 def _row_roots(rows, ells) -> np.ndarray:
     """b0 for each prime ell >= 5 and row a, as an array [ell, a]: ell divides
     delta = 4a^3 + 27b^2 exactly when b == +-b0 mod ell, and b0 = -1 where no b
@@ -397,7 +355,7 @@ def _lifts(a, b0, ell: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
     and root b0 mod ell (_row_roots), the r_k == b0 mod ell with ell^k | 4a^3 +
     27 r_k^2, lifted one digit at a time (Hensel; the derivative 54 r_k == 54 b0
     is a unit mod ell).  Each r_k is held in (-ell^k/2, ell^k/2): while ell^k
-    <= width = 2 b_max + 1, a column of the box, so 4a^3 + 27 r_k^2 is one of
+    <= width <= 2 b_max + 1, a column of the box, so 4a^3 + 27 r_k^2 is one of
     its deltas and fits in int64, and past it below ell * width."""
     four_a3, r, modulus = 4 * a**3, np.where(b0 > ell // 2, b0 - ell, b0), ell
     unit, inverse = 54 * b0 % ell, np.ones_like(b0)
@@ -412,6 +370,55 @@ def _lifts(a, b0, ell: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
         digit = -((four_a3 + 27 * r * r) // modulus) % ell * inverse % ell
         r, modulus = r + digit * modulus, modulus * ell
         r = (r + modulus // 2) % modulus - modulus // 2
+
+
+def _row_hits(b, roots, moduli):
+    """The columns b == roots[i, row, ...] mod moduli[i] (-1 for none) of the
+    tile rows x b, b a run of step 1 or 2 (the moduli odd), as the index i and
+    the flat index row * len(b) + column of each, i-major and row by row."""
+    width = len(b)
+    i, row = np.nonzero(roots >= 0)[:2]
+    m = moduli[i]
+    start = (roots[roots >= 0] - b[0]) % m  # the first column, at step 1
+    if width > 1 and b[1] - b[0] == 2:  # b[0] + 2j == b[0] + start mod m
+        start = (start + (start & 1) * m) // 2
+    count = (width - 1 - start) // m + 1
+    which = np.repeat(np.arange(len(count)), count)
+    step = np.arange(len(which)) - (np.cumsum(count) - count)[which]
+    return i[which], row[which] * width + start[which] + step * m[which]
+
+
+def _growth(a, b, delta, code, p: int, candidates):
+    """Strict count, Kodaira-only count and Euler valuation of the growth at p
+    on a tile a x b (b a run of step 1 or 2), from its deltas and class codes
+    at p, flat and row-major.  A candidate ell adds where p | v_ell(delta) in
+    a row with ell ∤ a (b0 > 0), to the strict count if the node splits too.
+    Those columns lie on b == +-r_k mod ell^k (_lifts, listed by _row_hits),
+    lifted to ell^p or, once past the tile's 2 max|b| + 1, to one column per
+    sign at most.  The node's slopes are +-sqrt(3e) with 3e = -9b/2a, so it
+    splits exactly when chi(-2a) == chi(b) mod ell."""
+    g_strict = (code == PointClass.ANOMALOUS).astype(np.int64)
+    g_kodaira, euler_v = g_strict.copy(), 2 * g_strict
+    if not delta.size:
+        return g_strict, g_kodaira, euler_v
+    top = 2 * max(abs(int(b[0])), abs(int(b[-1]))) + 1
+    for ell in candidates:
+        b0 = _row_roots(a, np.array([ell]))[0]
+        rows = np.flatnonzero(b0 > 0)  # b0 = 0 where ell | a, -1 where ell divides no delta
+        *_, (modulus, r) = _lifts(a[rows], b0[rows], ell, min(top, ell**p - 1))
+        roots = np.full((1, len(a), 2), -1, dtype=np.int64)
+        roots[0, rows] = np.stack([r % modulus, -r % modulus], axis=-1)
+        _, hit = _row_hits(b, roots, np.array([modulus]))
+        v = _valuations(delta[hit], ell)
+        hit, v = hit[v % p == 0], v[v % p == 0]
+        if not hit.size:
+            continue
+        chi = ffcurve.chi_table(ell)
+        split = chi[-2 * a[hit // len(b)] % ell] == chi[b[hit % len(b)] % ell]
+        g_kodaira[hit] += 1
+        g_strict[hit[split]] += 1
+        euler_v[hit[split]] += _valuations(v[split], p)
+    return g_strict, g_kodaira, euler_v
 
 
 def _valuation_counts(a, b_max: int, ell: int) -> Counter:
@@ -482,7 +489,7 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     histograms: one pass, tile by tile, over the sub-grid good at 2 and 3 sorts
     the curves there, and every other curve is bad at 2 or 3.
     """
-    win, codes, reduction = _survey_setup(p, x, ells)
+    win, codes, candidates = _survey_setup(p, x, ells)
     box, valuation_hists = _box_census(win, ells)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0), **box}
     hists = Counter(), Counter(), Counter()  # strict, Kodaira-only, Euler
@@ -490,11 +497,11 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     first = [_certificate_table(q, p) for q in itertools.islice(
         _certificate_primes(p), TORSION_CERT_PRIMES)] if p in (5, 7) else []
     # tiles of whole rows share their b: gather each table's columns once, if all fit in 2 MB
-    tables = (codes, *reduction.values(), *first)
+    tables = (codes, *first)
     width = win.b_max + win.b_max % 2  # the odd b in [-b_max, b_max]
     cols = {} if width <= min(_BLOCK_PAIRS, (1 << 21) // sum(map(len, tables))) else None
     for a, b, delta, curve in _blocks(win, _BLOCK_PAIRS, good=True):
-        code, reductions = _at_p(a, b, codes, reduction, cols)
+        code = _gather(codes, a, b, cols)
         for name, c in zip(_BUCKETS[4:6], (PointClass.SINGULAR, PointClass.SUPERSINGULAR)):
             counts[name] += int(np.count_nonzero(curve & (code == c)))
         keep = curve & ((code == PointClass.ORDINARY) | (code == PointClass.ANOMALOUS))
@@ -504,7 +511,7 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
             keep[i[doubt], j[doubt]] = False
             counts["torsion_uncertified"] += int(np.count_nonzero(doubt))
         counts["classified"] += int(np.count_nonzero(keep))
-        for hist, values in zip(hists, _growth(delta.ravel(), code.ravel(), p, reductions)):
+        for hist, values in zip(hists, _growth(a, b, delta.ravel(), code.ravel(), p, candidates)):
             _tally(hist, values[keep.ravel()])
     counts["bad_at_2_or_3"] = counts["curves"] - sum(counts[k] for k in _BUCKETS[4:])
     return GrowthCensus(p, x, counts, *hists, valuation_hists)
@@ -589,21 +596,15 @@ def _kodaira_fields(a, b, delta, curve, roots, ells) -> np.ndarray:
     """The kodaira field of each curve of the tile a x b (b consecutive), one
     str: its labels joined by ";", `ell:I<v>`, or `ell:additive` where ell
     divides a (and so b), for each prime ell >= 5 dividing delta, in order.
-    The hits of ell in row a are the columns b == +-roots[ell, a] mod ell, all
-    expanded by one np.repeat.  Once their ell^v, the 2s and the 3s are out of
-    |delta|, 1 or a prime above the ells is left, dividing delta once: I1.
-    Each label is an integer key, ell << 8 | v with v = 0 for additive, or -q
+    The hits of ell in row a are the columns b == +-roots[ell, a] mod ell
+    (_row_hits).  Once their ell^v, the 2s and the 3s are out of |delta|, 1
+    or a prime above the ells is left, dividing delta once: I1.  Each label is an integer key, ell << 8 | v with v = 0 for additive, or -q
     for the cofactor q, formatted once per distinct key in each form."""
     width = len(b)
     both = np.stack([roots, np.where(roots > 0, ells[:, None] - roots, -1)], axis=-1)
-    e, row, _ = np.nonzero(both >= 0)  # ell-major, so each curve meets its ells in order
-    ell, start = ells[e], (both[both >= 0] - b[0]) % ells[e]
-    count = (width - 1 - start) // ell + 1
-    which = np.repeat(np.arange(len(count)), count)
-    ell, step = ell[which], np.arange(len(which)) - (np.cumsum(count) - count)[which]
-    hit = row[which] * width + start[which] + step * ell
+    e, hit = _row_hits(b, both, ells)  # ell-major, so each curve meets its ells in order
     keep = curve.ravel()[hit]
-    hit, ell = hit[keep], ell[keep]
+    hit, ell = hit[keep], ells[e[keep]]
     v = _valuations(delta.ravel()[hit], ell)
     rest = np.where(curve, np.abs(delta), 1).ravel()
     rest //= rest & -rest  # the odd part
@@ -647,7 +648,7 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
     once per distinct value and each kodaira label once per distinct label,
     so only delta and each curve's joined labels are built per pair.  (At
     most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
-    win, codes, reduction = _survey_setup(p, x)
+    win, codes, candidates = _survey_setup(p, x)
     ells = np.array(sieve_primes(math.isqrt(win.max_abs_discriminant))[2:], dtype=np.int64)
     roots = _row_roots(np.arange(-win.a_max, win.a_max + 1), ells)  # one table per ell
     for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
@@ -659,9 +660,8 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
         curve = minimal & (delta != 0)
         kodaira = _kodaira_fields(a, b[lo:], delta[:, lo:], curve[:, lo:], roots[:, a + win.a_max], ells)
         rows, columns = a % 3 != 0, b % 2 != 0  # delta == a mod 3 and == b mod 2
-        code, reductions = _at_p(a[rows], b[columns], codes, reduction, None)
-        grid, code = rows[:, None] & columns, code.ravel()
-        g_strict, _, euler_v = _growth(delta[grid], code, p, reductions)
+        grid, code = rows[:, None] & columns, _gather(codes, a[rows], b[columns], None).ravel()
+        g_strict, _, euler_v = _growth(a[rows], b[columns], delta[grid], code, p, candidates)
         key = np.full(delta.shape, -1, dtype=np.int64)
         key[grid] = np.where(curve[grid] & (code != PointClass.SINGULAR), (euler_v << 6 | g_strict) << 2
                              | (code != PointClass.SUPERSINGULAR) << 1 | (code == PointClass.ANOMALOUS), -1)

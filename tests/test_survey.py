@@ -327,6 +327,10 @@ PINNED_CENSUS = {
     (5, 10**7): ((13, 322, 329472, 220032, 21888, 17496, 35, 70021),
                  {0: 56849, 1: 13171, 2: 1}, {0: 56847, 1: 13172, 2: 2},
                  {0: 56849, 1: 2, 2: 13169, 3: 1}),
+    # recorded from the growth step that read a residue table per candidate ell
+    (5, 10**8): ((19, 2284, 2249362, 1499002, 150072, 120120, 242, 479926),
+                 {0: 389954, 1: 89969, 2: 3}, {0: 389952, 1: 89968, 2: 6},
+                 {0: 389954, 1: 4, 2: 89965, 3: 3}),
     (7, 10**8): ((19, 2284, 2249362, 1499002, 107194, 91516, 16, 551634),
                  {0: 490310, 1: 61323, 2: 1}, {0: 490304, 1: 61329, 2: 1},
                  {0: 490310, 1: 3, 2: 61320, 3: 1}),
@@ -654,11 +658,12 @@ def _record_gathers(monkeypatch):
 def test_column_tables_are_bounded(monkeypatch):
     """At x = 10^8 whole rows make a tile, and the census gathers each
     table's columns once, over the odd b alone: together under 256 KB.  No
-    table is read for ell = 5, whose histogram is counted along the rows."""
+    table is read for ell = 5, whose histogram is counted along the rows, nor
+    for the growth candidates, whose hits are listed along them."""
     stores, _, _, _ = _record_gathers(monkeypatch)
     survey._growth_census.__wrapped__(7, 10**8, (5,))
     held = [table for store in stores for table in store.values()]
-    assert len(held) == 1 + 5 + 3  # the codes, 5 certificate and 3 growth tables
+    assert len(held) == 1 + 5  # the codes and 5 certificate tables
     assert {table.shape[1] for table in held} == {HeightWindow.from_height(10**8).b_max}
     assert sum(table.nbytes for table in held) <= 2**18
 
@@ -667,12 +672,11 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
     """At x = 2^62 - 1 a row of the sub-grid good at 2 and 3 holds about
     4.1e8 pairs.  The first tile is part of one, within the cap; the census
     gathers no columns ahead there, so each table it reads for the tile holds
-    at most the tile, it reads at most five certificate tables densely, the
-    rest only on the pairs they leave in doubt, and the growth tables (95 at
-    p = 7) one at a time, so that the reads alive at once hold at most four
-    tiles' codes.  The box census hands its rows to the progression counts in
-    bands of at most _ROW_BAND.  Only that tile is drawn, and the bands are
-    not counted."""
+    at most the tile, and it reads at most five certificate tables densely,
+    the rest only on the pairs they leave in doubt, so that the reads alive
+    at once hold at most four tiles' codes.  The box census hands its rows
+    to the progression counts in bands of at most _ROW_BAND.  Only that tile
+    is drawn, and the bands are not counted."""
     win = HeightWindow.from_height(2**62 - 1)
     assert win.b_max + win.b_max % 2 > 4 * 10**8
     a, b, delta, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS, good=True))
@@ -686,23 +690,27 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
     assert sum(census.counts[k] for k in survey._BUCKETS[4:]) <= survey._BLOCK_PAIRS
     assert sum(bands) > 2 * win.a_max and max(bands) <= survey._ROW_BAND
     assert stores == [None] and max(tile_bytes) <= survey._BLOCK_PAIRS
-    assert len(tile_bytes) > 95 and held["peak"] <= 4 * survey._BLOCK_PAIRS
+    assert held["peak"] <= 4 * survey._BLOCK_PAIRS
     dense = [t for t in tables if any(t is table for _, table in handed)]
     assert 0 < len(dense) <= survey.TORSION_CERT_PRIMES
 
 
-def test_growth_tables_are_capped_before_the_pass(monkeypatch):
-    """At p = 5 the growth candidates' reduction tables pass 128 MB between
-    x = 2e15 and 3e15 (9.4 GB at x = 2^62 - 1): such a survey is refused
-    before any table, box count or tile is built."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("the census did work before its cap check")
-
-    for name in ("_reduction_table", "_blocks", "_box_census", "_valuation_counts", "_row_roots"):
-        monkeypatch.setattr(survey, name, no_work)
-    for x in (3 * 10**15, 2**62 - 1):
-        with pytest.raises(DomainError, match="128 MB"):
-            survey._growth_census.__wrapped__(5, x, (7,))
+def test_census_at_the_height_limit_at_p_5(monkeypatch):
+    """At p = 5 and x = 2^62 - 1, where 804 primes can add to the growth,
+    the census runs: cut to its first tile, its buckets past bad_at_2_or_3
+    sum to that tile's curves, and its histograms to the classified ones.
+    It builds a chi table only for a prime with hits in the tile, so far
+    fewer than the 64 that ffcurve.chi_table caches."""
+    win = HeightWindow.from_height(2**62 - 1)
+    _, _, _, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS, good=True))
+    blocks, chi_table, asked = survey._blocks, ffcurve.chi_table, []
+    monkeypatch.setattr(survey, "_blocks", lambda *args, **kw: itertools.islice(blocks(*args, **kw), 1))
+    monkeypatch.setattr(ffcurve, "chi_table", lambda ell: asked.append(ell) or chi_table(ell))
+    census = survey._growth_census.__wrapped__(5, 2**62 - 1)
+    assert len(survey._survey_setup(5, 2**62 - 1)[2]) == 804 and len(asked) < 64
+    assert sum(census.counts[k] for k in survey._BUCKETS[4:]) == np.count_nonzero(minimal)
+    for hist in (census.strict_hist, census.kodaira_hist, census.euler_hist):
+        assert sum(hist.values()) == census.counts["classified"] > 0
 
 
 def test_kodaira_view_needs_its_ell():
@@ -711,25 +719,69 @@ def test_kodaira_view_needs_its_ell():
         survey.empirical_kodaira_density(census, 11, 1)
 
 
-def test_reduction_table_matches_the_split_rule():
-    for ell in arith.primes_in(5, 199):
-        table = survey._reduction_table(ell)
-        bad = [(am, bm) for am, bm in itertools.product(range(ell), repeat=2)
-               if (4 * am**3 + 27 * bm**2) % ell == 0]
-        assert bad[0] == (0, 0) and table[0, 0] == 0 and len(bad) == ell
-        assert np.count_nonzero(table == 1) == ell * ell - ell
-        for am, bm in bad[1:]:
-            assert table[am, bm] == 2 + localdata._split_from_residues(am, bm, ell)
+def _dense_growth(a, b, delta, code, p, candidates):
+    """The strict and Kodaira-only counts of _growth on the tile a x b, from
+    a scan of every pair for ell^p | delta and the per-pair split rule, and
+    the (i, ell) the scan finds, i flat in the tile and ell ∤ a."""
+    flag = (code == ffcurve.PointClass.ANOMALOUS).astype(np.int64)
+    strict, kodaira, found = flag.copy(), flag.copy(), []
+    for ell in candidates:
+        for i in np.flatnonzero((delta % ell**p == 0) & np.repeat(a % ell != 0, len(b))).tolist():
+            ai, bi = int(a[i // len(b)]), int(b[i % len(b)])
+            found.append((i, ell))
+            if localdata.valuation(int(delta[i]), ell) % p == 0:
+                kodaira[i] += 1
+                strict[i] += localdata._split_from_residues(ai % ell, bi % ell, ell)
+    return strict, kodaira, found
 
 
-def test_reduction_table_reads_the_character_table(monkeypatch):
-    """The table is one numpy broadcast over chi mod ell, not a call per pair."""
-    def per_pair(*args):
-        raise AssertionError("the reduction table called the per-pair split rule")
+def _growth_tiles(x):
+    """Tiles a x b of the sub-grid good at 2 and 3 of the height-x box: its
+    first 16 at x < 2^62 - 1.  At 2^62 - 1, where a tile is part of a row,
+    one of the 8 rows nearest a_max with 3, 5 and 7 ∤ a and roots mod 5 and
+    7, and the 2^14 odd b from -b_max."""
+    win = HeightWindow.from_height(x)
+    if x < 2**62 - 1:
+        return [(a, b) for a, b, _, _ in itertools.islice(survey._blocks(win, survey._BLOCK_PAIRS, True), 16)]
+    a = np.arange(win.a_max, win.a_max - 400, -1)
+    a = a[(a % 3 != 0) & np.all(survey._row_roots(a, np.array([5, 7])) > 0, axis=0)][:8]
+    lo = -win.b_max + 1 - win.b_max % 2
+    return [(a, np.arange(lo, lo + 2**15, 2))]
 
-    monkeypatch.setattr(localdata, "_split_from_residues", per_pair)
-    table = survey._reduction_table(101)
-    assert table.shape == (101, 101) and np.count_nonzero(table >= 2) == 100
+
+@pytest.mark.parametrize("p, x", [(5, 10**8), (7, 10**8), (5, 3 * 10**9), (5, 2**62 - 1), (7, 2**62 - 1)])
+def test_growth_hits_match_the_dense_scan(p, x):
+    """The growth step's strict and Kodaira-only counts on each of _growth_tiles
+    equal a dense scan of the tile for ell^p | delta with the split rule of
+    localdata.  Each minimal curve good at p that the scan finds or the step
+    counts gets the strict, Kodaira-only and Euler values of
+    localdata.tamagawa_anomaly_count.  At x = 10^8 every candidate ell != p
+    has ell^p > 2 b_max + 1, so the lifts stop at one column per sign; at 3e9
+    the hits of 7^5 <= 2 b_max + 1 come as progressions, as do those of the
+    ell <= 69 (p = 5) or 19 (p = 7) at 2^62 - 1, where a progression of 7^5
+    holds several columns of the tile."""
+    win, codes, candidates = survey._survey_setup(p, x)
+    min_primes, progressions, checked = win.minimality_primes(), 0, 0
+    for a, b in _growth_tiles(x):
+        delta = localdata.discriminant(a[:, None], b).ravel()
+        code = survey._gather(codes, a, b, None).ravel()
+        strict, kodaira, euler = survey._growth(a, b, delta, code, p, candidates)
+        dense_strict, dense_kodaira, found = _dense_growth(a, b, delta, code, p, candidates)
+        assert strict.tolist() == dense_strict.tolist() and kodaira.tolist() == dense_kodaira.tolist()
+        counted = set(np.flatnonzero(kodaira > (code == ffcurve.PointClass.ANOMALOUS)).tolist())
+        assert counted <= {i for i, _ in found}
+        progressions += sum(ell**p <= 2 * win.b_max + 1 for _, ell in found)
+        for i in sorted({i for i, _ in found}):
+            ai, bi = int(a[i // len(b)]), int(b[i % len(b)])
+            if code[i] == ffcurve.PointClass.SINGULAR or not survey._is_minimal_pair(ai, bi, min_primes):
+                continue
+            growth = localdata.tamagawa_anomaly_count(ai, bi, p)
+            kodaira_only = growth.anomalous_flag + sum(kt.is_multiplicative and kt.n % p == 0
+                                                       for _, kt in growth.kodaira)
+            assert (strict[i], kodaira[i], euler[i]) == (growth.total, kodaira_only,
+                                                         growth.euler_valuation)
+            checked += 1
+    assert checked > 0 and (progressions > 0) == (x > 10**8)
 
 
 def test_growth_census_bucket_partition():
