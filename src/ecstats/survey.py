@@ -7,11 +7,14 @@ the singular pairs are (-3t^2, +-2t^3), a Möbius sum over squarefree m of the
 sub-boxes (a_max // m^4, b_max // m^6) counts the minimal curves, and along a
 row a with ell not dividing a, ell^k | delta exactly on the columns b ==
 +-r_k mod ell^k, the Hensel lifts of one root b0 mod ell, so the v_ell(delta)
-histograms are sums of progression lengths.  The rest is one numpy pass over
-the sub-grid good at 2 and 3 (3 does not divide a, b odd), in tiles of rows a
-x columns b, that reads the class at p and the torsion certificate from
-tables indexed by (a mod m, b mod m), and finds the pairs where a prime ell
-!= p adds to the growth on the progressions lifted to ell^p.  The empirical_*
+histograms are sums of progression lengths.  The buckets at p are lattice
+counts too: on the sub-grid good at 2 and 3 (3 does not divide a, b odd) the
+class at p reads (a mod p, b mod p), so each Möbius term is a product of row
+and column counts by residue.  The pairs where a prime ell != p adds to the
+growth lie on progressions lifted to ell^p, listed once for the box in bands
+of rows; each moves its curve out of its base histogram bin.  Only the
+torsion certificate at p in {5, 7} walks the pairs, in tiles of rows a x
+columns b that AND the columns of its first five tables.  The empirical_*
 views read the census they are given, so a survey runs it once.
 write_survey_csv writes one row per pair from the tiles of the whole box, its
 Kodaira labels from the progressions mod ell of the primes ell >= 5 dividing
@@ -55,9 +58,9 @@ from .intervals import QInterval
 
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
-_BLOCK_PAIRS = 1 << 16  # pairs per tile of the height-box pass
+_BLOCK_PAIRS = 1 << 16  # pairs per tile of the certificate pass, growth hits per band
 _CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, joined into one string
-_ROW_BAND = 1 << 18  # rows whose root progressions the box census lifts at once
+_ROW_BAND = 1 << 13  # rows whose root progressions the census lifts at once
 _MINIMAL = np.array(["0,", "1,"], dtype=object)
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
@@ -271,15 +274,13 @@ def _valuations(values, ell):
     return v
 
 
-def _gather(table, a, b, columns):
-    """table[a % m, b % m] on the tile a x b.  Tiles of whole rows share b:
-    unless None, `columns` keeps the table's columns over b, so a tile copies rows."""
-    m = len(table)
-    if columns is None:
-        return np.take(table[a % m], b % m, axis=1)
-    if id(table) not in columns:  # the census holds every table it reads
-        columns[id(table)] = table[:, b % m]
-    return columns[id(table)][a % m]
+def _minimal(a, b, marks) -> np.ndarray:
+    """The pairs (a, b), arrays broadcast together, that no (q^4, q^6) of
+    `marks` divides."""
+    minimal = np.ones(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=bool)
+    for p4, p6 in marks:
+        minimal &= (a % p4 != 0) | (b % p6 != 0)
+    return minimal
 
 
 def _certify(a, b, p: int) -> np.ndarray:
@@ -312,28 +313,30 @@ def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
     return win, ffcurve.class_code_table(p), [ell for ell in primes if ell not in (2, 3, p)]
 
 
-def _blocks(win: HeightWindow, cap: int, good: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
-    """Row-major tiles a x b of the box, with delta and the minimal flags as 2-D
-    arrays: whole rows of at most `cap` pairs, or parts of a longer row.  With
-    `good`, the tiles cover only the sub-grid good at 2 and 3, the rows 3 ∤ a
-    and the columns b odd (delta == a mod 3 and == b mod 2), where delta != 0."""
-    rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
-    columns = range(-win.b_max, win.b_max + 1)
-    marks = ((MAX_SURVEY_HEIGHT,) * 2, *win.minimality_primes())  # the first marks (0, 0)
-    if good:  # no pair there is (0, 0) or divisible by (2^4, 2^6) or (3^4, 3^6)
-        rows, columns, marks = rows[rows % 3 != 0], columns[1 - win.b_max % 2::2], marks[3:]
-    if not columns:
-        return
+def _blocks(rows, columns: range, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row-major tiles a x b of rows x columns: whole rows of at most `cap`
+    pairs, or parts of a longer row."""
     step, cols = max(1, cap // len(columns)), min(cap, len(columns))
     for i in range(0, len(rows), step):
-        a = rows[i:i + step]
         for j in range(0, len(columns), cols):
             run = columns[j:j + cols]
-            b = np.arange(run.start, run.stop, run.step, dtype=np.int64)
-            minimal = np.ones((len(a), len(b)), dtype=bool)
-            for p4, p6 in marks:
-                minimal[a % p4 == 0] &= b % p6 != 0
-            yield a, b, localdata.discriminant(a[:, None], b), minimal
+            yield rows[i:i + step], np.arange(run.start, run.stop, run.step, dtype=np.int64)
+
+
+def _in_doubt(rows, columns: range, tables, marks) -> Iterator[tuple]:
+    """The pairs (a, b) of rows x columns, not divisible by any (q^4, q^6) of
+    `marks`, where every boolean table[a % m, b % m] holds, band by band: runs
+    of at most _BLOCK_PAIRS columns, each table's columns read once per run,
+    and in each run _blocks of whole rows that AND row copies of them."""
+    for start in range(0, len(columns), _BLOCK_PAIRS):
+        run, masks = columns[start:start + _BLOCK_PAIRS], None
+        for a, b in _blocks(rows, run, _BLOCK_PAIRS):
+            masks, doubt = masks or [t[:, b % len(t)] for t in tables], True
+            for mask in masks:
+                doubt = doubt & mask[a % len(mask)]
+            i, j = np.nonzero(doubt)
+            minimal = _minimal(a[i], b[j], marks)
+            yield a[i[minimal]], b[j[minimal]]
 
 
 def _row_roots(rows, ells) -> np.ndarray:
@@ -374,51 +377,64 @@ def _lifts(a, b0, ell: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def _row_hits(b, roots, moduli):
     """The columns b == roots[i, row, ...] mod moduli[i] (-1 for none) of the
-    tile rows x b, b a run of step 1 or 2 (the moduli odd), as the index i and
-    the flat index row * len(b) + column of each, i-major and row by row."""
+    tile rows x b, b a run of step 1, as the index i and the flat index row *
+    len(b) + column of each, i-major and row by row."""
     width = len(b)
     i, row = np.nonzero(roots >= 0)[:2]
     m = moduli[i]
-    start = (roots[roots >= 0] - b[0]) % m  # the first column, at step 1
-    if width > 1 and b[1] - b[0] == 2:  # b[0] + 2j == b[0] + start mod m
-        start = (start + (start & 1) * m) // 2
-    count = (width - 1 - start) // m + 1
-    which = np.repeat(np.arange(len(count)), count)
-    step = np.arange(len(which)) - (np.cumsum(count) - count)[which]
+    start = (roots[roots >= 0] - b[0]) % m  # the first column
+    which, step = _expand((width - 1 - start) // m + 1)
     return i[which], row[which] * width + start[which] + step * m[which]
 
 
-def _growth(a, b, delta, code, p: int, candidates):
-    """Strict count, Kodaira-only count and Euler valuation of the growth at p
-    on a tile a x b (b a run of step 1 or 2), from its deltas and class codes
-    at p, flat and row-major.  A candidate ell adds where p | v_ell(delta) in
-    a row with ell ∤ a (b0 > 0), to the strict count if the node splits too.
-    Those columns lie on b == +-r_k mod ell^k (_lifts, listed by _row_hits),
-    lifted to ell^p or, once past the tile's 2 max|b| + 1, to one column per
-    sign at most.  The node's slopes are +-sqrt(3e) with 3e = -9b/2a, so it
-    splits exactly when chi(-2a) == chi(b) mod ell."""
-    g_strict = (code == PointClass.ANOMALOUS).astype(np.int64)
-    g_kodaira, euler_v = g_strict.copy(), 2 * g_strict
-    if not delta.size:
-        return g_strict, g_kodaira, euler_v
-    top = 2 * max(abs(int(b[0])), abs(int(b[-1]))) + 1
-    for ell in candidates:
-        b0 = _row_roots(a, np.array([ell]))[0]
-        rows = np.flatnonzero(b0 > 0)  # b0 = 0 where ell | a, -1 where ell divides no delta
-        *_, (modulus, r) = _lifts(a[rows], b0[rows], ell, min(top, ell**p - 1))
-        roots = np.full((1, len(a), 2), -1, dtype=np.int64)
-        roots[0, rows] = np.stack([r % modulus, -r % modulus], axis=-1)
-        _, hit = _row_hits(b, roots, np.array([modulus]))
-        v = _valuations(delta[hit], ell)
-        hit, v = hit[v % p == 0], v[v % p == 0]
-        if not hit.size:
-            continue
-        chi = ffcurve.chi_table(ell)
-        split = chi[-2 * a[hit // len(b)] % ell] == chi[b[hit % len(b)] % ell]
-        g_kodaira[hit] += 1
-        g_strict[hit[split]] += 1
-        euler_v[hit[split]] += _valuations(v[split], p)
-    return g_strict, g_kodaira, euler_v
+def _expand(count):
+    """For progressions of the given lengths, the progression of each term,
+    in order, and its step 0, 1, ... along it."""
+    which = np.repeat(np.arange(len(count)), count)
+    return which, np.arange(len(which)) - (np.cumsum(count) - count)[which]
+
+
+def _growth_hits(a, lo: int, hi: int, b_max: int, p: int, candidates) -> Iterator[tuple]:
+    """The pairs where a candidate ell adds to the growth at p, for the rows a
+    (3 ∤ a, so delta != 0) and the odd columns lo <= b <= hi of the box of
+    half-width b_max: row index i, column b, v = v_ell(delta) and whether the
+    node splits, one entry per pair and ell.  ell adds where ell ∤ a and p | v
+    > 0, so on the columns b == +-r mod M of a row with a root (_row_roots,
+    _lifts to M = ell^p, or past 2 b_max + 1 for one column per sign at most),
+    the odd ones b == c mod 2M.  In each band of _ROW_BAND rows the lengths of
+    these progressions size the bands of whole rows that list at most
+    _BLOCK_PAIRS beyond their first row, and only the rows with columns are
+    lifted again to list them.  The node's slopes are +-sqrt(3e) with 3e =
+    -9b/2a, so it splits exactly when chi(-2a) == chi(b) mod ell, and a chi
+    table is built only for an ell with hits."""
+    def progressions(rows):  # (ell, row index, first column, step, length)
+        for ell in candidates:
+            b0 = _row_roots(rows, np.array([ell]))[0]
+            i = np.flatnonzero(b0 > 0)  # b0 = 0 where ell | a, -1 where ell divides no delta
+            *_, (modulus, r) = _lifts(rows[i], b0[i], ell, min(2 * b_max + 1, ell**p - 1))
+            c = np.concatenate([r, -r]) % modulus
+            first = lo + (c + (c % 2 == 0) * modulus - lo) % (2 * modulus)
+            yield ell, np.tile(i, 2), first, 2 * modulus, (hi - first) // (2 * modulus) + 1
+
+    for start in range(0, len(a), _ROW_BAND):
+        band_rows = a[start:start + _ROW_BAND]
+        lengths = np.zeros(len(band_rows), dtype=np.int64)
+        for _, i, _, _, count in progressions(band_rows):
+            np.add.at(lengths, i, count)
+        busy = np.flatnonzero(lengths)
+        cuts = np.flatnonzero(np.diff(np.cumsum(lengths[busy]) // _BLOCK_PAIRS)) + 1
+        for band in np.split(busy, cuts) if busy.size else ():
+            rows, hits = band_rows[band], []
+            for ell, i, first, step, count in progressions(rows):
+                which, k = _expand(count)
+                i, b = i[which], first[which] + step * k
+                v = _valuations(localdata.discriminant(rows[i], b), ell)
+                i, b, v = i[v % p == 0], b[v % p == 0], v[v % p == 0]
+                if i.size:
+                    chi = ffcurve.chi_table(ell)
+                    hits.append((start + band[i], b, v, chi[-2 * rows[i] % ell] == chi[b % ell]))
+            if hits:
+                yield tuple(np.concatenate(column) for column in zip(*hits))
 
 
 def _valuation_counts(a, b_max: int, ell: int) -> Counter:
@@ -448,25 +464,32 @@ def _valuation_counts(a, b_max: int, ell: int) -> Counter:
     return hist
 
 
+def _squarefree(win: HeightWindow) -> Iterator[tuple[int, int, int, int]]:
+    """mu(m), m and the sub-box (a_max // m^4, b_max // m^6) for each squarefree
+    m whose sub-box holds a pair other than (0, 0): the terms of a Möbius sum
+    over the minimal pairs, (a, b) = (m^4 a', m^6 b')."""
+    top = max(integer_nth_root(win.a_max, 4), integer_nth_root(win.b_max, 6))
+    primes = sieve_primes(top)
+    for m in range(1, top + 1):
+        factors = [q for q in primes if m % q == 0]
+        if math.prod(factors) == m:
+            yield (-1) ** len(factors), m, win.a_max // m**4, win.b_max // m**6
+
+
 def _box_census(win: HeightWindow, ells: tuple[int, ...]) -> tuple[dict, dict]:
     """The singular, nonminimal and curves counts of the box and, for each ell
     in `ells`, its curves not == (0, 0) mod ell by v_ell(delta), in closed
     form: the same at every p.  A pair is minimal unless q^4 | a and q^6 | b for
-    a prime q, so each count over the curves is a Möbius sum over squarefree m
-    of the same count over the nonsingular pairs of the sub-box (a_max // m^4,
-    b_max // m^6): (a, b) = (m^4 a', m^6 b') multiplies delta by m^12.  An m
-    with ell | m adds nothing to the ell histogram, its pairs being == (0, 0)
-    mod ell.  The singular pairs are (-3t^2, +-2t^3) and (0, 0)."""
+    a prime q, so each count over the curves is a Möbius sum (_squarefree) of
+    the same count over the nonsingular pairs of the sub-box: (a, b) = (m^4 a',
+    m^6 b') multiplies delta by m^12.  An m with ell | m adds nothing to the
+    ell histogram, its pairs being == (0, 0) mod ell.  The singular pairs are
+    (-3t^2, +-2t^3) and (0, 0)."""
     def singular(a_max: int, b_max: int) -> int:  # the t >= 1 inside the box
         return min(math.isqrt(a_max // 3), integer_nth_root(b_max // 2, 3))
 
     curves, hists = 0, {ell: Counter() for ell in ells}
-    top = max(integer_nth_root(win.a_max, 4), integer_nth_root(win.b_max, 6))
-    for m in range(1, top + 1):
-        factors = [q for q in sieve_primes(top) if m % q == 0]
-        if math.prod(factors) != m:  # m is not squarefree
-            continue
-        sign, a_max, b_max = (-1) ** len(factors), win.a_max // m**4, win.b_max // m**6
+    for sign, m, a_max, b_max in _squarefree(win):
         curves += sign * ((2 * a_max + 1) * (2 * b_max + 1) - 1 - 2 * singular(a_max, b_max))
         for ell in (ell for ell in ells if m % ell):
             for lo in range(-a_max, a_max + 1, _ROW_BAND):
@@ -477,6 +500,30 @@ def _box_census(win: HeightWindow, ells: tuple[int, ...]) -> tuple[dict, dict]:
              "curves": curves}, {ell: +hist for ell, hist in hists.items()})
 
 
+def _residue_counts(n: int, k: int, scale: int, p: int) -> np.ndarray:
+    """#{t : |t| <= n, k ∤ t} by scale * t mod p, from the counts by t mod kp."""
+    t = np.arange(k * p, dtype=np.int64)
+    counts = np.where(t % k != 0, (n - t) // (k * p) - (-n - 1 - t) // (k * p), 0)
+    return np.bincount(scale % p * t % p, counts, p).astype(np.int64)
+
+
+def _class_counts(win: HeightWindow, codes) -> np.ndarray:
+    """The minimal pairs of the sub-grid good at 2 and 3 by class code at p,
+    indexed by PointClass, on lattices: a Möbius sum over the squarefree m
+    prime to 6 (no pair there is divisible by (2^4, 2^6) or (3^4, 3^6)) of r^T
+    [codes == c] c, r counting the rows a' of the sub-box with 3 ∤ a' by m^4 a'
+    mod p, c its odd columns b' by m^6 b' mod p.  If p | m, every pair lands on
+    codes[0, 0], singular.  The float sums are exact: every one is an integer
+    below the box's pair count < 2^53."""
+    p, classes = len(codes), np.zeros(len(PointClass), dtype=np.int64)
+    for sign, m, a_max, b_max in _squarefree(win):
+        if m % 2 and m % 3:
+            rows, columns = _residue_counts(a_max, 3, m**4, p), _residue_counts(b_max, 2, m**6, p)
+            weights = np.outer(rows, columns).ravel()
+            classes += sign * np.bincount(codes.ravel(), weights, len(PointClass)).astype(np.int64)
+    return classes
+
+
 @lru_cache(maxsize=8)
 def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     """The census of the height box at the prime p.
@@ -485,36 +532,45 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta);
     _box_census counts these in closed form.  The curves go on into
     bad_at_2_or_3, bad_at_p, supersingular_at_p, torsion_uncertified or
-    classified, and the classified ones into the strict, Kodaira-only and Euler
-    histograms: one pass, tile by tile, over the sub-grid good at 2 and 3 sorts
-    the curves there, and every other curve is bad at 2 or 3.
+    classified: every curve off the sub-grid good at 2 and 3 is bad there, and
+    _class_counts sorts the others by class at p.  At p in {5, 7} the pairs
+    the first five certificate tables leave in doubt (_in_doubt) go to
+    _certify.  The classified curves start in the strict, Kodaira-only and
+    Euler histograms at 0, or at 1, 1 and 2 if anomalous, and each one the
+    growth hits list (_growth_hits) moves from there by its hits.
     """
     win, codes, candidates = _survey_setup(p, x, ells)
     box, valuation_hists = _box_census(win, ells)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0), **box}
-    hists = Counter(), Counter(), Counter()  # strict, Kodaira-only, Euler
-    # the first five certificate primes are among any pair's first five good ones
-    first = [_certificate_table(q, p) for q in itertools.islice(
-        _certificate_primes(p), TORSION_CERT_PRIMES)] if p in (5, 7) else []
-    # tiles of whole rows share their b: gather each table's columns once, if all fit in 2 MB
-    tables = (codes, *first)
-    width = win.b_max + win.b_max % 2  # the odd b in [-b_max, b_max]
-    cols = {} if width <= min(_BLOCK_PAIRS, (1 << 21) // sum(map(len, tables))) else None
-    for a, b, delta, curve in _blocks(win, _BLOCK_PAIRS, good=True):
-        code = _gather(codes, a, b, cols)
-        for name, c in zip(_BUCKETS[4:6], (PointClass.SINGULAR, PointClass.SUPERSINGULAR)):
-            counts[name] += int(np.count_nonzero(curve & (code == c)))
-        keep = curve & ((code == PointClass.ORDINARY) | (code == PointClass.ANOMALOUS))
-        if first:
-            i, j = np.nonzero(keep & np.all([_gather(t, a, b, cols) != 2 for t in first], 0))
-            doubt = ~_certify(a[i], b[j], p)
-            keep[i[doubt], j[doubt]] = False
-            counts["torsion_uncertified"] += int(np.count_nonzero(doubt))
-        counts["classified"] += int(np.count_nonzero(keep))
-        for hist, values in zip(hists, _growth(a, b, delta.ravel(), code.ravel(), p, candidates)):
-            _tally(hist, values[keep.ravel()])
+    marks, at_p = win.minimality_primes(), [PointClass.ORDINARY, PointClass.ANOMALOUS]
+    classes, doubt = _class_counts(win, codes), np.zeros(len(PointClass), dtype=np.int64)
+    classifiable = (codes == at_p[0]) | (codes == at_p[1])
+    rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
+    rows = rows[rows % 3 != 0]  # and the columns b odd: the sub-grid good at 2 and 3
+    if p in (5, 7):  # the first five certificate primes are among any pair's first five good ones
+        first = itertools.islice(_certificate_primes(p), TORSION_CERT_PRIMES)
+        tables = [classifiable, *(_certificate_table(q, p) != 2 for q in first)]
+        for a, b in _in_doubt(rows, range(-win.b_max, win.b_max + 1)[1 - win.b_max % 2::2], tables, marks):
+            fail = ~_certify(a, b, p)
+            doubt += np.bincount(codes[a[fail] % p, b[fail] % p], minlength=len(PointClass))
+    base, hists = (classes - doubt)[at_p], (Counter(), Counter(), Counter())  # ordinary, anomalous
+    counts.update(bad_at_p=int(classes[PointClass.SINGULAR]), torsion_uncertified=int(doubt.sum()),
+                  supersingular_at_p=int(classes[PointClass.SUPERSINGULAR]), classified=int(base.sum()))
     counts["bad_at_2_or_3"] = counts["curves"] - sum(counts[k] for k in _BUCKETS[4:])
-    return GrowthCensus(p, x, counts, *hists, valuation_hists)
+    for i, b, v, split in _growth_hits(rows, -win.b_max, win.b_max, win.b_max, p, candidates):
+        a, code = rows[i], codes[rows[i] % p, b % p]
+        keep = _minimal(a, b, marks) & classifiable[a % p, b % p]
+        if p in (5, 7):
+            keep[keep] = _certify(a[keep], b[keep], p)
+        pairs, which = np.unique(i[keep] * (2 * win.b_max + 1) + b[keep], return_inverse=True)
+        anomalous = np.bincount(which, code[keep] == PointClass.ANOMALOUS, len(pairs)) > 0
+        base -= np.bincount(anomalous, minlength=2)
+        split, v = split[keep], v[keep]
+        for hist, scale, grow in zip(hists, (1, 1, 2), (split, split | True, split * _valuations(v, p))):
+            _tally(hist, scale * anomalous + np.bincount(which, grow, len(pairs)).astype(np.int64))
+    for hist, bins in zip(hists, ((0, 1), (0, 1), (0, 2))):
+        hist.update(dict(zip(bins, base.tolist())))
+    return GrowthCensus(p, x, counts, *(+hist for hist in hists), valuation_hists)
 
 
 def empirical_selmer_growth(census: GrowthCensus, n: int) -> SurveySummary:
@@ -650,8 +706,11 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
     most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
     win, codes, candidates = _survey_setup(p, x)
     ells = np.array(sieve_primes(math.isqrt(win.max_abs_discriminant))[2:], dtype=np.int64)
-    roots = _row_roots(np.arange(-win.a_max, win.a_max + 1), ells)  # one table per ell
-    for a, b, delta, minimal in _blocks(win, _CSV_BLOCK_ROWS):
+    box_rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
+    roots = _row_roots(box_rows, ells)  # one table per ell
+    marks = ((MAX_SURVEY_HEIGHT,) * 2, *win.minimality_primes())  # the first marks (0, 0)
+    for a, b in _blocks(box_rows, range(-win.b_max, win.b_max + 1), _CSV_BLOCK_ROWS):
+        delta, minimal = localdata.discriminant(a[:, None], b), _minimal(a[:, None], b, marks)
         # (a, b) and (a, -b) share delta and the kodaira field, so a tile of
         # whole rows formats and factors its columns b >= 0 alone; `fold`
         # maps each column to its image among the columns b[lo:]
@@ -660,8 +719,14 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
         curve = minimal & (delta != 0)
         kodaira = _kodaira_fields(a, b[lo:], delta[:, lo:], curve[:, lo:], roots[:, a + win.a_max], ells)
         rows, columns = a % 3 != 0, b % 2 != 0  # delta == a mod 3 and == b mod 2
-        grid, code = rows[:, None] & columns, _gather(codes, a[rows], b[columns], None).ravel()
-        g_strict, _, euler_v = _growth(a[rows], b[columns], delta[grid], code, p, candidates)
+        grid, good = rows[:, None] & columns, b[columns]
+        code = codes[(a[rows] % p)[:, None], good % p].ravel()
+        g_strict = (code == PointClass.ANOMALOUS).astype(np.int64)
+        euler_v = 2 * g_strict
+        for i, hit, v, split in _growth_hits(a[rows], b[0], b[-1], win.b_max, p, candidates):
+            at = i[split] * len(good) + (hit[split] - good[0]) // 2
+            np.add.at(g_strict, at, 1)
+            np.add.at(euler_v, at, _valuations(v[split], p))
         key = np.full(delta.shape, -1, dtype=np.int64)
         key[grid] = np.where(curve[grid] & (code != PointClass.SINGULAR), (euler_v << 6 | g_strict) << 2
                              | (code != PointClass.SUPERSINGULAR) << 1 | (code == PointClass.ANOMALOUS), -1)

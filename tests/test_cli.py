@@ -386,8 +386,9 @@ run(["tables", "--pmin", "5", "--pmax", "13"],
 for argv in (["bounds", "--p", "7", "--n", "1"], ["densities", "--ell", "5", "--type", "In"]):
     run(argv, {"localdata", "reference_tables", "survey", "verify"})
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    assert cli.main(["survey", "--x", "1000", "--p", "7"]) == 0
+    assert cli.main(["survey", "--x", "10000000", "--p", "5"]) == 0  # with growth hits and doubt
 assert '"blocks"' in out.getvalue() and "numpy" in sys.modules
+assert "numpy.ma" not in sys.modules  # np.unique with no index output loads it
 """
 
 
@@ -396,8 +397,8 @@ def test_startup_loads_no_numpy():
     usage error load no math module (nor fractions), tables no bound,
     density, local-data, survey or verify module, and bounds and densities
     no local-data, reference, survey or verify module; none of them loads
-    numpy, dataclasses or inspect, and survey still runs after them.  A
-    fresh interpreter, since this one has loaded them all."""
+    numpy, dataclasses or inspect, and survey still runs after them without
+    loading numpy.ma.  A fresh interpreter, since this one has loaded them all."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)

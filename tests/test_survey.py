@@ -3,7 +3,7 @@ import hashlib
 import io
 import itertools
 import math
-import weakref
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -337,6 +337,13 @@ PINNED_CENSUS = {
     # recorded from the flat-block pass that the tiled one replaced
     (11, 10**8): ((19, 2284, 2249362, 1499002, 68214, 124596, 0, 557550),
                   {0: 526575, 1: 30975}, {0: 526575, 1: 30975}, {0: 526575, 2: 30975}),
+    # recorded from the tiled pass with a growth step per tile: at x = 10^10 the
+    # sub-box of m = 5 = p holds pairs, all singular mod 5
+    (5, 10**10): ((43, 103314, 104399708, 69564456, 6967044, 5573352, 10429, 22284427),
+                  {0: 18105554, 1: 4178769, 2: 104}, {0: 18105078, 1: 4179133, 2: 216},
+                  {0: 18105554, 1: 460, 2: 4178309, 3: 104}),
+    (11, 10**11): ((63, 706082, 711216588, 473870412, 21576926, 39201876, 0, 176567374),
+                   {0: 166758075, 1: 9809299}, {0: 166758075, 1: 9809299}, {0: 166758075, 2: 9809299}),
 }
 # v_ell(delta) at x = 10^8 does not depend on p; recorded like (11, 10^8)
 PINNED_VALUATIONS = {
@@ -380,11 +387,12 @@ def test_census_divides_only_where_ell_divides_delta(monkeypatch):
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_tile_boundaries(p, monkeypatch):
-    """Tiles of 1 and 7 pairs and of one row's width minus and plus one,
-    for the rows of the sub-grid good at 2 and 3 and for whole rows, split
-    rows at every place, and the box census lifts bands of as many rows; the
-    census and the CSV still match the slow path, bucket for bucket and byte
-    for byte."""
+    """Caps of 1 and 7 and of one row's width minus and plus one, for the rows
+    of the sub-grid good at 2 and 3 and for whole rows: certificate tiles and
+    CSV tiles split rows at every place, growth hit bands hold one row or
+    several, and the box census and the hit lister lift row bands of as many
+    rows; the census and the CSV still match the slow path, bucket for bucket
+    and byte for byte."""
     x = 10**4
     ells = tuple(ell for ell in (5, 7) if ell != p)
     buckets, strict, kodaira, euler, valuations = _slow_census(p, x)
@@ -616,101 +624,145 @@ def test_kodaira_fields_match_the_slow_path():
 
 
 def test_split_rows_keep_the_pinned_census(monkeypatch):
-    """Tiles of one row's width minus one, in the sub-grid good at 2 and 3
-    (the odd b), where every growth branch fires: the tables are read row by
-    row, not from gathered columns."""
+    """Certificate tiles and hit bands of one row's width minus one, in the
+    sub-grid good at 2 and 3 (the odd b), where every growth branch fires: the
+    certificate tables are read in two runs of columns, and the hits are
+    listed in row bands of 64 rows."""
     x = 10**7
     b_max = HeightWindow.from_height(x).b_max
     monkeypatch.setattr(survey, "_BLOCK_PAIRS", b_max + b_max % 2 - 1)
+    monkeypatch.setattr(survey, "_ROW_BAND", 64)
     buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
     census = survey._growth_census.__wrapped__(5, x)
     assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
 
 
-def _record_gathers(monkeypatch):
-    """Wrap survey._gather: the lists it returns collect each store of
-    pre-gathered columns passed in, the bytes of each gathered tile and each
-    table read; the dict holds the bytes of the reads alive at once, now and
-    at the most."""
-    stores, tile_bytes, tables, held = [], [], [], {"now": 0, "peak": 0}
-    gather = survey._gather
+def _record_doubt_passes(monkeypatch):
+    """Wrap survey._in_doubt and survey._blocks: the lists returned collect
+    the tables of each certificate pass and each tile (rows, first column,
+    columns) the pass walks."""
+    passes, tiles, in_doubt, blocks = [], [], survey._in_doubt, survey._blocks
 
-    def release(nbytes):
-        held["now"] -= nbytes
+    def recorded(rows, columns, tables, marks):
+        passes.append(tables)
+        return in_doubt(rows, columns, tables, marks)
 
-    def recorded(table, a, b, columns):
-        values = gather(table, a, b, columns)
-        if not any(store is columns for store in stores):
-            stores.append(columns)
-        tile_bytes.append(values.nbytes)
-        tables.append(table)
-        if columns is None:  # a read of its own, freed with its last view
-            held["now"] += values.nbytes
-            held["peak"] = max(held["peak"], held["now"])
-            weakref.finalize(values, release, values.nbytes)
-        return values
+    def tiled(rows, columns, cap):
+        for a, b in blocks(rows, columns, cap):
+            tiles.append((len(a), int(b[0]), len(b)))
+            yield a, b
 
-    monkeypatch.setattr(survey, "_gather", recorded)
-    return stores, tile_bytes, tables, held
+    monkeypatch.setattr(survey, "_in_doubt", recorded)
+    monkeypatch.setattr(survey, "_blocks", tiled)
+    return passes, tiles
+
+
+def _peak_bytes(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc sees it allocate,
+    numpy buffers included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_column_tables_are_bounded(monkeypatch):
-    """At x = 10^8 whole rows make a tile, and the census gathers each
-    table's columns once, over the odd b alone: together under 256 KB.  No
-    table is read for ell = 5, whose histogram is counted along the rows, nor
-    for the growth candidates, whose hits are listed along them."""
-    stores, _, _, _ = _record_gathers(monkeypatch)
-    survey._growth_census.__wrapped__(7, 10**8, (5,))
-    held = [table for store in stores for table in store.values()]
-    assert len(held) == 1 + 5  # the codes and 5 certificate tables
-    assert {table.shape[1] for table in held} == {HeightWindow.from_height(10**8).b_max}
-    assert sum(table.nbytes for table in held) <= 2**18
+    """At x = 10^8 whole rows make a tile, so the certificate pass reads the
+    columns of its tables, the mask of the classes ordinary or anomalous at p
+    and the first five certificate tables, once, over the odd b alone: together under 256 KB, and
+    the whole census stays under 1 MB.  No table is read for ell = 5, whose
+    histogram is counted along the rows, nor for the growth candidates, whose
+    hits are listed along them, nor at p = 11, where nothing is in doubt."""
+    passes, tiles = _record_doubt_passes(monkeypatch)
+    census, peak = _peak_bytes(survey._growth_census.__wrapped__, 7, 10**8, (5,))
+    odd = HeightWindow.from_height(10**8).b_max
+    assert census.counts["torsion_uncertified"] == PINNED_CENSUS[7, 10**8][0][6]
+    assert len(passes) == 1 and len(passes[0]) == 1 + 5
+    assert {(first, width) for _, first, width in tiles} == {(1 - odd, odd)}
+    assert max(rows * width for rows, _, width in tiles) <= survey._BLOCK_PAIRS
+    assert sum(len(table) for table in passes[0]) * odd <= 2**18 and peak <= 2**20
+    survey._growth_census.__wrapped__(11, 10**8, (5,))
+    assert len(passes) == 1
+
+
+def test_census_memory_at_1e15():
+    """At x = 10^15 the box has 125,993 rows and 12,171,613 columns, and a
+    census at p = 11 walks none of them: the buckets at p are lattice counts,
+    the hits are listed in row bands, and the v_ell histograms are counted
+    along the rows in bands.  The memory it allocates peaks under 4 MB, where
+    the odd columns alone would take 6.1e6 x 8 bytes."""
+    census, peak = _peak_bytes(survey._growth_census.__wrapped__, 11, 10**15, (5, 7))
+    assert sum(census.counts[k] for k in survey._BUCKETS[3:]) == census.counts["curves"]
+    assert census.counts["classified"] == sum(census.strict_hist.values()) > 0
+    assert peak <= 4 * 2**20
+
+
+def _first_bands(monkeypatch):
+    """Cut the census to its first certificate band and its first band of
+    growth hits; the list returned collects that band's hits."""
+    in_doubt, growth_hits, listed = survey._in_doubt, survey._growth_hits, []
+
+    def first_hits(*args):
+        for band in itertools.islice(growth_hits(*args), 1):
+            listed.append(band)
+            yield band
+
+    monkeypatch.setattr(survey, "_in_doubt", lambda *args: itertools.islice(in_doubt(*args), 1))
+    monkeypatch.setattr(survey, "_growth_hits", first_hits)
+    return listed
 
 
 def test_tile_memory_at_the_height_limit(monkeypatch):
     """At x = 2^62 - 1 a row of the sub-grid good at 2 and 3 holds about
-    4.1e8 pairs.  The first tile is part of one, within the cap; the census
-    gathers no columns ahead there, so each table it reads for the tile holds
-    at most the tile, and it reads at most five certificate tables densely,
-    the rest only on the pairs they leave in doubt, so that the reads alive
-    at once hold at most four tiles' codes.  The box census hands its rows
-    to the progression counts in bands of at most _ROW_BAND.  Only that tile
-    is drawn, and the bands are not counted."""
+    4.1e8 pairs.  Cut to its first certificate band and its first band of
+    growth hits, the census at p = 7 runs in bounded memory: the band is part
+    of one row, within the cap, whose run of columns the tables are read on
+    (5 + 7 + 11 + 13 + 17 + 19 rows of _BLOCK_PAIRS bytes); it reads at most
+    five certificate tables densely, the rest only on the pairs they leave in
+    doubt; the hits come from one row band of _ROW_BAND rows, at most
+    _BLOCK_PAIRS beyond the first row's (about 2 b_max / 5^7 ~ 10,600 for ell =
+    5), and the box census hands its rows to the progression counts in bands
+    of at most _ROW_BAND, which are not counted.  The lattice counts the whole
+    box, so only the uncertified pairs and the moved histogram bins are the
+    listed part's."""
     win = HeightWindow.from_height(2**62 - 1)
     assert win.b_max + win.b_max % 2 > 4 * 10**8
-    a, b, delta, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS, good=True))
-    assert len(a) == 1 and delta.shape == minimal.shape == (1, survey._BLOCK_PAIRS)
-    blocks, bands = survey._blocks, []
-    monkeypatch.setattr(survey, "_blocks", lambda *args, **kw: itertools.islice(blocks(*args, **kw), 1))
+    listed, bands = _first_bands(monkeypatch), []
+    passes, tiles = _record_doubt_passes(monkeypatch)
     monkeypatch.setattr(survey, "_valuation_counts", lambda a, b_max, ell: bands.append(len(a)) or Counter())
-    handed = _record_certificate_tables(monkeypatch)
-    stores, tile_bytes, tables, held = _record_gathers(monkeypatch)
-    census = survey._growth_census.__wrapped__(7, 2**62 - 1, (5,))
-    assert sum(census.counts[k] for k in survey._BUCKETS[4:]) <= survey._BLOCK_PAIRS
+    census, peak = _peak_bytes(survey._growth_census.__wrapped__, 7, 2**62 - 1, (5,))
+    assert tiles == [(1, -win.b_max + 1 - win.b_max % 2, survey._BLOCK_PAIRS)]
+    assert census.counts["torsion_uncertified"] <= survey._BLOCK_PAIRS
     assert sum(bands) > 2 * win.a_max and max(bands) <= survey._ROW_BAND
-    assert stores == [None] and max(tile_bytes) <= survey._BLOCK_PAIRS
-    assert held["peak"] <= 4 * survey._BLOCK_PAIRS
-    dense = [t for t in tables if any(t is table for _, table in handed)]
-    assert 0 < len(dense) <= survey.TORSION_CERT_PRIMES
+    assert len(listed) == 1 and max(listed[0][0]) < survey._ROW_BAND
+    assert 0 < len(listed[0][0]) <= 2 * survey._BLOCK_PAIRS
+    assert len(passes) == 1 and len(passes[0]) == 1 + survey.TORSION_CERT_PRIMES
+    # the rows of the box, once in all and once good, and the tables' rows over one run of columns
+    assert peak <= 16 * (2 * win.a_max + 1) + (sum(map(len, passes[0])) + 32) * survey._BLOCK_PAIRS
+    for hist in (census.strict_hist, census.kodaira_hist, census.euler_hist):
+        assert sum(hist.values()) == census.counts["classified"] > 0
 
 
 def test_census_at_the_height_limit_at_p_5(monkeypatch):
     """At p = 5 and x = 2^62 - 1, where 804 primes can add to the growth,
-    the census runs: cut to its first tile, its buckets past bad_at_2_or_3
-    sum to that tile's curves, and its histograms to the classified ones.
-    It builds a chi table only for a prime with hits in the tile, so far
-    fewer than the 64 that ffcurve.chi_table caches."""
-    win = HeightWindow.from_height(2**62 - 1)
-    _, _, _, minimal = next(survey._blocks(win, survey._BLOCK_PAIRS, good=True))
-    blocks, chi_table, asked = survey._blocks, ffcurve.chi_table, []
-    monkeypatch.setattr(survey, "_blocks", lambda *args, **kw: itertools.islice(blocks(*args, **kw), 1))
+    the census runs: cut to its first certificate band and its first band of
+    growth hits, its buckets still partition the curves and its histograms
+    the classified ones, and the listed hits move at most their own pairs.
+    It builds a chi table only for a prime with hits in the band, so far fewer
+    than the 64 that ffcurve.chi_table caches."""
+    chi_table, asked = ffcurve.chi_table, []
+    listed = _first_bands(monkeypatch)
     monkeypatch.setattr(ffcurve, "chi_table", lambda ell: asked.append(ell) or chi_table(ell))
     census = survey._growth_census.__wrapped__(5, 2**62 - 1)
     assert len(survey._survey_setup(5, 2**62 - 1)[2]) == 804 and len(asked) < 64
-    assert sum(census.counts[k] for k in survey._BUCKETS[4:]) == np.count_nonzero(minimal)
+    assert sum(census.counts[k] for k in survey._BUCKETS[3:]) == census.counts["curves"]
+    assert census.counts["torsion_uncertified"] <= survey._BLOCK_PAIRS
     for hist in (census.strict_hist, census.kodaira_hist, census.euler_hist):
         assert sum(hist.values()) == census.counts["classified"] > 0
+    assert census.tail(census.kodaira_hist, 2) <= len(listed[0][0])
 
 
 def test_kodaira_view_needs_its_ell():
@@ -720,19 +772,45 @@ def test_kodaira_view_needs_its_ell():
 
 
 def _dense_growth(a, b, delta, code, p, candidates):
-    """The strict and Kodaira-only counts of _growth on the tile a x b, from
-    a scan of every pair for ell^p | delta and the per-pair split rule, and
-    the (i, ell) the scan finds, i flat in the tile and ell ∤ a."""
+    """The strict and Kodaira-only counts and Euler valuations of the growth
+    at p on the tile a x b, from a scan of every pair for ell^p | delta with
+    the per-pair split rule, and the (i, ell) the scan finds, i flat in the
+    tile and ell ∤ a."""
     flag = (code == ffcurve.PointClass.ANOMALOUS).astype(np.int64)
-    strict, kodaira, found = flag.copy(), flag.copy(), []
+    strict, kodaira, euler, found = flag.copy(), flag.copy(), 2 * flag, []
     for ell in candidates:
         for i in np.flatnonzero((delta % ell**p == 0) & np.repeat(a % ell != 0, len(b))).tolist():
             ai, bi = int(a[i // len(b)]), int(b[i % len(b)])
             found.append((i, ell))
-            if localdata.valuation(int(delta[i]), ell) % p == 0:
+            v = localdata.valuation(int(delta[i]), ell)
+            if v % p == 0:
                 kodaira[i] += 1
-                strict[i] += localdata._split_from_residues(ai % ell, bi % ell, ell)
-    return strict, kodaira, found
+                if localdata._split_from_residues(ai % ell, bi % ell, ell):
+                    strict[i] += 1
+                    euler[i] += localdata.valuation(v, p)
+    return strict, kodaira, euler, found
+
+
+def _good_tiles(x, cap):
+    """The tiles a x b of the sub-grid good at 2 and 3 (3 ∤ a, b odd) of the
+    height-x box, from its tiles of `cap` pairs."""
+    win = HeightWindow.from_height(x)
+    for a, b in survey._blocks(np.arange(-win.a_max, win.a_max + 1), range(-win.b_max, win.b_max + 1), cap):
+        if (a % 3 != 0).any() and (b % 2 != 0).any():
+            yield a[a % 3 != 0], b[b % 2 != 0]
+
+
+def _listed_growth(a, b, code, p, win, candidates):
+    """The strict and Kodaira-only counts and Euler valuations of the growth
+    on the tile a x b (b odd, consecutive) from survey._growth_hits."""
+    flag = (code == ffcurve.PointClass.ANOMALOUS).astype(np.int64)
+    strict, kodaira, euler = flag.copy(), flag.copy(), 2 * flag
+    for i, hit, v, split in survey._growth_hits(a, int(b[0]), int(b[-1]), win.b_max, p, candidates):
+        at = i * len(b) + (hit - b[0]) // 2
+        np.add.at(kodaira, at, 1)
+        np.add.at(strict, at[split], 1)
+        np.add.at(euler, at[split], [localdata.valuation(int(w), p) for w in v[split]])
+    return strict, kodaira, euler
 
 
 def _growth_tiles(x):
@@ -742,7 +820,7 @@ def _growth_tiles(x):
     7, and the 2^14 odd b from -b_max."""
     win = HeightWindow.from_height(x)
     if x < 2**62 - 1:
-        return [(a, b) for a, b, _, _ in itertools.islice(survey._blocks(win, survey._BLOCK_PAIRS, True), 16)]
+        return list(itertools.islice(_good_tiles(x, 3 * survey._BLOCK_PAIRS), 16))
     a = np.arange(win.a_max, win.a_max - 400, -1)
     a = a[(a % 3 != 0) & np.all(survey._row_roots(a, np.array([5, 7])) > 0, axis=0)][:8]
     lo = -win.b_max + 1 - win.b_max % 2
@@ -751,23 +829,24 @@ def _growth_tiles(x):
 
 @pytest.mark.parametrize("p, x", [(5, 10**8), (7, 10**8), (5, 3 * 10**9), (5, 2**62 - 1), (7, 2**62 - 1)])
 def test_growth_hits_match_the_dense_scan(p, x):
-    """The growth step's strict and Kodaira-only counts on each of _growth_tiles
-    equal a dense scan of the tile for ell^p | delta with the split rule of
-    localdata.  Each minimal curve good at p that the scan finds or the step
-    counts gets the strict, Kodaira-only and Euler values of
-    localdata.tamagawa_anomaly_count.  At x = 10^8 every candidate ell != p
-    has ell^p > 2 b_max + 1, so the lifts stop at one column per sign; at 3e9
-    the hits of 7^5 <= 2 b_max + 1 come as progressions, as do those of the
-    ell <= 69 (p = 5) or 19 (p = 7) at 2^62 - 1, where a progression of 7^5
-    holds several columns of the tile."""
+    """The growth hits listed on each of _growth_tiles give the strict and
+    Kodaira-only counts and Euler valuations of a dense scan of the tile for
+    ell^p | delta with the split rule of localdata.  Each minimal curve good
+    at p that the scan finds or the lister counts gets the strict,
+    Kodaira-only and Euler values of localdata.tamagawa_anomaly_count.  At x
+    = 10^8 every candidate ell != p has ell^p > 2 b_max + 1, so the lifts stop
+    at one column per sign; at 3e9 the hits of 7^5 <= 2 b_max + 1 come as
+    progressions, as do those of the ell <= 69 (p = 5) or 19 (p = 7) at 2^62
+    - 1, where a progression of 7^5 holds several columns of the tile."""
     win, codes, candidates = survey._survey_setup(p, x)
     min_primes, progressions, checked = win.minimality_primes(), 0, 0
     for a, b in _growth_tiles(x):
         delta = localdata.discriminant(a[:, None], b).ravel()
-        code = survey._gather(codes, a, b, None).ravel()
-        strict, kodaira, euler = survey._growth(a, b, delta, code, p, candidates)
-        dense_strict, dense_kodaira, found = _dense_growth(a, b, delta, code, p, candidates)
-        assert strict.tolist() == dense_strict.tolist() and kodaira.tolist() == dense_kodaira.tolist()
+        code = codes[(a % p)[:, None], b % p].ravel()
+        strict, kodaira, euler = _listed_growth(a, b, code, p, win, candidates)
+        dense = _dense_growth(a, b, delta, code, p, candidates)
+        assert [g.tolist() for g in (strict, kodaira, euler)] == [g.tolist() for g in dense[:3]]
+        found = dense[3]
         counted = set(np.flatnonzero(kodaira > (code == ffcurve.PointClass.ANOMALOUS)).tolist())
         assert counted <= {i for i, _ in found}
         progressions += sum(ell**p <= 2 * win.b_max + 1 for _, ell in found)
@@ -782,6 +861,59 @@ def test_growth_hits_match_the_dense_scan(p, x):
                                                          growth.euler_valuation)
             checked += 1
     assert checked > 0 and (progressions > 0) == (x > 10**8)
+
+
+def _dense_census(p, x):
+    """The buckets at p and the strict, Kodaira-only and Euler histograms of
+    the census, from a dense pass over the tiles of the sub-grid good at 2
+    and 3: the class codes, the minimal flags, the torsion certificate
+    (survey._certify) on every curve ordinary or anomalous at p and the
+    growth of _dense_growth.  Every other curve is bad at 2 or 3."""
+    win, codes, candidates = survey._survey_setup(p, x)
+    marks = [(ell**4, ell**6) for ell in arith.sieve_primes(60)]
+    counts, hists = Counter(), (Counter(), Counter(), Counter())
+    for a, b in _good_tiles(x, survey._BLOCK_PAIRS):
+        delta = localdata.discriminant(a[:, None], b).ravel()
+        code = codes[(a % p)[:, None], b % p].ravel()
+        minimal = np.ones(delta.shape, dtype=bool)
+        for p4, p6 in marks:
+            minimal &= ((a[:, None] % p4 != 0) | (b % p6 != 0)).ravel()
+        keep = minimal & ((code == ffcurve.PointClass.ORDINARY) | (code == ffcurve.PointClass.ANOMALOUS))
+        counts["bad_at_p"] += int(np.count_nonzero(minimal & (code == ffcurve.PointClass.SINGULAR)))
+        counts["supersingular_at_p"] += int(np.count_nonzero(minimal & (code == ffcurve.PointClass.SUPERSINGULAR)))
+        if p in (5, 7):
+            i = np.flatnonzero(keep)
+            doubt = i[~survey._certify(a[i // len(b)], b[i % len(b)], p)]
+            keep[doubt] = False
+            counts["torsion_uncertified"] += len(doubt)
+        counts["classified"] += int(np.count_nonzero(keep))
+        for hist, values in zip(hists, _dense_growth(a, b, delta, code, p, candidates)):
+            hist.update(values[keep].tolist())
+    return counts, hists
+
+
+def _assert_dense_census(p, x):
+    counts, hists = _dense_census(p, x)
+    census = survey._growth_census.__wrapped__(p, x)
+    assert {k: census.counts[k] for k in survey._BUCKETS[4:]} == {k: counts[k] for k in survey._BUCKETS[4:]}
+    assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == hists
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_census_matches_the_dense_pass(p):
+    """Bucket for bucket and histogram for histogram, the census from lattice
+    counts and listed hits equals a dense pass over the pairs good at 2 and
+    3 at x = 10^9: at p = 5, 17 candidates from 7 to 71 and 1,510 curves the
+    torsion certificate leaves in doubt; at p = 13, one candidate and no
+    certificate.  (Progressions of several columns first come at p = 5 past
+    x = 27 * 8404^2, where 7^5 <= 2 b_max + 1: PINNED_CENSUS holds 10^10.)"""
+    _assert_dense_census(p, 10**9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13]), st.integers(0, 10**7))
+def test_census_matches_the_dense_pass_drawn(p, x):
+    _assert_dense_census(p, x)
 
 
 def test_growth_census_bucket_partition():
