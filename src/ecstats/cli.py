@@ -22,9 +22,9 @@ import sys
 from ._version import __version__
 from .errors import DomainError
 
-# Nothing here calls BLAS, yet an idle OpenBLAS thread pool costs each command
-# that loads numpy (survey, verify) about 0.13 s of CPU on two cores; set before
-# that import, and a value the user has set wins.
+# Nothing here calls BLAS, yet an idle OpenBLAS thread pool costs the one command
+# that loads numpy (survey) about 0.13 s of CPU on two cores; set before that
+# import, and a value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
@@ -120,7 +120,7 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    from . import survey  # survey and verify load numpy; no other command needs it
+    from . import survey  # survey alone loads numpy; no other command needs it
 
     # checked before the one pass over the height box, which every block reads
     if args.n < 1:

@@ -10,14 +10,14 @@ are classified by the point count N = #E(F_p):
   p, which for p >= 5 forces it to vanish exactly.
 
 Counting is by character sums: N = p + 1 + sum_x chi(x^3 + a x + b) with chi
-the quadratic character (chi(0) = 0).  One residue table per p, O(p) per
-curve.  The census of all p^2 pairs is Deuring's count: (p-1)/2 * H(4p - t^2)
-nonsingular pairs have trace t, H the Hurwitz class number, so it reads
-two class numbers (three at p = 5) in pure Python, O(p) at worst (Deuring
-1941; Lenstra, Ann. of Math. 126, 1987).  The per-pair tables count the
-rows a = 0, 1 and g (a non-residue) and read every other row off them as a
-quadratic twist, O(p^2) per prime; numpy is imported only by the functions
-that count points or build tables.
+the quadratic character (chi(0) = 0).  One cached byte table per p, O(p) per
+curve in pure Python; chi_table is a numpy view of that table.  The census
+of all p^2 pairs is Deuring's count: (p-1)/2 * H(4p - t^2) nonsingular pairs
+have trace t, H the Hurwitz class number, so it reads two class numbers
+(three at p = 5) in pure Python, O(p) at worst (Deuring 1941; Lenstra, Ann.
+of Math. 126, 1987).  The per-pair tables count the rows a = 0, 1 and g (a
+non-residue) and read every other row off them as a quadratic twist, O(p^2)
+per prime; numpy is imported only by the functions that build tables.
 """
 
 from __future__ import annotations
@@ -83,17 +83,21 @@ def _check_field_prime(p: int, minimum: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def chi_table(p: int) -> np.ndarray:
-    """Quadratic character values chi(t) for t in [0, p), chi(0) = 0, as a
-    read-only int8 array."""
-    import numpy as np
+def _chi(p: int) -> memoryview:
+    """Quadratic character values chi(t) for t in [0, p), chi(0) = 0, one
+    signed byte each: 64 cached tables below 2^20 hold at most 64 MB."""
     _check_field_prime(p, 3)
-    chi = np.full(p, -1, dtype=np.int8)
-    xs = np.arange(p // 2 + 1, dtype=np.int64)
-    chi[xs * xs % p] = 1
+    chi = bytearray(b"\xff") * p
     chi[0] = 0
-    chi.setflags(write=False)
-    return chi
+    for x in range(1, p // 2 + 1):
+        chi[x * x % p] = 1
+    return memoryview(bytes(chi)).cast("b")
+
+
+def chi_table(p: int) -> np.ndarray:
+    """chi(t) for t in [0, p) as a read-only int8 array: a view of _chi(p)."""
+    import numpy as np
+    return np.frombuffer(_chi(p), dtype=np.int8)
 
 
 def discriminant_mod(p: int, a: int, b: int) -> int:
@@ -107,12 +111,11 @@ def count_points(p: int, a: int, b: int) -> int:
     Raises SingularCurveError when 4a^3 + 27b^2 == 0 mod p.  The result is
     always in the Hasse interval [p + 1 - 2 sqrt(p), p + 1 + 2 sqrt(p)].
     """
-    import numpy as np
     _check_field_prime(p, 3)
     if discriminant_mod(p, a, b) == 0:
         raise SingularCurveError(f"discriminant vanishes mod {p} for ({a}, {b})")
-    xs = np.arange(p, dtype=np.int64)
-    return p + 1 + int(chi_table(p)[(xs * xs * xs + a % p * xs + b % p) % p].sum())
+    chi, a, b = _chi(p), a % p, b % p
+    return p + 1 + sum([chi[((x * x + a) * x + b) % p] for x in range(p)])
 
 
 def classify_residue(p: int, a: int, b: int) -> ResidueClass:

@@ -4,9 +4,9 @@ Each check returns CheckResult records instead of raising, so the CLI can
 print one status line per check and exit nonzero on any failure.  The
 oracles here are deliberately written against the definitions (affine
 (x, y) enumeration on the cubic, exact residue counts of local measures)
-rather than through the library's counting paths; none samples.  The tests
-call these checks instead of re-deriving the laws, so `pytest` and
-`ecstats verify` check one implementation of each.
+rather than through the library's counting paths; none samples, and none
+loads numpy.  The tests call these checks instead of re-deriving the laws,
+so `pytest` and `ecstats verify` check one implementation of each.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from . import bounds, density, ffcurve, localdata, reference_tables
 from .arith import primes_in
@@ -77,15 +75,18 @@ def check_count_oracle(primes=(5, 7, 11, 13)) -> list[CheckResult]:
     return out
 
 
-def _singular_grid(ell: int) -> np.ndarray:
-    """[a, b] -> discriminant_mod(ell, a, b) == 0: one call on all ell^2 residue pairs."""
-    r = np.arange(ell, dtype=np.int64)
-    return ffcurve.discriminant_mod(ell, r[:, None], r) == 0
+def _singular_grid(ell: int) -> list[tuple[int, int]]:
+    """The pairs (a, b) mod ell with 4a^3 + 27b^2 == 0, row by row: row a holds
+    the b with 27b^2 == -4a^3, read from the columns listed by 27b^2 mod ell."""
+    columns = [[] for _ in range(ell)]
+    for b in range(ell):
+        columns[27 * b * b % ell].append(b)
+    return [(a, b) for a in range(ell) for b in columns[-4 * a**3 % ell]]
 
 
 def check_singular_counts(limit: int = 200) -> list[CheckResult]:
     """#{(a, b) mod ell : 4a^3 + 27b^2 == 0} equals ell exactly."""
-    counts = ((ell, int(np.count_nonzero(_singular_grid(ell)))) for ell in primes_in(5, limit))
+    counts = ((ell, len(_singular_grid(ell))) for ell in primes_in(5, limit))
     return [_result(f"singular count at {ell} equals {ell}", n == ell, f"got {n}")
             for ell, n in counts]
 
@@ -106,13 +107,13 @@ def check_class_number_relation(primes=(5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10
 
 
 def check_hasse(p: int = 13) -> list[CheckResult]:
-    lo, hi = p + 1 - 2 * p**0.5, p + 1 + 2 * p**0.5
+    """|p + 1 - N| <= 2 sqrt(p) for every smooth pair, as (p + 1 - N)^2 <= 4p in integers."""
     bad = []
     for a in range(p):
         for b in range(p):
-            cls = ffcurve.classify_residue(p, a, b)
-            if cls.point_count is not None and not lo <= cls.point_count <= hi:
-                bad.append((a, b, cls.point_count))
+            n = ffcurve.classify_residue(p, a, b).point_count
+            if n is not None and (p + 1 - n) ** 2 > 4 * p:
+                bad.append((a, b, n))
     return [_result(f"Hasse interval at p={p}", not bad, f"violations: {bad[:3]}")]
 
 
@@ -139,7 +140,7 @@ def check_split_dual_oracle(max_ell: int = 50) -> list[CheckResult]:
     """
     out = []
     for ell in primes_in(5, max_ell):
-        pairs = [(a, b) for a, b in np.argwhere(_singular_grid(ell)).tolist() if a or b]
+        pairs = [(a, b) for a, b in _singular_grid(ell) if a or b]
         classes, disagreements = len(pairs), 0
         for a, b in pairs:
             slope_split = localdata._split_from_residues(a, b, ell)
@@ -157,22 +158,30 @@ def check_split_dual_oracle(max_ell: int = 50) -> list[CheckResult]:
 
 
 def counted_box_measure(ell: int, v1: int, v2: int) -> Fraction:
-    """Share of pairs mod ell^e, e = max(v1, v2, 1), with v(a) >= v1 and v(b) >= v2."""
-    r = np.arange(ell ** max(v1, v2, 1))
-    return Fraction(int(np.outer(r % ell**v1 == 0, r % ell**v2 == 0).sum()), len(r) ** 2)
+    """Share of pairs mod ell^e, e = max(v1, v2, 1), with v(a) >= v1 and v(b) >= v2:
+    the rows with v(a) >= v1 times the columns with v(b) >= v2."""
+    modulus = ell ** max(v1, v2, 1)
+    rows, cols = (sum(r % ell**v == 0 for r in range(modulus)) for v in (v1, v2))
+    return Fraction(rows * cols, modulus**2)
+
+
+def _divisible_pairs(ell: int, k: int) -> int:
+    """#{(a, b) mod ell^k, not both 0 mod ell : ell^k | 4a^3 + 27b^2}.  Then ell | a
+    forces ell | b, so only the rows ell ∤ a count; row a holds the b with
+    27b^2 == -4a^3, read from a histogram of 27b^2 mod ell^k: O(ell^k) work."""
+    modulus = ell**k
+    hist = [0] * modulus
+    for b in range(modulus):
+        hist[27 * b * b % modulus] += 1
+    return sum(hist[-4 * a**3 % modulus] for a in range(modulus) if a % ell)
 
 
 def counted_In_measure(ell: int, n: int) -> Fraction:
     """Share of pairs mod M = ell^(n+1) of type I_n: v(4a^3 + 27b^2) = n, (a, b) != (0, 0)
-    mod ell.  Row a holds the b with 27b^2 = -4a^3 + k ell^n mod M, k = 1..ell-1, read from
-    a histogram of 27b^2 over all b, or over b != 0 mod ell when ell | a: O(M ell) work."""
-    modulus = ell ** (n + 1)
-    x = np.arange(modulus, dtype=np.int64)
-    r = x * x % modulus * 27 % modulus
-    every_b, unit_b = (np.bincount(rs, minlength=modulus) for rs in (r, r[x % ell != 0]))
-    wanted = (np.arange(1, ell) * ell**n - 4 * (x * x % modulus * x)[:, None]) % modulus
-    hits = np.where((x % ell == 0)[:, None], unit_b[wanted], every_b[wanted])
-    return Fraction(int(hits.sum()), modulus**2)
+    mod ell.  ell^n | delta depends on the pair mod ell^n only, so the pairs mod M with
+    ell^n | delta are ell^2 times those mod ell^n, less those with ell^(n+1) | delta."""
+    count = ell**2 * _divisible_pairs(ell, n) - _divisible_pairs(ell, n + 1)
+    return Fraction(count, ell ** (2 * n + 2))
 
 
 def check_local_measures() -> list[CheckResult]:

@@ -385,6 +385,9 @@ run(["tables", "--pmin", "5", "--pmax", "13"],
     {"bounds", "density", "localdata", "survey", "verify"})
 for argv in (["bounds", "--p", "7", "--n", "1"], ["densities", "--ell", "5", "--type", "In"]):
     run(argv, {"localdata", "reference_tables", "survey", "verify"})
+assert run(["verify", "--suite", "all"], {"survey"}) == {
+    "cli", "_version", "errors", "arith", "ffcurve", "intervals", "density", "bounds",
+    "localdata", "reference_tables", "verify"}
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert cli.main(["survey", "--x", "10000000", "--p", "5"]) == 0  # with growth hits and doubt
 assert '"blocks"' in out.getvalue() and "numpy" in sys.modules
@@ -395,10 +398,12 @@ assert "numpy.ma" not in sys.modules  # np.unique with no index output loads it
 def test_startup_loads_no_numpy():
     """Each command loads only the modules it runs: --version, --help and a
     usage error load no math module (nor fractions), tables no bound,
-    density, local-data, survey or verify module, and bounds and densities
-    no local-data, reference, survey or verify module; none of them loads
-    numpy, dataclasses or inspect, and survey still runs after them without
-    loading numpy.ma.  A fresh interpreter, since this one has loaded them all."""
+    density, local-data, survey or verify module, bounds and densities no
+    local-data, reference, survey or verify module, and verify --suite all
+    no survey module; none of them loads numpy, dataclasses or inspect, and
+    survey, the one command that imports numpy, still runs after them
+    without loading numpy.ma.  A fresh interpreter, since this one has
+    loaded them all."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)

@@ -1,6 +1,7 @@
 """Counting and classification against literal (x, y)-enumeration oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -207,21 +208,52 @@ def test_tables_are_read_only():
 
 @pytest.mark.parametrize("ell", [7, 13])
 @pytest.mark.parametrize("to_singular", [False, True])
-def test_residue_oracles_run_discriminant_on_every_pair(ell, to_singular, monkeypatch):
-    """discriminant_mod wrong on one residue pair at ell, a singular nonzero
-    pair read as smooth or a smooth pair read as singular: both residue
-    oracles fail at ell and pass elsewhere, so their array evaluation still
-    runs the library function on every pair.  No table that reads
-    discriminant_mod is built, so none is cached from the wrong function."""
-    discriminant, built = ffcurve.discriminant_mod, ffcurve.point_count_table.cache_info().misses
+def test_residue_oracles_read_the_singular_pairs(ell, to_singular, monkeypatch):
+    """The singular-pair list wrong at ell, a singular nonzero pair dropped
+    or a smooth pair added: both residue oracles fail at ell and pass
+    elsewhere, so both read the list (tests/test_verify.py checks the list
+    against the literal double loop)."""
+    singular_pairs = verify._singular_grid
     a0, b0 = next((a, b) for a in range(1, ell) for b in range(1, ell)
-                  if (discriminant(ell, a, b) == 0) != to_singular)
+                  if ((a, b) in singular_pairs(ell)) != to_singular)
 
-    def wrong(p, a, b):
-        d = discriminant(p, a, b)
-        return np.where((p == ell) & (a % p == a0) & (b % p == b0), int(not to_singular), d)
+    def wrong(q):
+        pairs = singular_pairs(q)
+        if q != ell:
+            return pairs
+        return sorted(pairs + [(a0, b0)]) if to_singular else [ab for ab in pairs if ab != (a0, b0)]
 
-    monkeypatch.setattr(ffcurve, "discriminant_mod", wrong)
+    monkeypatch.setattr(verify, "_singular_grid", wrong)
     for results in (verify.check_singular_counts(30), verify.check_split_dual_oracle(30)):
         assert [r.passed for r in results] == [q != ell for q in arith.primes_in(5, 30)]
-    assert ffcurve.point_count_table.cache_info().misses == built
+
+
+def _numpy_count(p, a, b):
+    """#E(F_p) as p + 1 + sum_x chi(x^3 + a x + b), chi built here from the squares."""
+    chi, xs = np.full(p, -1, dtype=np.int64), np.arange(p, dtype=np.int64)
+    chi[xs * xs % p] = 1
+    chi[0] = 0
+    return p + 1 + int(chi[(xs * xs % p * xs + a * xs + b) % p].sum())
+
+
+def test_count_points_matches_a_numpy_character_sum():
+    """The pure-Python count equals a numpy character sum on every smooth
+    pair at p <= 43, 200 drawn pairs at p = 1009 and one pair near 2^20."""
+    rng = random.Random(1009)
+    pairs = [(p, a, b) for p in arith.primes_in(3, 43) for a in range(p) for b in range(p)]
+    pairs += [(1009, rng.randrange(1009), rng.randrange(1009)) for _ in range(200)]
+    pairs.append((1048573, 123456, 654321))
+    smooth = [(p, a, b) for p, a, b in pairs if ffcurve.discriminant_mod(p, a, b)]
+    assert len(smooth) > len(pairs) * 0.9
+    for p, a, b in smooth:
+        assert ffcurve.count_points(p, a, b) == _numpy_count(p, a, b), (p, a, b)
+
+
+def test_chi_table_is_eulers_criterion():
+    """chi_table(p)[t] == t^((p-1)/2) mod p, read as -1, 0 or 1, at every
+    prime p <= 1009; the table is a read-only int8 array."""
+    for p in arith.primes_in(3, 1009):
+        chi = ffcurve.chi_table(p)
+        assert chi.dtype == np.int8 and not chi.flags.writeable and len(chi) == p
+        euler = [pow(t, (p - 1) // 2, p) for t in range(p)]
+        assert chi.tolist() == [e - p if e == p - 1 else e for e in euler], p

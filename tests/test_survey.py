@@ -752,7 +752,7 @@ def test_census_at_the_height_limit_at_p_5(monkeypatch):
     growth hits, its buckets still partition the curves and its histograms
     the classified ones, and the listed hits move at most their own pairs.
     It builds a chi table only for a prime with hits in the band, so far fewer
-    than the 64 that ffcurve.chi_table caches."""
+    than the 64 character tables that ffcurve caches."""
     chi_table, asked = ffcurve.chi_table, []
     listed = _first_bands(monkeypatch)
     monkeypatch.setattr(ffcurve, "chi_table", lambda ell: asked.append(ell) or chi_table(ell))
@@ -997,11 +997,12 @@ def test_kodaira_predicate_agrees_with_exhaustive_measure():
 
 
 def test_box_predicate_agrees_with_exhaustive_measure():
-    mod = 5**2
-    grid = np.arange(mod * mod, dtype=np.int64)
-    a, b = grid // mod, grid % mod
-    frac = Fraction(int(((a % 5 == 0) & (b % 25 == 0)).sum()), mod * mod)
-    assert verify.counted_box_measure(5, 1, 2) == frac == Fraction(1, 125)
+    for ell, v1, v2, want in [(5, 1, 2, Fraction(1, 125)), (7, 2, 0, Fraction(1, 49))]:
+        mod = ell ** max(v1, v2)
+        grid = np.arange(mod * mod, dtype=np.int64)
+        a, b = grid // mod, grid % mod
+        frac = Fraction(int(((a % ell**v1 == 0) & (b % ell**v2 == 0)).sum()), mod * mod)
+        assert verify.counted_box_measure(ell, v1, v2) == frac == want
 
 
 def test_csv_sink():
