@@ -136,11 +136,10 @@ def kodaira_types(a: int, b: int) -> tuple[tuple[int, KodairaType], ...]:
 
 
 def _split_from_residues(a_mod: int, b_mod: int, ell: int) -> bool:
-    # node x-coordinate: the double root e = -3b / 2a of x^3 + ax + b mod ell;
-    # a_mod == 0 cannot occur for a multiplicative pair (it would force b == 0).
-    e = (-3 * b_mod) * pow(2 * a_mod, ell - 2, ell) % ell
-    s = 3 * e % ell
-    return s != 0 and pow(s, (ell - 1) // 2, ell) == 1
+    # the node is the double root e = -3b / 2a of x^3 + ax + b mod ell, its
+    # slopes +-sqrt(3e), and 3e = -9b / 2a = 9 (-2ab) / (2a)^2: Euler's
+    # criterion on -2ab, which is 0 (not split) where a or b is
+    return pow(-2 * a_mod * b_mod, (ell - 1) // 2, ell) == 1
 
 
 def is_split_multiplicative(a: int, b: int, ell: int) -> bool:

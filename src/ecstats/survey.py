@@ -10,23 +10,24 @@ row a with ell not dividing a, ell^k | delta exactly on the columns b ==
 histograms are sums of progression lengths.  The buckets at p are lattice
 counts too: on the sub-grid good at 2 and 3 (3 does not divide a, b odd) the
 class at p reads (a mod p, b mod p), so each Möbius term is a product of row
-and column counts by residue.  The pairs where a prime ell != p adds to the
-growth lie on progressions lifted to ell^p, listed once for the box in bands
-of rows; each moves its curve out of its base histogram bin.  Only the
-torsion certificate at p in {5, 7} walks the pairs, in tiles of rows a x
-columns b that AND the columns of its first five tables.  The empirical_*
+and column counts by residue.  The rest walks the box once, in bands of
+rows: at p in {5, 7} the torsion certificate ANDs the columns of its first
+five tables on tiles of a band (the one pass over pairs), and the pairs
+where a prime ell != p adds to the growth, on progressions lifted to ell^p,
+are listed and moved out of their base histogram bins.  The empirical_*
 views read the census they are given, so a survey runs it once.
 write_survey_csv writes one row per pair from the tiles of the whole box, its
 Kodaira labels from the progressions mod ell of the primes ell >= 5 dividing
 delta.  enumerate_curves, streaming the pairs one by one, is its test oracle.
 
-The growth census classifies each minimal nonsingular curve at a fixed
-prime p of good reduction.  Curves with bad reduction at 2 or 3 go into a
-separate bucket (local data there is out of scope), as do curves whose
-trivial p-torsion cannot be certified for p in {5, 7} (for p >= 11 torsion
-is impossible).  The certificate: p does not divide gcd of #E(F_q) over the
-first five good primes q >= 5, q != p — torsion injects into every such
-reduction, so a single nondivisible count is a proof.
+The growth census classifies each minimal nonsingular curve at a prime p of
+good reduction.  Curves bad at 2 or 3 go into a separate bucket (local data
+there is out of scope), as do the curves at p in {5, 7} that miss the torsion
+certificate p ∤ #E(F_q) at one of the first five good primes q >= 5, q != p
+(torsion injects into each; for p >= 11 it is impossible).  So
+torsion_uncertified counts misses, not curves with a rational point of order
+p: a curve good ordinary at p has none, since the point would reduce to one
+of order p in Ẽ(F_p).
 
 Two growth statistics are tracked side by side: the strict count (p divides
 the Tamagawa number, i.e. split multiplicative type I_m with p | m) and the
@@ -58,9 +59,9 @@ from .intervals import QInterval
 
 TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
-_BLOCK_PAIRS = 1 << 16  # pairs per tile of the certificate pass, growth hits per band
+_BLOCK_PAIRS = 1 << 16  # pairs per tile of the certificate pass, growth hits per group of rows
 _CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, joined into one string
-_ROW_BAND = 1 << 13  # rows whose root progressions the census lifts at once
+_ROW_BAND = 1 << 13  # rows the census walks at once: certificate tiles, root lifts, growth hits
 _MINIMAL = np.array(["0,", "1,"], dtype=object)
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
             "supersingular_at_p", "torsion_uncertified", "classified")
@@ -325,7 +326,7 @@ def _blocks(rows, columns: range, cap: int) -> Iterator[tuple[np.ndarray, np.nda
 
 def _in_doubt(rows, columns: range, tables, marks) -> Iterator[tuple]:
     """The pairs (a, b) of rows x columns, not divisible by any (q^4, q^6) of
-    `marks`, where every boolean table[a % m, b % m] holds, band by band: runs
+    `marks`, where every boolean table[a % m, b % m] holds, run by run: runs
     of at most _BLOCK_PAIRS columns, each table's columns read once per run,
     and in each run _blocks of whole rows that AND row copies of them."""
     for start in range(0, len(columns), _BLOCK_PAIRS):
@@ -401,12 +402,11 @@ def _growth_hits(a, lo: int, hi: int, b_max: int, p: int, candidates) -> Iterato
     node splits, one entry per pair and ell.  ell adds where ell ∤ a and p | v
     > 0, so on the columns b == +-r mod M of a row with a root (_row_roots,
     _lifts to M = ell^p, or past 2 b_max + 1 for one column per sign at most),
-    the odd ones b == c mod 2M.  In each band of _ROW_BAND rows the lengths of
-    these progressions size the bands of whole rows that list at most
-    _BLOCK_PAIRS beyond their first row, and only the rows with columns are
-    lifted again to list them.  The node's slopes are +-sqrt(3e) with 3e =
-    -9b/2a, so it splits exactly when chi(-2a) == chi(b) mod ell, and a chi
-    table is built only for an ell with hits."""
+    the odd ones b == c mod 2M.  The lengths of these progressions size the
+    groups of whole rows that list at most _BLOCK_PAIRS beyond their first
+    row, and only the rows with columns are lifted again to list them.  The
+    node splits where -2ab is a square mod ell (localdata._split_from_residues),
+    chi(-2a) == chi(b), and a chi table is built only for an ell with hits."""
     def progressions(rows):  # (ell, row index, first column, step, length)
         for ell in candidates:
             b0 = _row_roots(rows, np.array([ell]))[0]
@@ -416,25 +416,23 @@ def _growth_hits(a, lo: int, hi: int, b_max: int, p: int, candidates) -> Iterato
             first = lo + (c + (c % 2 == 0) * modulus - lo) % (2 * modulus)
             yield ell, np.tile(i, 2), first, 2 * modulus, (hi - first) // (2 * modulus) + 1
 
-    for start in range(0, len(a), _ROW_BAND):
-        band_rows = a[start:start + _ROW_BAND]
-        lengths = np.zeros(len(band_rows), dtype=np.int64)
-        for _, i, _, _, count in progressions(band_rows):
-            np.add.at(lengths, i, count)
-        busy = np.flatnonzero(lengths)
-        cuts = np.flatnonzero(np.diff(np.cumsum(lengths[busy]) // _BLOCK_PAIRS)) + 1
-        for band in np.split(busy, cuts) if busy.size else ():
-            rows, hits = band_rows[band], []
-            for ell, i, first, step, count in progressions(rows):
-                which, k = _expand(count)
-                i, b = i[which], first[which] + step * k
-                v = _valuations(localdata.discriminant(rows[i], b), ell)
-                i, b, v = i[v % p == 0], b[v % p == 0], v[v % p == 0]
-                if i.size:
-                    chi = ffcurve.chi_table(ell)
-                    hits.append((start + band[i], b, v, chi[-2 * rows[i] % ell] == chi[b % ell]))
-            if hits:
-                yield tuple(np.concatenate(column) for column in zip(*hits))
+    lengths = np.zeros(len(a), dtype=np.int64)
+    for _, i, _, _, count in progressions(a):
+        np.add.at(lengths, i, count)
+    busy = np.flatnonzero(lengths)
+    cuts = np.flatnonzero(np.diff(np.cumsum(lengths[busy]) // _BLOCK_PAIRS)) + 1
+    for group in np.split(busy, cuts) if busy.size else ():
+        rows, hits = a[group], []
+        for ell, i, first, step, count in progressions(rows):
+            which, k = _expand(count)
+            i, b = i[which], first[which] + step * k
+            v = _valuations(localdata.discriminant(rows[i], b), ell)
+            i, b, v = i[v % p == 0], b[v % p == 0], v[v % p == 0]
+            if i.size:
+                chi = ffcurve.chi_table(ell)
+                hits.append((group[i], b, v, chi[-2 * rows[i] % ell] == chi[b % ell]))
+        if hits:
+            yield tuple(np.concatenate(column) for column in zip(*hits))
 
 
 def _valuation_counts(a, b_max: int, ell: int) -> Counter:
@@ -533,11 +531,11 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     _box_census counts these in closed form.  The curves go on into
     bad_at_2_or_3, bad_at_p, supersingular_at_p, torsion_uncertified or
     classified: every curve off the sub-grid good at 2 and 3 is bad there, and
-    _class_counts sorts the others by class at p.  At p in {5, 7} the pairs
-    the first five certificate tables leave in doubt (_in_doubt) go to
-    _certify.  The classified curves start in the strict, Kodaira-only and
-    Euler histograms at 0, or at 1, 1 and 2 if anomalous, and each one the
-    growth hits list (_growth_hits) moves from there by its hits.
+    _class_counts sorts the others by class at p.  Then one walk over bands
+    of _ROW_BAND rows hands each band's good rows to _in_doubt, whose pairs
+    go to _certify at p in {5, 7}, and to _growth_hits.  The classified curves
+    start in the strict, Kodaira-only and Euler histograms at 0, or at 1, 1
+    and 2 if anomalous, and each hit curve moves from there by its hits.
     """
     win, codes, candidates = _survey_setup(p, x, ells)
     box, valuation_hists = _box_census(win, ells)
@@ -545,31 +543,34 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     marks, at_p = win.minimality_primes(), [PointClass.ORDINARY, PointClass.ANOMALOUS]
     classes, doubt = _class_counts(win, codes), np.zeros(len(PointClass), dtype=np.int64)
     classifiable = (codes == at_p[0]) | (codes == at_p[1])
-    rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
-    rows = rows[rows % 3 != 0]  # and the columns b odd: the sub-grid good at 2 and 3
     if p in (5, 7):  # the first five certificate primes are among any pair's first five good ones
         first = itertools.islice(_certificate_primes(p), TORSION_CERT_PRIMES)
         tables = [classifiable, *(_certificate_table(q, p) != 2 for q in first)]
-        for a, b in _in_doubt(rows, range(-win.b_max, win.b_max + 1)[1 - win.b_max % 2::2], tables, marks):
+    base, hists = classes[at_p], (Counter(), Counter(), Counter())  # ordinary, anomalous
+    for start in range(-win.a_max, win.a_max + 1, _ROW_BAND):
+        rows = np.arange(start, min(start + _ROW_BAND, win.a_max + 1), dtype=np.int64)
+        rows = rows[rows % 3 != 0]  # and the columns b odd: the sub-grid good at 2 and 3
+        for a, b in _in_doubt(rows, range(-win.b_max, win.b_max + 1)[1 - win.b_max % 2::2],
+                              tables, marks) if p in (5, 7) else ():
             fail = ~_certify(a, b, p)
             doubt += np.bincount(codes[a[fail] % p, b[fail] % p], minlength=len(PointClass))
-    base, hists = (classes - doubt)[at_p], (Counter(), Counter(), Counter())  # ordinary, anomalous
+        for i, b, v, split in _growth_hits(rows, -win.b_max, win.b_max, win.b_max, p, candidates):
+            a, code = rows[i], codes[rows[i] % p, b % p]
+            keep = _minimal(a, b, marks) & classifiable[a % p, b % p]
+            if p in (5, 7):
+                keep[keep] = _certify(a[keep], b[keep], p)
+            pairs, which = np.unique(i[keep] * (2 * win.b_max + 1) + b[keep], return_inverse=True)
+            anomalous = np.bincount(which, code[keep] == PointClass.ANOMALOUS, len(pairs)) > 0
+            base -= np.bincount(anomalous, minlength=2)
+            split, v = split[keep], v[keep]
+            for hist, scale, grow in zip(hists, (1, 1, 2), (split, split | True, split * _valuations(v, p))):
+                _tally(hist, scale * anomalous + np.bincount(which, grow, len(pairs)).astype(np.int64))
+    classes -= doubt  # every pair in doubt is ordinary or anomalous at p
     counts.update(bad_at_p=int(classes[PointClass.SINGULAR]), torsion_uncertified=int(doubt.sum()),
-                  supersingular_at_p=int(classes[PointClass.SUPERSINGULAR]), classified=int(base.sum()))
+                  supersingular_at_p=int(classes[PointClass.SUPERSINGULAR]), classified=int(classes[at_p].sum()))
     counts["bad_at_2_or_3"] = counts["curves"] - sum(counts[k] for k in _BUCKETS[4:])
-    for i, b, v, split in _growth_hits(rows, -win.b_max, win.b_max, win.b_max, p, candidates):
-        a, code = rows[i], codes[rows[i] % p, b % p]
-        keep = _minimal(a, b, marks) & classifiable[a % p, b % p]
-        if p in (5, 7):
-            keep[keep] = _certify(a[keep], b[keep], p)
-        pairs, which = np.unique(i[keep] * (2 * win.b_max + 1) + b[keep], return_inverse=True)
-        anomalous = np.bincount(which, code[keep] == PointClass.ANOMALOUS, len(pairs)) > 0
-        base -= np.bincount(anomalous, minlength=2)
-        split, v = split[keep], v[keep]
-        for hist, scale, grow in zip(hists, (1, 1, 2), (split, split | True, split * _valuations(v, p))):
-            _tally(hist, scale * anomalous + np.bincount(which, grow, len(pairs)).astype(np.int64))
     for hist, bins in zip(hists, ((0, 1), (0, 1), (0, 2))):
-        hist.update(dict(zip(bins, base.tolist())))
+        hist.update(dict(zip(bins, (base - doubt[at_p]).tolist())))
     return GrowthCensus(p, x, counts, *(+hist for hist in hists), valuation_hists)
 
 

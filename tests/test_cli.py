@@ -365,6 +365,32 @@ def test_traced_layers_exist():
         assert callable(target), (module, attr)
 
 
+@pytest.mark.parametrize("command", ["bounds --p 7 --n 1", "bounds --p 5 --n 2 --kind mu-lambda --trunc 800"])
+def test_bench_bound_hook(command):
+    """The bench records each bound report's exact lower endpoint in process,
+    through cli.build_parser, the cli.bounds module, the bound maker of each
+    --kind and args.zeta_terms.  bench/record_reference.py, loaded as it is,
+    gives for two bench commands an endpoint that passes the bench's own
+    check against bench/reference.json: at most the recorded exact endpoint
+    and below it by at most BOUND_REL_GAP of it."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    fresh = {"run", "tracing", "workloads"} - set(sys.modules)  # its sibling imports
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_record_reference", bench / "record_reference.py")
+        record_reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(record_reference)
+        workloads = sys.modules["workloads"]
+    finally:
+        sys.path.remove(str(bench))
+        for name in fresh:
+            sys.modules.pop(name, None)
+    expected = workloads.load_reference()["commands"][command]["lo_exact_hex"]
+    exact = workloads.exact_from_hex(expected)
+    lo = workloads.exact_from_hex(record_reference.exact_lower_endpoint(command.split()))
+    assert exact * (1 - workloads.BOUND_REL_GAP) <= lo <= exact
+
+
 STARTUP = """
 import contextlib, io, sys
 from ecstats import cli

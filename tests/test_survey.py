@@ -337,6 +337,13 @@ PINNED_CENSUS = {
     # recorded from the flat-block pass that the tiled one replaced
     (11, 10**8): ((19, 2284, 2249362, 1499002, 68214, 124596, 0, 557550),
                   {0: 526575, 1: 30975}, {0: 526575, 1: 30975}, {0: 526575, 2: 30975}),
+    # recorded from the census that handed the certificate all the box's good rows at once
+    (5, 10**9): ((29, 15336, 15307924, 10195684, 1022448, 817824, 1510, 3270458),
+                 {0: 2657148, 1: 613296, 2: 14}, {0: 2657091, 1: 613337, 2: 30},
+                 {0: 2657148, 1: 55, 2: 613241, 3: 14}),
+    (7, 10**9): ((29, 15336, 15307924, 10195684, 730800, 626400, 140, 3754900),
+                 {0: 3337314, 1: 417585, 2: 1}, {0: 3337301, 1: 417597, 2: 2},
+                 {0: 3337314, 1: 7, 2: 417578, 3: 1}),
     # recorded from the tiled pass with a growth step per tile: at x = 10^10 the
     # sub-box of m = 5 = p holds pairs, all singular mod 5
     (5, 10**10): ((43, 103314, 104399708, 69564456, 6967044, 5573352, 10429, 22284427),
@@ -638,6 +645,29 @@ def test_split_rows_keep_the_pinned_census(monkeypatch):
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_census_walks_the_rows_once_in_bands(p, monkeypatch):
+    """In bands of 64 rows, the census at x = 10^9, whose 1,259 rows make one
+    band of _ROW_BAND, keeps the pinned buckets and histograms, and the
+    certificate pass and the hit lister each receive every good row (3 ∤ a)
+    of the box exactly once, in order, in bands of at most 64 rows."""
+    x, seen = 10**9, {"_in_doubt": [], "_growth_hits": []}
+    for name, bands in seen.items():
+        def recorded(rows, *args, fn=getattr(survey, name), bands=bands):
+            bands.append(rows.tolist())
+            return fn(rows, *args)
+        monkeypatch.setattr(survey, name, recorded)
+    monkeypatch.setattr(survey, "_ROW_BAND", 64)
+    buckets, strict, kodaira, euler = PINNED_CENSUS[p, x]
+    census = survey._growth_census.__wrapped__(p, x)
+    assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
+    assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
+    a_max = HeightWindow.from_height(x).a_max
+    for bands in seen.values():
+        assert len(bands) == -(-(2 * a_max + 1) // 64) and max(map(len, bands)) <= 64
+        assert sum(bands, []) == [a for a in range(-a_max, a_max + 1) if a % 3]
+
+
 def _record_doubt_passes(monkeypatch):
     """Wrap survey._in_doubt and survey._blocks: the lists returned collect
     the tables of each certificate pass and each tile (rows, first column,
@@ -692,69 +722,85 @@ def test_census_memory_at_1e15():
     """At x = 10^15 the box has 125,993 rows and 12,171,613 columns, and a
     census at p = 11 walks none of them: the buckets at p are lattice counts,
     the hits are listed in row bands, and the v_ell histograms are counted
-    along the rows in bands.  The memory it allocates peaks under 4 MB, where
-    the odd columns alone would take 6.1e6 x 8 bytes."""
+    along the rows in bands, one band of rows at a time.  The memory it
+    allocates peaks under 1 MB (0.82 MB measured; 2.05 MB when the census
+    built the box's rows at once), where the odd columns alone would take
+    6.1e6 x 8 bytes."""
     census, peak = _peak_bytes(survey._growth_census.__wrapped__, 11, 10**15, (5, 7))
     assert sum(census.counts[k] for k in survey._BUCKETS[3:]) == census.counts["curves"]
     assert census.counts["classified"] == sum(census.strict_hist.values()) > 0
-    assert peak <= 4 * 2**20
+    assert peak <= 2**20
 
 
-def _first_bands(monkeypatch):
-    """Cut the census to its first certificate band and its first band of
-    growth hits; the list returned collects that band's hits."""
-    in_doubt, growth_hits, listed = survey._in_doubt, survey._growth_hits, []
+def _first_band(monkeypatch):
+    """Cut the census to its first row band, and that band to its first
+    certificate tile and its first group of growth hits: the first call of
+    survey._in_doubt and of survey._growth_hits yields its first item, and
+    every later call yields nothing.  The lists returned collect that group
+    and the number of rows of every call, the certificate's and the lister's."""
+    listed, calls = [], ([], [])
 
-    def first_hits(*args):
-        for band in itertools.islice(growth_hits(*args), 1):
-            listed.append(band)
-            yield band
+    def cut(name, rows_seen, sink):
+        fn = getattr(survey, name)
 
-    monkeypatch.setattr(survey, "_in_doubt", lambda *args: itertools.islice(in_doubt(*args), 1))
-    monkeypatch.setattr(survey, "_growth_hits", first_hits)
-    return listed
+        def first(rows, *args):
+            rows_seen.append(len(rows))
+            if len(rows_seen) == 1:
+                for item in itertools.islice(fn(rows, *args), 1):
+                    sink.append(item)
+                    yield item
+        monkeypatch.setattr(survey, name, first)
+
+    cut("_in_doubt", calls[0], [])
+    cut("_growth_hits", calls[1], listed)
+    return listed, calls
 
 
 def test_tile_memory_at_the_height_limit(monkeypatch):
     """At x = 2^62 - 1 a row of the sub-grid good at 2 and 3 holds about
-    4.1e8 pairs.  Cut to its first certificate band and its first band of
-    growth hits, the census at p = 7 runs in bounded memory: the band is part
-    of one row, within the cap, whose run of columns the tables are read on
-    (5 + 7 + 11 + 13 + 17 + 19 rows of _BLOCK_PAIRS bytes); it reads at most
-    five certificate tables densely, the rest only on the pairs they leave in
-    doubt; the hits come from one row band of _ROW_BAND rows, at most
-    _BLOCK_PAIRS beyond the first row's (about 2 b_max / 5^7 ~ 10,600 for ell =
-    5), and the box census hands its rows to the progression counts in bands
-    of at most _ROW_BAND, which are not counted.  The lattice counts the whole
-    box, so only the uncertified pairs and the moved histogram bins are the
-    listed part's."""
+    4.1e8 pairs.  Cut to its first row band, and that band to its first
+    certificate tile and its first group of growth hits, the census at p = 7
+    runs in bounded memory: the tile is part of one row, within the cap, whose
+    run of columns the tables are read on (5 + 7 + 11 + 13 + 17 + 19 rows of
+    _BLOCK_PAIRS bytes); it reads at most five certificate tables densely, the
+    rest only on the pairs they leave in doubt; the hits come from the band's
+    good rows, at most _BLOCK_PAIRS beyond the first row's (about 2 b_max / 5^7
+    ~ 10,600 for ell = 5).  The census hands the certificate and the lister
+    the good rows of its 256 bands of _ROW_BAND rows, one band at a time, and
+    the box census hands its rows to the progression counts in bands of at
+    most _ROW_BAND, which are not counted, so no array holds the box's rows.
+    The lattice counts the whole box, so only the uncertified pairs and the
+    moved histogram bins are the listed part's."""
     win = HeightWindow.from_height(2**62 - 1)
     assert win.b_max + win.b_max % 2 > 4 * 10**8
-    listed, bands = _first_bands(monkeypatch), []
     passes, tiles = _record_doubt_passes(monkeypatch)
+    (listed, calls), bands = _first_band(monkeypatch), []
     monkeypatch.setattr(survey, "_valuation_counts", lambda a, b_max, ell: bands.append(len(a)) or Counter())
     census, peak = _peak_bytes(survey._growth_census.__wrapped__, 7, 2**62 - 1, (5,))
     assert tiles == [(1, -win.b_max + 1 - win.b_max % 2, survey._BLOCK_PAIRS)]
     assert census.counts["torsion_uncertified"] <= survey._BLOCK_PAIRS
     assert sum(bands) > 2 * win.a_max and max(bands) <= survey._ROW_BAND
+    assert calls[0] == calls[1] and len(calls[0]) == 256 and max(calls[0]) <= survey._ROW_BAND
+    assert sum(calls[0]) == 2 * win.a_max + 1 - (2 * (win.a_max // 3) + 1)  # the rows with 3 ∤ a
     assert len(listed) == 1 and max(listed[0][0]) < survey._ROW_BAND
     assert 0 < len(listed[0][0]) <= 2 * survey._BLOCK_PAIRS
     assert len(passes) == 1 and len(passes[0]) == 1 + survey.TORSION_CERT_PRIMES
-    # the rows of the box, once in all and once good, and the tables' rows over one run of columns
-    assert peak <= 16 * (2 * win.a_max + 1) + (sum(map(len, passes[0])) + 32) * survey._BLOCK_PAIRS
+    # the tables' rows over one run of columns, and one band's rows and hits
+    assert peak <= (sum(map(len, passes[0])) + 32) * survey._BLOCK_PAIRS
     for hist in (census.strict_hist, census.kodaira_hist, census.euler_hist):
         assert sum(hist.values()) == census.counts["classified"] > 0
 
 
 def test_census_at_the_height_limit_at_p_5(monkeypatch):
     """At p = 5 and x = 2^62 - 1, where 804 primes can add to the growth,
-    the census runs: cut to its first certificate band and its first band of
-    growth hits, its buckets still partition the curves and its histograms
+    the census runs: cut to its first row band, and that band to its first
+    certificate tile and its first group of growth hits, its buckets still
+    partition the curves and its histograms
     the classified ones, and the listed hits move at most their own pairs.
     It builds a chi table only for a prime with hits in the band, so far fewer
     than the 64 character tables that ffcurve caches."""
     chi_table, asked = ffcurve.chi_table, []
-    listed = _first_bands(monkeypatch)
+    listed, _ = _first_band(monkeypatch)
     monkeypatch.setattr(ffcurve, "chi_table", lambda ell: asked.append(ell) or chi_table(ell))
     census = survey._growth_census.__wrapped__(5, 2**62 - 1)
     assert len(survey._survey_setup(5, 2**62 - 1)[2]) == 804 and len(asked) < 64
