@@ -66,10 +66,10 @@ def _weight_ratio(ell: int, p: int) -> tuple[int, int]:
     return ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1)
 
 
-def _check_truncation(n: int, truncation: int) -> None:
-    """The sums of orders 1..n run over the primes up to a truncation >= 11,
-    and no truncation may pass MAX_TRUNCATION."""
-    if n > 0 and truncation < 11:
+def _check_truncation(truncation: int) -> None:
+    """The sums run over the primes up to a truncation >= 11 at every order, the
+    tail dividing by a power of it, and no truncation may pass MAX_TRUNCATION."""
+    if truncation < 11:
         raise TruncationError("truncation must be >= 11")
     if truncation > MAX_TRUNCATION:
         raise TruncationError(f"truncation {truncation} exceeds the cap 2^24")
@@ -87,7 +87,7 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
     check_prime(p, 5)
     if n < 0:
         return QInterval.point(0)
-    _check_truncation(n, truncation)
+    _check_truncation(truncation)
     return _with_tail(_symmetric_sums(n, p, truncation), n, p, truncation)
 
 
@@ -212,7 +212,7 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     if truncation is None:
         truncation = default_truncation(p)
     zeta_terms = DEFAULT_ZETA_TERMS if zeta_terms is None else zeta_terms
-    _check_truncation(n, truncation)  # before the census and the exact zeta sum
+    _check_truncation(truncation)  # before the census and the exact zeta sum
     _check_zeta_terms(zeta_terms)
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
@@ -300,7 +300,7 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
         _check_index_prime(ell, p)
     if truncation is None:
         truncation = default_truncation(p)
-    _check_truncation(k, truncation)
+    _check_truncation(truncation)
 
     counts = ffcurve.residue_class_counts(p)
     explicit = counts.anomalous_density if anomalous else counts.ordinary_density

@@ -395,42 +395,38 @@ def _expand(count):
     return which, np.arange(len(which)) - (np.cumsum(count) - count)[which]
 
 
-def _growth_hits(a, lo: int, hi: int, b_max: int, p: int, candidates) -> Iterator[tuple]:
+def _growth_hits(a, lo: int, hi: int, p: int, candidates) -> Iterator[tuple]:
     """The pairs where a candidate ell adds to the growth at p, for the rows a
-    (3 ∤ a, so delta != 0) and the odd columns lo <= b <= hi of the box of
-    half-width b_max: row index i, column b, v = v_ell(delta) and whether the
-    node splits, one entry per pair and ell.  ell adds where ell ∤ a and p | v
-    > 0, so on the columns b == +-r mod M of a row with a root (_row_roots,
-    _lifts to M = ell^p, or past 2 b_max + 1 for one column per sign at most),
-    the odd ones b == c mod 2M.  The lengths of these progressions size the
-    groups of whole rows that list at most _BLOCK_PAIRS beyond their first
-    row, and only the rows with columns are lifted again to list them.  The
-    node splits where -2ab is a square mod ell (localdata._split_from_residues),
-    chi(-2a) == chi(b), and a chi table is built only for an ell with hits."""
-    def progressions(rows):  # (ell, row index, first column, step, length)
+    (3 ∤ a, so delta != 0) and the odd columns lo <= b <= hi: row index i,
+    column b, v = v_ell(delta) and whether the node splits, one entry per pair
+    and ell.  ell adds where ell ∤ a and p | v > 0, so on the columns b == +-r
+    mod M of a row with a root (_row_roots, _lifts to M = ell^p, or past the
+    hi - lo + 1 columns for one column per sign at most), the odd ones b == c
+    mod 2M.  As M >= min(ell^p, hi - lo + 2), a row holds at most 2 ((hi - lo)
+    // 2M + 1) of them for each ell, so groups of whole rows sized by that
+    bound list at most _BLOCK_PAIRS hits, or one row, and each group lifts
+    its rows once.  The node splits where -2ab is a square mod ell
+    (localdata._split_from_residues), chi(-2a) == chi(b), and a chi table is
+    built only for an ell with hits."""
+    if not candidates:
+        return
+    per_row = sum(2 * ((hi - lo) // (2 * min(ell**p, hi - lo + 2)) + 1) for ell in candidates)
+    step = max(1, _BLOCK_PAIRS // per_row)
+    for start in range(0, len(a), step):
+        rows, hits = a[start:start + step], []
         for ell in candidates:
             b0 = _row_roots(rows, np.array([ell]))[0]
             i = np.flatnonzero(b0 > 0)  # b0 = 0 where ell | a, -1 where ell divides no delta
-            *_, (modulus, r) = _lifts(rows[i], b0[i], ell, min(2 * b_max + 1, ell**p - 1))
+            *_, (modulus, r) = _lifts(rows[i], b0[i], ell, min(hi - lo + 1, ell**p - 1))
             c = np.concatenate([r, -r]) % modulus
             first = lo + (c + (c % 2 == 0) * modulus - lo) % (2 * modulus)
-            yield ell, np.tile(i, 2), first, 2 * modulus, (hi - first) // (2 * modulus) + 1
-
-    lengths = np.zeros(len(a), dtype=np.int64)
-    for _, i, _, _, count in progressions(a):
-        np.add.at(lengths, i, count)
-    busy = np.flatnonzero(lengths)
-    cuts = np.flatnonzero(np.diff(np.cumsum(lengths[busy]) // _BLOCK_PAIRS)) + 1
-    for group in np.split(busy, cuts) if busy.size else ():
-        rows, hits = a[group], []
-        for ell, i, first, step, count in progressions(rows):
-            which, k = _expand(count)
-            i, b = i[which], first[which] + step * k
+            which, k = _expand((hi - first) // (2 * modulus) + 1)
+            i, b = np.tile(i, 2)[which], first[which] + 2 * modulus * k
             v = _valuations(localdata.discriminant(rows[i], b), ell)
             i, b, v = i[v % p == 0], b[v % p == 0], v[v % p == 0]
             if i.size:
                 chi = ffcurve.chi_table(ell)
-                hits.append((group[i], b, v, chi[-2 * rows[i] % ell] == chi[b % ell]))
+                hits.append((start + i, b, v, chi[-2 * rows[i] % ell] == chi[b % ell]))
         if hits:
             yield tuple(np.concatenate(column) for column in zip(*hits))
 
@@ -554,7 +550,7 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
                               tables, marks) if p in (5, 7) else ():
             fail = ~_certify(a, b, p)
             doubt += np.bincount(codes[a[fail] % p, b[fail] % p], minlength=len(PointClass))
-        for i, b, v, split in _growth_hits(rows, -win.b_max, win.b_max, win.b_max, p, candidates):
+        for i, b, v, split in _growth_hits(rows, -win.b_max, win.b_max, p, candidates):
             a, code = rows[i], codes[rows[i] % p, b % p]
             keep = _minimal(a, b, marks) & classifiable[a % p, b % p]
             if p in (5, 7):
@@ -724,7 +720,7 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
         code = codes[(a[rows] % p)[:, None], good % p].ravel()
         g_strict = (code == PointClass.ANOMALOUS).astype(np.int64)
         euler_v = 2 * g_strict
-        for i, hit, v, split in _growth_hits(a[rows], b[0], b[-1], win.b_max, p, candidates):
+        for i, hit, v, split in _growth_hits(a[rows], b[0], b[-1], p, candidates):
             at = i[split] * len(good) + (hit[split] - good[0]) // 2
             np.add.at(g_strict, at, 1)
             np.add.at(euler_v, at, _valuations(v[split], p))

@@ -77,6 +77,8 @@ def test_missing_required_args_exit_2():
 @pytest.mark.parametrize("argv", [
     ["bounds", "--p", "9", "--n", "1"],
     ["bounds", "--p", "7", "--n", "2", "--trunc", "5"],
+    ["bounds", "--p", "7", "--n", "0", "--kind", "euler", "--trunc", "0"],
+    ["bounds", "--p", "7", "--n", "0", "--kind", "euler", "--trunc", "-5"],
     ["survey", "--x", "-1", "--p", "7"],
     ["survey", "--x", "4611686018427387904", "--p", "7"],
     ["survey", "--x", "4611686018427387903", "--p", "4"],
@@ -175,7 +177,8 @@ _ARGV = st.one_of(
               st.just("--n"), st.integers(min_value=-2, max_value=10**4)),
     st.tuples(st.just("bounds"), st.just("--p"), _INTS,
               st.just("--n"), st.integers(min_value=-2, max_value=4),
-              st.just("--kind"), st.sampled_from(["growth", "euler", "mu-lambda"])),
+              st.just("--kind"), st.sampled_from(["growth", "euler", "mu-lambda"]),
+              st.just("--trunc"), st.integers(min_value=-2, max_value=40)),
     st.tuples(st.just("survey"), st.just("--x"), st.integers(min_value=-5, max_value=10**4),
               st.just("--p"), _INTS, st.just("--n"), st.integers(min_value=-2, max_value=4)),
     st.tuples(st.just("tables"), st.just("--pmin"), _INTS, st.just("--pmax"), _INTS,
@@ -389,6 +392,19 @@ def test_bench_bound_hook(command):
     exact = workloads.exact_from_hex(expected)
     lo = workloads.exact_from_hex(record_reference.exact_lower_endpoint(command.split()))
     assert exact * (1 - workloads.BOUND_REL_GAP) <= lo <= exact
+
+
+def test_bench_smoke():
+    """bench/run.py --smoke, run from the repository root as the bench runs
+    it, prints `smoke: ok`: its tiny tables, survey, survey --csv, verify and
+    bounds commands match bench/reference.json in both modes, every metric of
+    BENCHMARK.json is printed with its unit, and a corrupted digest is caught.
+    No bytecode is written under bench/."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=170)
+    assert proc.stdout.splitlines()[-1:] == ["smoke: ok"], proc.stderr
 
 
 STARTUP = """

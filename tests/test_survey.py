@@ -668,6 +668,55 @@ def test_census_walks_the_rows_once_in_bands(p, monkeypatch):
         assert sum(bands, []) == [a for a in range(-a_max, a_max + 1) if a % 3]
 
 
+def test_growth_hits_lift_each_row_once(monkeypatch):
+    """At (5, 10^10), the first pinned height where the hits of 7^5 <= 2 b_max
+    + 1 come as progressions of several columns, and with groups sized for
+    _BLOCK_PAIRS = 4096 hits, the census keeps its pinned buckets and
+    histograms, and the lister lifts each row once: for each candidate the
+    rows lifted are disjoint and together are the good rows (3 ∤ a) with a
+    root, each group calls _lifts once per candidate, in order, on a run of
+    at most max(1, 4096 // per_row) consecutive good rows, per_row bounding
+    the odd hit columns of a row, and each group lists at most 4096 hits
+    unless they all lie in one row."""
+    x, lifted, listed = 10**10, [], []
+    lifts, growth_hits = survey._lifts, survey._growth_hits
+
+    def recorded_lifts(a, b0, ell, width):
+        lifted.append((ell, a.tolist()))
+        return lifts(a, b0, ell, width)
+
+    def recorded_hits(rows, *args):
+        for item in growth_hits(rows, *args):
+            listed.append(rows[item[0]].tolist())
+            yield item
+
+    monkeypatch.setattr(survey, "_lifts", recorded_lifts)
+    monkeypatch.setattr(survey, "_growth_hits", recorded_hits)
+    monkeypatch.setattr(survey, "_BLOCK_PAIRS", 4096)
+    buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
+    census = survey._growth_census.__wrapped__(5, x)
+    assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
+    assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
+    win, _, candidates = survey._survey_setup(5, x)
+    good = np.array([a for a in range(-win.a_max, win.a_max + 1) if a % 3])
+    width = 2 * win.b_max + 1
+    per_row = sum(2 * ((width - 1) // (2 * min(ell**5, width + 1)) + 1) for ell in candidates)
+    step = max(1, 4096 // per_row)
+    assert 1 < step < len(good) and any(ell**5 <= width for ell in candidates)
+    for ell in candidates:
+        rows = [a for e, a_list in lifted if e == ell for a in a_list]
+        assert sorted(rows) == good[survey._row_roots(good, np.array([ell]))[0] > 0].tolist()
+    groups = [lifted[k:k + len(candidates)] for k in range(0, len(lifted), len(candidates))]
+    assert len(groups) == -(-len(good) // step) and len(listed) > 1
+    position = {a: k for k, a in enumerate(good.tolist())}
+    for group in groups:
+        assert [ell for ell, _ in group] == candidates
+        rows = sorted(position[a] for _, a_list in group for a in a_list)
+        assert not rows or rows[-1] - rows[0] < step
+    for rows in listed:
+        assert len(rows) <= 4096 or len(set(rows)) == 1
+
+
 def _record_doubt_passes(monkeypatch):
     """Wrap survey._in_doubt and survey._blocks: the lists returned collect
     the tables of each certificate pass and each tile (rows, first column,
@@ -734,10 +783,12 @@ def test_census_memory_at_1e15():
 
 def _first_band(monkeypatch):
     """Cut the census to its first row band, and that band to its first
-    certificate tile and its first group of growth hits: the first call of
-    survey._in_doubt and of survey._growth_hits yields its first item, and
-    every later call yields nothing.  The lists returned collect that group
-    and the number of rows of every call, the certificate's and the lister's."""
+    certificate tile and its first group of growth hits (whole rows that list
+    at most _BLOCK_PAIRS hits by the bound on a row's odd hit columns, or one
+    row): the first call of survey._in_doubt and of survey._growth_hits
+    yields its first item, and every later call yields nothing.  The lists
+    returned collect that group and the number of rows of every call, the
+    certificate's and the lister's."""
     listed, calls = [], ([], [])
 
     def cut(name, rows_seen, sink):
@@ -763,9 +814,10 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
     runs in bounded memory: the tile is part of one row, within the cap, whose
     run of columns the tables are read on (5 + 7 + 11 + 13 + 17 + 19 rows of
     _BLOCK_PAIRS bytes); it reads at most five certificate tables densely, the
-    rest only on the pairs they leave in doubt; the hits come from the band's
-    good rows, at most _BLOCK_PAIRS beyond the first row's (about 2 b_max / 5^7
-    ~ 10,600 for ell = 5).  The census hands the certificate and the lister
+    rest only on the pairs they leave in doubt; the hits come from a group of
+    the band's good rows that lists at most _BLOCK_PAIRS by the bound, or from
+    one row (6 rows here: a row holds at most about 2 b_max / 5^7 ~ 10,600
+    odd hit columns for ell = 5).  The census hands the certificate and the lister
     the good rows of its 256 bands of _ROW_BAND rows, one band at a time, and
     the box census hands its rows to the progression counts in bands of at
     most _ROW_BAND, which are not counted, so no array holds the box's rows.
@@ -783,7 +835,7 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
     assert calls[0] == calls[1] and len(calls[0]) == 256 and max(calls[0]) <= survey._ROW_BAND
     assert sum(calls[0]) == 2 * win.a_max + 1 - (2 * (win.a_max // 3) + 1)  # the rows with 3 ∤ a
     assert len(listed) == 1 and max(listed[0][0]) < survey._ROW_BAND
-    assert 0 < len(listed[0][0]) <= 2 * survey._BLOCK_PAIRS
+    assert 0 < len(listed[0][0]) <= survey._BLOCK_PAIRS
     assert len(passes) == 1 and len(passes[0]) == 1 + survey.TORSION_CERT_PRIMES
     # the tables' rows over one run of columns, and one band's rows and hits
     assert peak <= (sum(map(len, passes[0])) + 32) * survey._BLOCK_PAIRS
@@ -794,8 +846,10 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
 def test_census_at_the_height_limit_at_p_5(monkeypatch):
     """At p = 5 and x = 2^62 - 1, where 804 primes can add to the growth,
     the census runs: cut to its first row band, and that band to its first
-    certificate tile and its first group of growth hits, its buckets still
-    partition the curves and its histograms
+    certificate tile and its first group of growth hits, one row here (the
+    bound on a row's odd hit columns, about 2 b_max / 7^5 ~ 49,000 for ell =
+    7 alone, leaves no room for two rows in _BLOCK_PAIRS hits), its buckets
+    still partition the curves and its histograms
     the classified ones, and the listed hits move at most their own pairs.
     It builds a chi table only for a prime with hits in the band, so far fewer
     than the 64 character tables that ffcurve caches."""
@@ -846,12 +900,12 @@ def _good_tiles(x, cap):
             yield a[a % 3 != 0], b[b % 2 != 0]
 
 
-def _listed_growth(a, b, code, p, win, candidates):
+def _listed_growth(a, b, code, p, candidates):
     """The strict and Kodaira-only counts and Euler valuations of the growth
     on the tile a x b (b odd, consecutive) from survey._growth_hits."""
     flag = (code == ffcurve.PointClass.ANOMALOUS).astype(np.int64)
     strict, kodaira, euler = flag.copy(), flag.copy(), 2 * flag
-    for i, hit, v, split in survey._growth_hits(a, int(b[0]), int(b[-1]), win.b_max, p, candidates):
+    for i, hit, v, split in survey._growth_hits(a, int(b[0]), int(b[-1]), p, candidates):
         at = i * len(b) + (hit - b[0]) // 2
         np.add.at(kodaira, at, 1)
         np.add.at(strict, at[split], 1)
@@ -889,7 +943,7 @@ def test_growth_hits_match_the_dense_scan(p, x):
     for a, b in _growth_tiles(x):
         delta = localdata.discriminant(a[:, None], b).ravel()
         code = codes[(a % p)[:, None], b % p].ravel()
-        strict, kodaira, euler = _listed_growth(a, b, code, p, win, candidates)
+        strict, kodaira, euler = _listed_growth(a, b, code, p, candidates)
         dense = _dense_growth(a, b, delta, code, p, candidates)
         assert [g.tolist() for g in (strict, kodaira, euler)] == [g.tolist() for g in dense[:3]]
         found = dense[3]
