@@ -38,6 +38,7 @@ from .intervals import WORKING_BITS, QInterval, outward
 DEFAULT_ZETA_TERMS = 200
 MAX_TRUNCATION = 1 << 24  # the sums sieve every prime up to the truncation
 MAX_ZETA_TERMS = 1 << 12  # a resource limit: the zeta(s) partial sum costs `terms` divisions
+MAX_ORDER = 1 << 10  # a resource limit: the sums keep n + 1 orders, each updated once per prime
 
 KIND_SELMER_GROWTH = "selmer_growth"
 KIND_EULER_DIVISIBILITY = "euler_divisibility"
@@ -75,6 +76,11 @@ def _check_truncation(truncation: int) -> None:
         raise TruncationError(f"truncation {truncation} exceeds the cap 2^24")
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise DomainError(f"order n = {n} exceeds the cap 2^10")
+
+
 def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
     """Enclosure of the n-th elementary symmetric function of {f(ell)}.
 
@@ -87,6 +93,7 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
     check_prime(p, 5)
     if n < 0:
         return QInterval.point(0)
+    _check_order(n)
     _check_truncation(truncation)
     return _with_tail(_symmetric_sums(n, p, truncation), n, p, truncation)
 
@@ -181,17 +188,16 @@ class BoundReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        # serialized bounds are outward-rounded to 40 digits; the rounded
-        # lower endpoint is still a true certified lower bound
+        # endpoints are 40-digit decimal strings rounded outward, so the
+        # serialized lower endpoint is still a true certified lower bound
         value = self.value.to_json()
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": self.kind,
             "p": self.p,
             "n": self.n,
             "truncation": self.truncation,
             "zeta_terms": self.zeta_terms,
-            "lower_bound_decimal": value["lo_decimal"],
             "lower_bound_rational_lo": value["lo"],
             "value": value,
             "terms": {
@@ -212,7 +218,8 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     if truncation is None:
         truncation = default_truncation(p)
     zeta_terms = DEFAULT_ZETA_TERMS if zeta_terms is None else zeta_terms
-    _check_truncation(truncation)  # before the census and the exact zeta sum
+    _check_order(n)  # before the census and the exact zeta sum
+    _check_truncation(truncation)
     _check_zeta_terms(zeta_terms)
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)

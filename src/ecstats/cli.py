@@ -115,6 +115,7 @@ def _cmd_densities(args) -> int:
         value = density.density_In_at_least(args.ell, args.n)
     else:  # minimal
         value = density.minimal_density(args.ell)
+    # the one command that prints an exact value, so the int-to-str digit limit holds here
     _emit(f"{check_printable(value)} = {fraction_to_decimal(value)}", args.out)
     return 0
 
@@ -122,9 +123,7 @@ def _cmd_densities(args) -> int:
 def _cmd_survey(args) -> int:
     from . import survey  # survey alone loads numpy; no other command needs it
 
-    # checked before the one pass over the height box, which every block reads
-    if args.n < 1:
-        raise DomainError("n must be >= 1")
+    survey._check_view_n(args.n)  # before the one pass over the height box
     census = survey._growth_census(args.p, args.x, tuple(ell for ell in (5, 7) if ell != args.p))
     blocks = {
         "minimal": survey.empirical_minimal_density(census).to_json(),
@@ -133,7 +132,7 @@ def _cmd_survey(args) -> int:
     }
     for ell in census.valuation_hists:
         blocks[f"kodaira_I1_at_{ell}"] = survey.empirical_kodaira_density(census, ell, 1).to_json()
-    doc = {"schema_version": 2, "version": __version__, "x": args.x,
+    doc = {"schema_version": 3, "version": __version__, "x": args.x,
            "p": args.p, "n": args.n, "blocks": blocks}
     if args.csv:
         with _open_out(args.csv, newline="") as handle:

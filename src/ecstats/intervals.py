@@ -9,13 +9,14 @@ Endpoints are Fractions and the arithmetic on them is exact.  A long sum or
 product of nonnegative terms is swept on integers over 2^WORKING_BITS by
 `outward`, which rounds lo down and hi up; an infinite one becomes a finite
 part plus an exact one-sided tail bound.  An interval certifies: the target
-real number lies in [lo, hi].
+real number lies in [lo, hi].  It serializes as 40-digit decimal strings,
+lo rounded down and hi up, which print at any size.
 """
 
 from __future__ import annotations
 
-import math
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -85,44 +86,22 @@ class QInterval(NamedTuple("QInterval", [("lo", Fraction), ("hi", Fraction)])):
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def outward_rounded(self, significant: int = 40) -> "QInterval":
-        """A slightly wider interval with short endpoints: lo rounded down
-        and hi rounded up to `significant` digits, so every certification
-        the interval carries survives serialization."""
-        return QInterval(round_fraction(self.lo, significant, up=False),
-                         round_fraction(self.hi, significant, up=True))
-
-    def to_json(self, significant: int = 40) -> dict:
-        rounded = self.outward_rounded(significant)
-        return {
-            "lo": str(rounded.lo),
-            "hi": str(rounded.hi),
-            "lo_decimal": float(rounded.lo),
-            "hi_decimal": float(rounded.hi),
-        }
+    def to_json(self) -> dict:
+        """lo rounded down and hi up to 40 significant digits, as decimal strings
+        that Fraction() reads back: the serialized interval encloses this one."""
+        return {"lo": str(round_fraction(self.lo, 40, up=False)),
+                "hi": str(round_fraction(self.hi, 40, up=True))}
 
     def __repr__(self) -> str:
         return f"QInterval[{float(self.lo)!r}, {float(self.hi)!r}]"
 
 
-def round_fraction(q: Fraction, significant: int, up: bool) -> Fraction:
-    """q rounded to `significant` digits, toward +inf (up) or -inf (down)."""
-    if significant < 1:
-        raise ValueError("significant must be >= 1")
-    if q == 0:
-        return Fraction(0)
-    a, den = abs(q.numerator), q.denominator
-    # e = floor(log10(|q|)): estimated from bit lengths (str(int) is capped
-    # at 4300 digits), then made exact by integer corrections
-    e = math.floor((a.bit_length() - den.bit_length()) * math.log10(2))
-    while 10**max(e, 0) * den > a * 10**max(-e, 0):
-        e -= 1
-    while 10 ** max(e + 1, 0) * den <= a * 10 ** max(-(e + 1), 0):
-        e += 1
-    shift = significant - 1 - e
-    scaled = q * Fraction(10) ** shift
-    units = math.ceil(scaled) if up else math.floor(scaled)
-    return check_printable(Fraction(units) / Fraction(10) ** shift)
+def round_fraction(q: Fraction, significant: int, up: bool) -> Decimal:
+    """q rounded to `significant` digits, toward +inf (up) or -inf (down): one
+    correctly rounded division, exact in value as Fraction(d) or Fraction(str(d))."""
+    context = Context(prec=significant, rounding=ROUND_CEILING if up else ROUND_FLOOR,
+                      Emin=MIN_EMIN, Emax=MAX_EMAX)
+    return context.divide(Decimal(q.numerator), q.denominator)
 
 
 def check_printable(q: Fraction) -> Fraction:

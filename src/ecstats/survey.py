@@ -183,7 +183,7 @@ class SurveySummary(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "kind": self.kind,
             "version": __version__,
             "x": self.x,
@@ -210,8 +210,8 @@ def empirical_minimal_density(census: GrowthCensus) -> SurveySummary:
 
 
 def _check_view_n(n: int) -> None:
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not 1 <= n <= bounds.MAX_ORDER:
+        raise DomainError("n must be >= 1 and within the cap 2^10")
 
 
 def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveySummary:

@@ -69,6 +69,25 @@ def test_symmetric_sum_truncation_guard():
         bounds.prime_symmetric_sum(1, 7, 5)
 
 
+def test_order_cap_checked_before_any_sum(monkeypatch):
+    """The order n = MAX_ORDER is summed; above it, prime_symmetric_sum and
+    every bound maker refuse n before the census and any sum."""
+    assert bounds.prime_symmetric_sum(bounds.MAX_ORDER, 7, 11).lo == 0
+
+    def unreachable(*args):
+        raise AssertionError(f"ran with {args} above the order cap")
+
+    for name in ("_symmetric_sums", "_with_tail", "class_weights", "zeta_reciprocal"):
+        monkeypatch.setattr(bounds, name, unreachable)
+    for path in (lambda n: bounds.prime_symmetric_sum(n, 7, 100),
+                 lambda n: bounds.selmer_growth_bound(7, n),
+                 lambda n: bounds.mu_lambda_bound(7, n),
+                 lambda n: bounds.euler_divisibility_bound(7, n)):
+        for n in (bounds.MAX_ORDER + 1, 10**9):
+            with pytest.raises(DomainError, match="exceeds the cap 2\\^10"):
+                path(n)
+
+
 def test_zeta_enclosure_against_mpmath():
     for s in (5, 7, 10, 11, 13):
         iv = bounds.zeta_enclosure(s, 100)
@@ -210,8 +229,8 @@ FAMILY_PINS = [
 def test_family_density_pinned(args, pins):
     sigma, k, p, anomalous = args
     fam = bounds.growth_family_density(sigma, k, p, anomalous=anomalous, truncation=200)
-    assert tuple(str(round_fraction(iv.lo, 40, up=False))
-                 for iv in (fam.exact, fam.stated_bound)) == pins
+    assert tuple(Fraction(round_fraction(iv.lo, 40, up=False))
+                 for iv in (fam.exact, fam.stated_bound)) == tuple(map(Fraction, pins))
 
 
 def test_family_density_empty_sigma_matches_euler_n0():
@@ -248,11 +267,14 @@ def test_zeta_terms_checked_on_every_public_path(path):
 def test_report_json_schema():
     js = bounds.selmer_growth_bound(7, 1).to_json()
     assert set(js) == {"schema_version", "kind", "p", "n", "truncation", "zeta_terms",
-                       "lower_bound_decimal", "lower_bound_rational_lo", "value",
-                       "terms", "notes"}
+                       "lower_bound_rational_lo", "value", "terms", "notes"}
+    assert js["schema_version"] == 2
+    assert js["lower_bound_rational_lo"] == js["value"]["lo"]
     assert Fraction(js["lower_bound_rational_lo"]) <= bounds.selmer_growth_bound(7, 1).value.lo
     assert set(js["terms"]) == {"zeta_reciprocal", "sym_main", "sym_aux",
                                 "ordinary_weight", "anomalous_weight"}
+    for name in ("zeta_reciprocal", "sym_main", "sym_aux"):
+        assert set(js["terms"][name]) == {"lo", "hi"}
 
 
 def test_bounds_use_live_census():

@@ -87,11 +87,11 @@ def test_missing_required_args_exit_2():
     ["bounds", "--p", "1048583", "--n", "1"],
     ["survey", "--x", "100", "--p", "1031"],
     ["bounds", "--p", "1009", "--n", "1", "--trunc", "5"],
-    ["bounds", "--p", "7", "--n", "400"],
-    ["survey", "--x", "100", "--p", "7", "--n", "500"],
     ["densities", "--ell", "5", "--type", "In", "--n", "8000"],
     ["bounds", "--p", "7", "--n", "1", "--trunc", "10000000000"],
     ["bounds", "--p", "7", "--n", "1", "--zeta-terms", "100000"],
+    ["bounds", "--p", "5", "--n", "1000000000"],
+    ["survey", "--x", "1000", "--p", "5", "--n", "1000000000"],
 ])
 def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # input must be rejected before the first pass: near x = 2^62 a pass
@@ -99,10 +99,12 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
     # sieve up to --pmax = 10^13 would allocate 10 TB, the census and the
     # sums at p = 1048583 would not finish in minutes, and neither the
     # census nor the zeta sum at p = 1009 may run before a truncation below
-    # 11 is refused.  The next three compute values too small to print
-    # within Python's 4300-digit int-to-str limit, a sieve up to --trunc =
-    # 10^10 would allocate 10 GB, and --zeta-terms = 10^5 passes the cap of
-    # 2^12 terms, a resource limit on the zeta sum's one division per term.
+    # 11 is refused.  The exact density of I_8000 at 5 has too many digits
+    # to print within Python's 4300-digit int-to-str limit, a sieve up to
+    # --trunc = 10^10 would allocate 10 GB, --zeta-terms = 10^5 passes the
+    # cap of 2^12 terms, a resource limit on the zeta sum's one division per
+    # term, and the sums at order --n = 10^9 would keep lists of 8 GB each,
+    # past the cap of 2^10 orders.
     from_height = survey.HeightWindow.from_height
     primes_in = arith.primes_in
     sieve_primes = bounds.sieve_primes
@@ -120,6 +122,8 @@ def test_domain_error_exit_2(argv, capsys, monkeypatch):
             if p_index is not None:
                 p = args[p_index]
                 assert p < ffcurve.MAX_FIELD_PRIME, f"bounds ran {name} at p = {p} before its cap check"
+            if name == "_symmetric_sums":
+                assert args[0] <= bounds.MAX_ORDER, f"bounds summed order {args[0]} past the cap"
             return fn(*args)
         monkeypatch.setattr(bounds, name, guarded)
 
@@ -213,7 +217,51 @@ def test_bounds_json(capsys):
     assert doc["p"] == 7 and doc["n"] == 1
     lo = Fraction(doc["lower_bound_rational_lo"])
     assert Fraction("0.0805") < lo < Fraction("0.0815")
-    assert doc["lower_bound_decimal"] == pytest.approx(float(lo))
+    assert doc["value"]["lo"] == doc["lower_bound_rational_lo"]
+    assert_rounded_outward(doc["value"], bounds.selmer_growth_bound(7, 1).value)
+
+
+def assert_rounded_outward(js, exact):
+    """A serialized interval holds the exact one, each endpoint within 1e-39 of
+    it, relative, so an endpoint reads 0 only where the exact one is 0."""
+    lo, hi = Fraction(js["lo"]), Fraction(js["hi"])
+    assert lo <= exact.lo and exact.lo - lo <= exact.lo / 10**39
+    assert hi >= exact.hi and hi - exact.hi <= exact.hi / 10**39
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --p 2003 --n 3 --trunc 20",
+    "bounds --p 10007 --n 1 --trunc 11",
+    "bounds --p 1009 --n 3 --trunc 20",
+    "bounds --p 7 --n 400",
+    "bounds --p 7 --n 400 --kind euler",
+])
+def test_bound_endpoints_print_at_any_size(argv, capsys):
+    """Bounds whose exact endpoints pass Python's 4,300-digit int-to-str limit,
+    or lie below the smallest float, print as 40-digit decimals rounded outward."""
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    doc = json.loads(out)
+    maker = bounds.euler_divisibility_bound if "euler" in argv else bounds.selmer_growth_bound
+    report = maker(doc["p"], doc["n"], doc["truncation"])
+    assert Fraction(doc["lower_bound_rational_lo"]) == Fraction(doc["value"]["lo"])
+    assert_rounded_outward(doc["value"], report.value)
+    for name in ("zeta_reciprocal", "sym_main", "sym_aux"):
+        assert_rounded_outward(doc["terms"][name], getattr(report.terms, name))
+    if doc["p"] == 1009:  # every copy of the positive lower endpoint reads positive
+        lows = [value for key, value in doc.items() if key.startswith("lower_bound")]
+        assert all(0 < Fraction(lo) < Fraction(1, 10**1500) for lo in lows + [doc["value"]["lo"]])
+
+
+def test_survey_endpoints_print_at_any_size(capsys):
+    """The survey's bound blocks at n = 500 print; each theoretical endpoint is
+    rounded outward from the bound the block compares with."""
+    code, out, _ = run_cli(["survey", "--x", "100", "--p", "7", "--n", "500"], capsys)
+    assert code == 0
+    blocks = json.loads(out)["blocks"]
+    for name, maker in (("selmer_growth", bounds.selmer_growth_bound),
+                        ("euler_divisibility", bounds.euler_divisibility_bound)):
+        assert_rounded_outward(blocks[name]["theoretical"], maker(7, 500).value)
 
 
 def test_zeta_terms_default_owned_by_bounds(capsys, monkeypatch):
@@ -326,10 +374,10 @@ def test_survey_large_p_exit_0(argv, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert '"None"' not in out
     for block in doc["blocks"].values():
-        assert block["schema_version"] == 2
+        assert block["schema_version"] == 3
         assert "bound_lo" not in block["extras"]
 
 
@@ -368,6 +416,22 @@ def test_traced_layers_exist():
         assert callable(target), (module, attr)
 
 
+def _bench_modules(*names):
+    """The modules bench/<name>.py, loaded as the bench loads them, with no
+    bytecode written under bench/ and none of them left in sys.modules."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    fresh = {"record_reference", "run", "tracing", "workloads"} - set(sys.modules)
+    sys.path.insert(0, str(bench))
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(str(bench))
+        for name in fresh:
+            sys.modules.pop(name, None)
+
+
 @pytest.mark.parametrize("command", ["bounds --p 7 --n 1", "bounds --p 5 --n 2 --kind mu-lambda --trunc 800"])
 def test_bench_bound_hook(command):
     """The bench records each bound report's exact lower endpoint in process,
@@ -376,22 +440,23 @@ def test_bench_bound_hook(command):
     gives for two bench commands an endpoint that passes the bench's own
     check against bench/reference.json: at most the recorded exact endpoint
     and below it by at most BOUND_REL_GAP of it."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    fresh = {"run", "tracing", "workloads"} - set(sys.modules)  # its sibling imports
-    sys.path.insert(0, str(bench))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_record_reference", bench / "record_reference.py")
-        record_reference = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(record_reference)
-        workloads = sys.modules["workloads"]
-    finally:
-        sys.path.remove(str(bench))
-        for name in fresh:
-            sys.modules.pop(name, None)
+    record_reference, workloads = _bench_modules("record_reference", "workloads")
     expected = workloads.load_reference()["commands"][command]["lo_exact_hex"]
     exact = workloads.exact_from_hex(expected)
     lo = workloads.exact_from_hex(record_reference.exact_lower_endpoint(command.split()))
     assert exact * (1 - workloads.BOUND_REL_GAP) <= lo <= exact
+
+
+def test_bench_bound_and_survey_commands_pass_the_bench_check(capsys):
+    """Every bounds and survey command of the bench workloads, run in process,
+    prints what the bench's own check accepts against bench/reference.json."""
+    workloads, = _bench_modules("workloads")
+    reference = workloads.load_reference()
+    for command in workloads.WORKLOADS["bounds"].commands + workloads.WORKLOADS["survey"].commands:
+        argv = workloads.expand(command, "")
+        code, out, err = run_cli(argv, capsys)
+        verdict = workloads.check(command, argv, code, out.encode(), err, Path("."), reference)
+        assert verdict.ok, (command, verdict.reason)
 
 
 def test_bench_smoke():
