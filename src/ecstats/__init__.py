@@ -19,12 +19,11 @@ _PUBLIC = {
                   "is_minimal_at", "is_split_multiplicative", "kodaira_type", "naive_height",
                   "tamagawa_anomaly_count", "tamagawa_p_part", "valuation"),
     "density": ("CongruenceDatum", "congruence_density", "density_good", "density_In",
-                "density_In_at_least", "minimal_density", "prescribed_In_density",
-                "valuation_box_measure"),
+                "density_In_at_least", "minimal_density", "valuation_box_measure"),
     "bounds": ("BoundReport", "FamilyDensity", "euler_divisibility_bound",
                "growth_family_density", "kodaira_multiple_weight", "mu_lambda_bound",
                "prime_symmetric_sum", "selmer_growth_bound", "zeta_reciprocal"),
-    "survey": ("GrowthCensus", "HeightWindow", "SurveyRecord", "SurveySummary", "count_pairs",
+    "survey": ("GrowthCensus", "HeightWindow", "SurveyRecord", "SurveySummary",
                "empirical_euler_divisibility", "empirical_kodaira_density",
                "empirical_minimal_density", "empirical_selmer_growth", "enumerate_curves"),
 }

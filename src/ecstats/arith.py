@@ -68,17 +68,6 @@ def primes_in(lo: int, hi: int) -> tuple[int, ...]:
     return tuple(p for p in sieve_primes(hi) if p >= lo)
 
 
-def next_prime(n: int) -> int:
-    k = n + 1
-    if k <= 2:
-        return 2
-    if k % 2 == 0:
-        k += 1
-    while not is_prime(k):
-        k += 2
-    return k
-
-
 def integer_nth_root(n: int, k: int) -> int:
     """Floor of n**(1/k) for n >= 0, k >= 1, by integer Newton iteration."""
     if n < 0 or k < 1:

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import density, ffcurve
+from . import ffcurve
 from .arith import check_prime, is_prime, sieve_primes
 from .errors import DomainError, ExcludedPrimeError, TruncationError
 from .intervals import WORKING_BITS, QInterval, outward
@@ -95,18 +95,22 @@ def prime_symmetric_sum(n: int, p: int, truncation: int) -> QInterval:
         return QInterval.point(0)
     _check_order(n)
     _check_truncation(truncation)
-    return _with_tail(_symmetric_sums(n, p, truncation), n, p, truncation)
+    e, swept = _symmetric_sums(n, p, truncation)
+    return _with_tail(e, n, p, swept)
 
 
-def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
-    """Enclosures of e_0..e_n over the primes <= truncation alone, n >= 0,
-    from one sweep over them (the truncation is checked by the caller).
+def _symmetric_sums(n: int, p: int, truncation: int) -> tuple[list[QInterval], int]:
+    """Enclosures of e_0..e_n over the primes <= swept alone, n >= 0, from
+    one sweep over them, and swept <= truncation (checked by the caller).
 
     Order j is kept as integers lo[j] <= hi[j] over 2^bits[j].  When the
     j-th prime ell gives e_j its first term, bits[j] is set to bits[j - 1]
     plus the bit length of 1/f(ell), so 2^-bits[j] is below 2^-WORKING_BITS
     of the product of the first j weights, itself a term of e_j.  So each
-    rounding is below 2^-WORKING_BITS of e_j, and e_j does not depend on n.
+    rounding is below 2^-WORKING_BITS of e_j, and e_j.lo does not depend on n.
+    Once e_n has a term, the sweep stops at the first prime ell = swept whose
+    lower steps are all 0: f falls as ell grows, so every later lower step is
+    0 too, and each lo is what the sweep to the truncation gives.
     """
     bits = [WORKING_BITS] * (n + 1)
     lo, hi = [1 << WORKING_BITS] + [0] * n, [1 << WORKING_BITS] + [0] * n
@@ -118,19 +122,25 @@ def _symmetric_sums(n: int, p: int, truncation: int) -> list[QInterval]:
         if reached < n:
             reached += 1
             bits[reached] = bits[reached - 1] + (den // num).bit_length()
+        moved = False
         for j in range(reached, 0, -1):
             step = outward(num << (bits[j] - bits[j - 1]), den, lo[j - 1], hi[j - 1])
             lo[j], hi[j] = lo[j] + step[0], hi[j] + step[1]
-    return [QInterval(Fraction(l, 1 << b), Fraction(h, 1 << b)) for l, h, b in zip(lo, hi, bits)]
+            moved = moved or step[0] > 0
+        if not moved and reached == n:
+            truncation = ell  # the last prime swept
+            break
+    return ([QInterval(Fraction(l, 1 << b), Fraction(h, 1 << b)) for l, h, b in zip(lo, hi, bits)],
+            truncation)
 
 
-def _with_tail(e: list[QInterval], m: int, p: int, truncation: int) -> QInterval:
-    """prime_symmetric_sum(m, p, truncation) from the truncated sums e of
-    orders 0..m or more: the upper endpoint is sum_k e_(m-k).hi * T^k / k!."""
+def _with_tail(e: list[QInterval], m: int, p: int, swept: int) -> QInterval:
+    """The enclosure of e_m from the sums e of orders 0..m or more over the
+    primes <= swept: the upper endpoint is sum_k e_(m-k).hi * T^k / k!."""
     if m < 0:
         return QInterval.point(0)
     # f(ell) < ell^(1-p), so the omitted mass T is below the integral of t^(1-p)
-    tail = Fraction(1, (p - 2) * truncation ** (p - 2))
+    tail = Fraction(1, (p - 2) * swept ** (p - 2))
     return QInterval(e[m].lo, sum(e[m - k].hi * tail**k / math.factorial(k) for k in range(m + 1)))
 
 
@@ -223,8 +233,8 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
     _check_zeta_terms(zeta_terms)
     w_ord, w_anom = class_weights(p)  # checks the cap on p before the sums
     z = zeta_reciprocal(p, zeta_terms)
-    e = _symmetric_sums(n, p, truncation)
-    e_main, e_aux = (_with_tail(e, m, p, truncation) for m in (n, aux_index))
+    e, swept = _symmetric_sums(n, p, truncation)
+    e_main, e_aux = (_with_tail(e, m, p, swept) for m in (n, aux_index))
     value = z * (e_main * w_ord + e_aux * w_anom)
     terms = BoundTerms(z, e_main, e_aux, w_ord, w_anom)
     return BoundReport(kind, p, n, truncation, zeta_terms, value, terms, notes)
@@ -299,6 +309,7 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
     exceeds it.  Every local factor is read from `density`, and
     p^8 N_class/(p^10-1) is the weight from class_weights.
     """
+    from . import density  # the one reader here, so a bound report loads no density
     check_prime(p, 5)
     if k < 1:
         raise DomainError("k must be >= 1")

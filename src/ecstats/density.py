@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .arith import check_prime, sieve_primes
 from .errors import DomainError, TruncationError
@@ -147,13 +147,3 @@ def cofinite_product(excluded, truncation: int, p: int | None = None) -> QInterv
                 num, den = num * per - less * den, den * per
             lo, hi = outward(num, den, lo, hi)
     return tail * QInterval(Fraction(lo, 1 << WORKING_BITS), Fraction(hi, 1 << WORKING_BITS))
-
-
-def prescribed_In_density(sigma: Sequence[int], n: int, truncation: int = DEFAULT_TRUNCATION) -> QInterval:
-    """Density of minimal pairs with Kodaira type I_n at every ell in sigma.
-
-    Equals prod_{ell in sigma} (ell-1)^2/ell^(n+2) times the minimality
-    product over all other primes.
-    """
-    measures = {ell: density_In(ell, n) for ell in sigma}
-    return congruence_density(CongruenceDatum(measures, minimal_elsewhere=True), truncation)

@@ -71,20 +71,9 @@ class QInterval(NamedTuple("QInterval", [("lo", Fraction), ("hi", Fraction)])):
             raise ZeroDivisionError("interval contains 0")
         return QInterval(1 / self.hi, 1 / self.lo)
 
-    def contains(self, value: Rat) -> bool:
-        return self.lo <= value <= self.hi
-
     def encloses(self, other: "QInterval") -> bool:
         """True when `other` is nested inside self."""
         return self.lo <= other.lo and other.hi <= self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def to_json(self) -> dict:
         """lo rounded down and hi up to 40 significant digits, as decimal strings
@@ -93,7 +82,7 @@ class QInterval(NamedTuple("QInterval", [("lo", Fraction), ("hi", Fraction)])):
                 "hi": str(round_fraction(self.hi, 40, up=True))}
 
     def __repr__(self) -> str:
-        return f"QInterval[{float(self.lo)!r}, {float(self.hi)!r}]"
+        return "QInterval[{lo}, {hi}]".format(**self.to_json())
 
 
 def round_fraction(q: Fraction, significant: int, up: bool) -> Decimal:

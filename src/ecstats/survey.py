@@ -94,11 +94,6 @@ class HeightWindow(NamedTuple):
         return tuple((ell**4, ell**6) for ell in sieve_primes(bound))
 
 
-def count_pairs(x: int) -> int:
-    """#{(a, b) : H <= x}; the box bound is exact."""
-    return HeightWindow.from_height(x).pair_count
-
-
 def _is_minimal_pair(a: int, b: int, min_primes) -> bool:
     if a == 0 and b == 0:
         return False

@@ -270,20 +270,20 @@ def _encloses_within_gap(swept: QInterval, exact: QInterval) -> bool:
 
 def check_sweeps_enclose_exact(sums=((3, 13, 400), (2, 7, 1000))) -> list[CheckResult]:
     """Each outward-rounded sweep of `bounds` and `density` encloses the exact
-    value, within SWEEP_GAP relative: e_0..e_n over the primes <= truncation
+    value, within SWEEP_GAP relative: e_0..e_n over the primes the sweep reads
     at each (n, p, truncation) of `sums`, from the recurrence
     e_j += f * e_(j-1) on integers over one common denominator; zeta(7) over
     200 terms; and the cofinite product of the family ((5,), p = 7) up to 200,
     from exact Fraction factors."""
     cases = []
     for n, p, truncation in sums:
+        swept, upto = bounds._symmetric_sums(n, p, truncation)
         num = [1] + [0] * n
-        for ell in primes_in(5, truncation):
+        for ell in primes_in(5, upto):
             if ell != p:
                 fn, fd = bounds._weight_ratio(ell, p)
                 num = [num[0] * fd] + [num[j] * fd + fn * num[j - 1] for j in range(1, n + 1)]
-        cases.append((f"e_0..e_{n} at p={p}, L={truncation}",
-                      bounds._symmetric_sums(n, p, truncation),
+        cases.append((f"e_0..e_{n} at p={p}, L={truncation}", swept,
                       [QInterval.point(Fraction(v, num[0])) for v in num]))
     partial = sum(Fraction(1, m**7) for m in range(1, 201))
     cases.append(("zeta(7) over 200 terms", [bounds.zeta_enclosure(7, 200)],

@@ -4,7 +4,6 @@ from ecstats.arith import (
     factorize,
     integer_nth_root,
     is_prime,
-    next_prime,
     primes_in,
     sieve_primes,
 )
@@ -28,10 +27,8 @@ def test_sieve_matches_is_prime():
     assert list(sieve_primes(5000)) == [n for n in range(5001) if is_prime(n)]
 
 
-def test_primes_in_and_next_prime():
+def test_primes_in():
     assert primes_in(5, 30) == (5, 7, 11, 13, 17, 19, 23, 29)
-    assert next_prime(7) == 11
-    assert next_prime(0) == 2
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 26, 27, 28, 10**8 // 4, 2**60 - 1])

@@ -5,7 +5,7 @@ import pytest
 
 from ecstats import arith, bounds, ffcurve, verify
 from ecstats.errors import DomainError, ExcludedPrimeError, TruncationError
-from ecstats.intervals import QInterval, round_fraction
+from ecstats.intervals import WORKING_BITS, QInterval, outward, round_fraction
 
 mp.mp.dps = 40
 
@@ -93,7 +93,7 @@ def test_zeta_enclosure_against_mpmath():
         iv = bounds.zeta_enclosure(s, 100)
         val = Fraction(mp.nstr(mp.zeta(s), 30))
         assert iv.lo <= val <= iv.hi
-        assert iv.width < Fraction(1, 10**8)
+        assert iv.hi - iv.lo < Fraction(1, 10**8)
 
 
 def test_zeta_reciprocal_properties():
@@ -184,23 +184,73 @@ def test_bound_report_trusts_the_sieve(monkeypatch):
 
 @pytest.mark.parametrize("p, truncation", [(13, 400), (7, 1000), (101, 1110), (13, 3000)])
 def test_symmetric_sums_match_fraction_recurrence(p, truncation):
-    """The outward-rounded sweep encloses the exact e_0..e_3 within 2^-200
-    relative (checked by verify, and at the smaller truncations against the
-    textbook recurrence e_j += f * e_(j-1) in Fractions too), and e_j is the
-    same whichever order the sweep runs to."""
+    """The outward-rounded sweep encloses the exact e_0..e_3 over the primes
+    it reads within 2^-200 relative (checked by verify).  Against the
+    textbook recurrence e_j += f * e_(j-1) over every prime <= truncation,
+    kept exact over one common denominator, each lo is within 2^-200
+    relative, and each order's enclosure, closed from the prime where its
+    sweep stopped, contains the exact e_j.  e_j.lo is the same whichever
+    order the sweep runs to; hi is not, since the sweep may stop at another
+    prime (at p = 101, ell = 31 for n = 1 and ell = 67 for n = 3)."""
     results = verify.check_sweeps_enclose_exact(sums=((3, p, truncation),))
     assert all(r.passed for r in results), results
-    swept = bounds._symmetric_sums(3, p, truncation)
-    assert all(bounds._symmetric_sums(n, p, truncation) == swept[:n + 1] for n in range(3))
-    if truncation > 1000:
-        return
-    e = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+    swept, _ = bounds._symmetric_sums(3, p, truncation)
+    for n in range(3):
+        assert [s.lo for s in bounds._symmetric_sums(n, p, truncation)[0]] == \
+            [s.lo for s in swept[:n + 1]]
+    num = [1, 0, 0, 0]
     for ell in arith.primes_in(5, truncation):
         if ell != p:
-            f = Fraction(ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1))
-            for j in (3, 2, 1):
-                e[j] += f * e[j - 1]
+            f, d = ell**8 * (ell - 1) ** 2, (ell**10 - 1) * (ell**p - 1)
+            num = [num[0] * d] + [num[j] * d + f * num[j - 1] for j in (1, 2, 3)]
+    e = [Fraction(v, num[0]) for v in num]
     assert all(s.lo <= x <= s.lo + x / 2**200 for s, x in zip(swept, e))
+    assert all(e[n] <= bounds.prime_symmetric_sum(n, p, truncation).hi for n in range(4))
+
+
+def _full_sweep(n, p, truncation, working=WORKING_BITS):
+    """e_0..e_n swept over every prime <= truncation on the scale 2^-working:
+    the loop of bounds._symmetric_sums with no stop."""
+    bits = [working] * (n + 1)
+    lo, hi = [1 << working] + [0] * n, [1 << working] + [0] * n
+    reached = 0
+    for ell in arith.primes_in(5, truncation):
+        if ell == p:
+            continue
+        num, den = bounds._weight_ratio(ell, p)
+        if reached < n:
+            reached += 1
+            bits[reached] = bits[reached - 1] + (den // num).bit_length()
+        for j in range(reached, 0, -1):
+            step = outward(num << (bits[j] - bits[j - 1]), den, lo[j - 1], hi[j - 1])
+            lo[j], hi[j] = lo[j] + step[0], hi[j] + step[1]
+    return [QInterval(Fraction(l, 1 << b), Fraction(h, 1 << b)) for l, h, b in zip(lo, hi, bits)]
+
+
+@pytest.mark.parametrize("n, p, truncation, stops", [(3, 1009, 10190, (7, 11, 17)),
+                                                     (1, 3001, 30110, (7,))])
+def test_stopped_sweep_keeps_the_full_sweeps_lo(n, p, truncation, stops):
+    """The sweep of each order m <= n stops at the first prime whose lower
+    steps all floor to 0, and its lo endpoints equal those of the sweep over
+    every prime <= truncation exactly.  Its enclosure closed from there
+    contains the full sweep run on a scale finer by 2^-p, whose rounding is
+    below the closing tail; on the same scale, every prime past the stop adds
+    a rounding unit to the full sweep's hi, more than that tail.  The closed
+    hi exceeds the swept one by at least the exact terms f(ell) e_(m-1) of
+    the skipped primes ell in (stop, 2 stop), and it is a bound report's
+    main term."""
+    full = _full_sweep(n, p, truncation)
+    fine = _full_sweep(n, p, truncation, WORKING_BITS + p)
+    for m, stop in enumerate(stops, 1):
+        e, swept = bounds._symmetric_sums(m, p, truncation)
+        assert swept == stop
+        assert [s.lo for s in e] == [s.lo for s in full[:m + 1]]
+        closed = bounds.prime_symmetric_sum(m, p, truncation)
+        assert closed.encloses(fine[m])
+        skipped = sum(bounds.kodaira_multiple_weight(ell, p)
+                      for ell in arith.primes_in(stop + 1, 2 * stop))
+        assert closed.hi >= e[m].hi + skipped * e[m - 1].lo
+        assert bounds.selmer_growth_bound(p, m, truncation).terms.sym_main == closed
 
 
 def test_family_density_exceeds_stated_bound(bound_laws):

@@ -312,6 +312,21 @@ def test_bounds_near_p_1000_finish(argv, capsys):
     assert 0 < Fraction(value["lo"]) <= Fraction(value["hi"]) < 1
 
 
+@pytest.mark.parametrize("p, n, lo", [
+    (3001, 1, "0.004996668332592901111159103802009349183898"),
+    (10007, 1, "0.001298960818363490115727824339291066254621"),
+    (10007, 3, "1.981356750160838849644809297368252997021E-15455"),
+])
+def test_bounds_at_large_p_print_the_full_sweeps_lo(p, n, lo, capsys):
+    """At large p the sweep stops within the first primes, and the report
+    keeps its default truncation 10 p + 100 and the lower endpoint that the
+    sweep over every prime up to it printed (pinned from that sweep)."""
+    code, out, _ = run_cli(["bounds", "--p", str(p), "--n", str(n)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["truncation"], doc["lower_bound_rational_lo"]) == (10 * p + 100, lo)
+
+
 def test_survey_json_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     code, out, _ = run_cli(["survey", "--x", "1000", "--p", "7",
@@ -362,7 +377,8 @@ def test_survey_csv_factors_no_curve_one_by_one(tmp_path, capsys, monkeypatch):
         counting(module, name)
     code, out, _ = run_cli(["survey", "--x", "10000", "--p", "7",
                             "--csv", str(tmp_path / "rows.csv")], capsys)
-    assert code == 0 and json.loads(out)["csv"]["rows"] == survey.count_pairs(10**4)
+    assert code == 0
+    assert json.loads(out)["csv"]["rows"] == survey.HeightWindow.from_height(10**4).pair_count
     assert calls == Counter()
 
 
@@ -490,8 +506,9 @@ for argv in (["--version"], ["--help"], ["bounds", "--p", "7"]):  # the last a u
     assert "fractions" not in sys.modules, argv
 run(["tables", "--pmin", "5", "--pmax", "13"],
     {"bounds", "density", "localdata", "survey", "verify"})
-for argv in (["bounds", "--p", "7", "--n", "1"], ["densities", "--ell", "5", "--type", "In"]):
-    run(argv, {"localdata", "reference_tables", "survey", "verify"})
+run(["bounds", "--p", "7", "--n", "1"],
+    {"density", "localdata", "reference_tables", "survey", "verify"})
+run(["densities", "--ell", "5", "--type", "In"], {"localdata", "reference_tables", "survey", "verify"})
 assert run(["verify", "--suite", "all"], {"survey"}) == {
     "cli", "_version", "errors", "arith", "ffcurve", "intervals", "density", "bounds",
     "localdata", "reference_tables", "verify"}
@@ -506,7 +523,8 @@ def test_startup_loads_no_numpy():
     """Each command loads only the modules it runs: --version, --help and a
     usage error load no math module (nor fractions), tables no bound,
     density, local-data, survey or verify module, bounds and densities no
-    local-data, reference, survey or verify module, and verify --suite all
+    local-data, reference, survey or verify module (bounds no density
+    module either), and verify --suite all
     no survey module; none of them loads numpy, dataclasses or inspect, and
     survey, the one command that imports numpy, still runs after them
     without loading numpy.ma.  A fresh interpreter, since this one has
@@ -571,7 +589,7 @@ def test_public_names_resolve():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
         assert vars(ecstats)[name] is value, name  # bound once; later reads skip __getattr__
     assert set(ecstats.__all__) <= set(dir(ecstats))
-    assert ecstats.count_pairs is survey.count_pairs and ecstats.DomainError is errors.DomainError
+    assert ecstats.HeightWindow is survey.HeightWindow and ecstats.DomainError is errors.DomainError
     with pytest.raises(AttributeError):
         ecstats.no_such_name
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -80,7 +80,7 @@ def test_congruence_density_minimal_everywhere():
     assert_contains(iv, mp_rational(1 / mp.zeta(10)))
     # zeta(10) = pi^10 / 93555 gives an independent route to the same value
     assert_contains(iv, mp_rational(93555 / mp.pi**10))
-    assert iv.width < Fraction(1, 10**18)
+    assert iv.hi - iv.lo < Fraction(1, 10**18)
 
 
 def test_congruence_density_nesting():
@@ -91,13 +91,19 @@ def test_congruence_density_nesting():
     assert fine.lo >= coarse.lo
 
 
+def _prescribed_In(sigma, n, truncation):
+    """Minimal pairs of Kodaira type I_n at every ell in sigma."""
+    datum = CongruenceDatum({ell: density.density_In(ell, n) for ell in sigma}, True)
+    return density.congruence_density(datum, truncation)
+
+
 def test_prescribed_In_density():
-    iv = density.prescribed_In_density([5], 1, 100)
+    iv = _prescribed_In([5], 1, 100)
     expected = mp_rational((mp.mpf(16) / 125 / mp.zeta(10)) / (1 - mp.mpf(5) ** -10))
     assert_contains(iv, expected)
-    empty = density.prescribed_In_density([], 1, 100)
+    empty = _prescribed_In([], 1, 100)
     assert_contains(empty, mp_rational(1 / mp.zeta(10)))
-    two = density.prescribed_In_density([5, 7], 1, 100)
+    two = _prescribed_In([5, 7], 1, 100)
     expected2 = mp_rational(
         (mp.mpf(16) / 125 * (mp.mpf(36) / 343) / mp.zeta(10))
         / ((1 - mp.mpf(5) ** -10) * (1 - mp.mpf(7) ** -10)))

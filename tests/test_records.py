@@ -35,7 +35,7 @@ RECORDS = {
 }
 HOLDS_A_DICT = {"CongruenceDatum", "SurveySummary", "GrowthCensus"}
 PINNED_REPR = {
-    "QInterval": "QInterval[1.0, 2.0]",
+    "QInterval": "QInterval[1, 2]",
     "ClassCounts": "ClassCounts(p=5, ordinary=13, anomalous=3, supersingular=4, singular=5)",
 }
 

@@ -17,16 +17,16 @@ from ecstats.survey import HeightWindow
 
 
 def test_count_pairs_examples():
-    assert survey.count_pairs(10**4) == 1053
-    assert survey.count_pairs(27) == 9
-    assert survey.count_pairs(0) == 1
+    assert HeightWindow.from_height(10**4).pair_count == 1053
+    assert HeightWindow.from_height(27).pair_count == 9
+    assert HeightWindow.from_height(0).pair_count == 1
     # the cube root bound near 2^110 is exact, not stepped to from a float
     x = 10**100
     a, b = arith.integer_nth_root(x // 4, 3), math.isqrt(x // 27)
     assert 4 * a**3 <= x < 4 * (a + 1) ** 3
-    assert survey.count_pairs(x) == (2 * a + 1) * (2 * b + 1)
+    assert HeightWindow.from_height(x).pair_count == (2 * a + 1) * (2 * b + 1)
     with pytest.raises(ValueError):
-        survey.count_pairs(-1)
+        HeightWindow.from_height(-1)
 
 
 def test_window_examples():
@@ -74,10 +74,10 @@ def test_enumerate_against_naive_oracle():
 
 def test_minimal_density_summary_small():
     s = survey.empirical_minimal_density(survey._growth_census(7, 10**6))
-    assert s.counts["pairs"] == survey.count_pairs(10**6)
+    assert s.counts["pairs"] == HeightWindow.from_height(10**6).pair_count
     assert s.counts["singular"] + s.counts["nonminimal"] + s.counts["curves"] \
         == s.counts["pairs"]
-    assert abs(s.empirical - s.theoretical.midpoint) < Fraction(5, 1000)
+    assert abs(s.empirical - (s.theoretical.lo + s.theoretical.hi) / 2) < Fraction(5, 1000)
     # singular locus is thin
     assert Fraction(s.counts["singular"], s.counts["pairs"]) < Fraction(1, 100)
 
@@ -152,7 +152,8 @@ def _slow_census(p, x):
             kodaira[int(rec.anomalous) + sum(
                 kt.is_multiplicative and kt.n % p == 0 for kt in types.values())] += 1
             euler[rec.euler_valuation] += 1
-    return {"pairs": survey.count_pairs(x), **buckets}, strict, kodaira, euler, valuations
+    pairs = HeightWindow.from_height(x).pair_count
+    return {"pairs": pairs, **buckets}, strict, kodaira, euler, valuations
 
 
 @pytest.mark.parametrize("p, x", [(5, 10**5), (7, 10**5), (11, 10**5), (5, 10**6)])
@@ -363,7 +364,7 @@ PINNED_VALUATIONS = {
 def test_growth_census_pinned_histograms(p, x):
     buckets, strict, kodaira, euler = PINNED_CENSUS[p, x]
     census = survey._growth_census(p, x)
-    assert census.counts == {"pairs": survey.count_pairs(x),
+    assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
                              **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
 
@@ -511,7 +512,7 @@ def test_box_census_matches_enumerate_curves(x):
     counts, hists = _slow_box(x, ells)
     census = survey._growth_census.__wrapped__(7, x, ells)
     assert {k: census.counts[k] for k in counts} == counts
-    assert census.counts["pairs"] == survey.count_pairs(x)
+    assert census.counts["pairs"] == HeightWindow.from_height(x).pair_count
     assert census.valuation_hists == hists
 
 
@@ -641,7 +642,8 @@ def test_split_rows_keep_the_pinned_census(monkeypatch):
     monkeypatch.setattr(survey, "_ROW_BAND", 64)
     buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
     census = survey._growth_census.__wrapped__(5, x)
-    assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
+    assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
+                             **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
 
 
@@ -660,7 +662,8 @@ def test_census_walks_the_rows_once_in_bands(p, monkeypatch):
     monkeypatch.setattr(survey, "_ROW_BAND", 64)
     buckets, strict, kodaira, euler = PINNED_CENSUS[p, x]
     census = survey._growth_census.__wrapped__(p, x)
-    assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
+    assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
+                             **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
     a_max = HeightWindow.from_height(x).a_max
     for bands in seen.values():
@@ -695,7 +698,8 @@ def test_growth_hits_lift_each_row_once(monkeypatch):
     monkeypatch.setattr(survey, "_BLOCK_PAIRS", 4096)
     buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
     census = survey._growth_census.__wrapped__(5, x)
-    assert census.counts == {"pairs": survey.count_pairs(x), **dict(zip(survey._BUCKETS, buckets))}
+    assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
+                             **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
     win, _, candidates = survey._survey_setup(5, x)
     good = np.array([a for a in range(-win.a_max, win.a_max + 1) if a % 3])
@@ -1110,7 +1114,7 @@ def test_csv_sink():
     rows = survey.write_csv(survey.enumerate_curves(10**3, p=7), buf)
     text = buf.getvalue().splitlines()
     assert text[0] == ",".join(survey.CSV_COLUMNS)
-    assert rows == survey.count_pairs(10**3) == len(text) - 1
+    assert rows == HeightWindow.from_height(10**3).pair_count == len(text) - 1
     # spot check: the curve (1, 1) has delta 31, type I1 at 31
     line = next(l for l in text if l.startswith("1,1,"))
     assert "31:I1" in line
