@@ -11,7 +11,9 @@ symmetric function of the weights
     f(ell) = ell^8 (ell-1)^2 / ((ell^10 - 1)(ell^p - 1))
 
 over all primes ell outside {2, 3, p}.  f(ell) is the relative density
-(within minimal pairs at ell) of Kodaira types I_m with p | m, m >= 1.
+(within minimal pairs at ell) of Kodaira types I_m with p | m, m >= 1, split
+or not, while p | c_ell needs split I_m, half of them: a survey's strict ratio
+need not sit above lo.  f stays while bench/reference.json pins every lo.
 
 The weights are exact rationals.  The long sweeps (e_j over the primes <= L,
 the partial sum of zeta(s), a family's cofinite product) keep integers over
@@ -225,8 +227,7 @@ def _bound_report(kind: str, p: int, n: int, aux_index: int,
                   truncation: int | None, zeta_terms: int | None,
                   notes: tuple[str, ...] = ()) -> BoundReport:
     check_prime(p, 5)
-    if truncation is None:
-        truncation = default_truncation(p)
+    truncation = default_truncation(p) if truncation is None else truncation
     zeta_terms = DEFAULT_ZETA_TERMS if zeta_terms is None else zeta_terms
     _check_order(n)  # before the census and the exact zeta sum
     _check_truncation(truncation)
@@ -270,10 +271,8 @@ def euler_divisibility_bound(p: int, n: int, truncation: int | None = None,
     """
     if n < 0:
         raise DomainError("euler_divisibility_bound requires n >= 0")
-    notes: tuple[str, ...] = ()
-    if n == 0:
-        notes = ("n = 0 reduces to the good-ordinary-nonanomalous density; "
-                 "the divisibility condition p^0 | * is vacuous",)
+    notes = ("n = 0 reduces to the good-ordinary-nonanomalous density; "
+             "the divisibility condition p^0 | * is vacuous",) if n == 0 else ()
     return _bound_report(KIND_EULER_DIVISIBILITY, p, n, n - 2, truncation, zeta_terms, notes)
 
 
@@ -316,8 +315,7 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
     sigma = tuple(sorted(set(int(ell) for ell in sigma)))
     for ell in sigma:
         _check_index_prime(ell, p)
-    if truncation is None:
-        truncation = default_truncation(p)
+    truncation = default_truncation(p) if truncation is None else truncation
     _check_truncation(truncation)
 
     counts = ffcurve.residue_class_counts(p)

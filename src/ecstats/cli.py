@@ -106,7 +106,13 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_densities(args) -> int:
     from . import density
+    from .arith import check_prime
     from .intervals import check_printable, fraction_to_decimal
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # densities alone prints exact values
+    exponent = {"In": args.n + 2, "Igeq": args.n + 1}.get(args.type, 0)  # of ell in the denominator
+    if limit and exponent * (args.ell.bit_length() - 1) >= 4 * limit:  # ell^e >= 16^limit: refused unbuilt
+        check_prime(args.ell, 5)  # a bad ell is reported first, as when the value is built
+        check_printable(1 << 4 * limit)  # 2^(4 limit) <= ell^e stands in for the value
     if args.type == "I0":
         value = density.density_good(args.ell)
     elif args.type == "In":
@@ -115,7 +121,6 @@ def _cmd_densities(args) -> int:
         value = density.density_In_at_least(args.ell, args.n)
     else:  # minimal
         value = density.minimal_density(args.ell)
-    # the one command that prints an exact value, so the int-to-str digit limit holds here
     _emit(f"{check_printable(value)} = {fraction_to_decimal(value)}", args.out)
     return 0
 

@@ -24,10 +24,11 @@ The growth census classifies each minimal nonsingular curve at a prime p of
 good reduction.  Curves bad at 2 or 3 go into a separate bucket (local data
 there is out of scope), as do the curves at p in {5, 7} that miss the torsion
 certificate p ∤ #E(F_q) at one of the first five good primes q >= 5, q != p
-(torsion injects into each; for p >= 11 it is impossible).  So
-torsion_uncertified counts misses, not curves with a rational point of order
-p: a curve good ordinary at p has none, since the point would reduce to one
-of order p in Ẽ(F_p).
+(torsion injects into each; for p >= 11 it is impossible).  These are misses:
+no curve of the sub-grid has a rational point of order p, as b odd gives
+v_2(-16 delta) = 4, v_2(c_4) >= 4 and additive reduction at 2, so E(Q)[p]
+embeds in a group of order at most 2 c_2 <= 8 (Silverman IV.3, VII.2,
+VII.6).  The bucket stays only because bench/reference.json pins it.
 
 Two growth statistics are tracked side by side: the strict count (p divides
 the Tamagawa number, i.e. split multiplicative type I_m with p | m) and the
@@ -37,11 +38,9 @@ flag at p; and the Euler-term valuation v_p(prod c_ell^(p) * alpha_p^2).
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import math
-import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -572,8 +571,8 @@ def empirical_selmer_growth(census: GrowthCensus, n: int) -> SurveySummary:
     3 and p, ordinary at p, torsion-certified.  The headline ratio uses the
     strict predicate (p | c_ell enforced through the split condition); the
     Kodaira-only variant is counted beside it.  The certified lower bound
-    for the same (p, n) is attached for comparison; the bound is one-sided,
-    so the empirical ratio is expected to sit above its .lo endpoint.
+    for the same (p, n) is attached, but it counts nonsplit I_m too (see
+    bounds), so the strict ratio need not sit above its .lo endpoint.
     """
     _check_view_n(n)
     hits_strict = census.tail(census.strict_hist, n)
@@ -606,7 +605,7 @@ def empirical_euler_divisibility(census: GrowthCensus, n: int) -> SurveySummary:
 
 
 # ---------------------------------------------------------------------------
-# CSV sink
+# CSV writers
 
 CSV_COLUMNS = ("a", "b", "height", "minimal", "delta", "kodaira",
                "ordinary", "anomalous", "growth_count", "euler_valuation")
@@ -619,24 +618,15 @@ def _record_fields(rec: SurveyRecord) -> tuple:
             rec.growth_count, rec.euler_valuation)
 
 
-def _sink(path):
-    """A text handle for `path`: the file opened for writing when `path` is a
-    file name or a path object, else `path` itself, left open."""
-    if isinstance(path, (str, bytes, os.PathLike)):
-        return open(path, "w", newline="")
-    return contextlib.nullcontext(path)
-
-
-def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], path) -> int:
-    """Write survey records through csv.writer (None prints empty); returns
-    the number of rows written."""
-    rows = 0
-    with _sink(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(_record_fields(rec))
-            rows += 1
+def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], handle) -> int:
+    """Write survey records through csv.writer (None prints empty) to `handle`,
+    a text handle the caller opened with newline="" and closes; returns the
+    number of rows written."""
+    writer, rows = csv.writer(handle), 0
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow(_record_fields(rec))
+        rows += 1
     return rows
 
 
@@ -732,14 +722,13 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
         yield "".join(pieces.ravel().tolist()), delta.size
 
 
-def write_survey_csv(x: int, p: int, path) -> int:
-    """Write the bytes of write_csv(enumerate_curves(x, p), path) from the
-    tiles of the height box, one string per tile; returns the number of rows
-    written."""
+def write_survey_csv(x: int, p: int, handle) -> int:
+    """Write the bytes of write_csv(enumerate_curves(x, p), handle) to `handle`,
+    a text handle opened with newline="", one string per tile of the height
+    box; returns the number of rows written."""
+    handle.write(",".join(CSV_COLUMNS) + "\r\n")
     rows = 0
-    with _sink(path) as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\r\n")
-        for text, count in _survey_rows(x, p):
-            handle.write(text)
-            rows += count
+    for text, count in _survey_rows(x, p):
+        handle.write(text)
+        rows += count
     return rows

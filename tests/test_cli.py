@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ecstats
-from ecstats import arith, bounds, cli, density, errors, ffcurve, localdata, survey
+from ecstats import arith, bounds, cli, density, errors, ffcurve, intervals, localdata, survey
 from ecstats.arith import is_prime
 
 
@@ -34,6 +36,62 @@ def test_densities_igeq(capsys):
     code, out, _ = run_cli(["densities", "--ell", "5", "--type", "Igeq", "--n", "1"], capsys)
     assert code == 0
     assert out.strip().startswith("4/25 = 0.160000000000000")
+
+
+@pytest.mark.parametrize("kind", ["In", "Igeq"])
+def test_densities_refuse_a_huge_power_before_building_it(kind, capsys):
+    """At --n = 10^8, 5^(n + 2) would take minutes to build; its digit count,
+    bounded from ell and the exponent, is refused with the digit limit's one
+    line in well under a second."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["densities", "--ell", "5", "--type", kind, "--n", "100000000"])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1 and "cannot be printed" in err
+
+
+@pytest.mark.parametrize("kind, last", [("In", 6149), ("Igeq", 6150)])
+def test_densities_digit_limit_boundary(kind, last, capsys):
+    """The last n whose exact density prints within the 4300-digit limit
+    prints, and the next exits 2, as before the early refusal."""
+    code, out, _ = run_cli(["densities", "--ell", "5", "--type", kind, "--n", str(last)], capsys)
+    assert code == 0 and out.endswith("\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["densities", "--ell", "5", "--type", kind, "--n", str(last + 1)])
+    assert exc.value.code == 2 and "cannot be printed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ell", [5, 7, 17, 257, 1009, 65537, 1048573])
+def test_densities_early_refusal_refuses_no_printable_value(ell, capsys, monkeypatch):
+    """The first n that `densities --type In` refuses without building the
+    value, where (n + 2) (bits of ell - 1) reaches 4 x the digit limit, has a
+    value the exact check refuses too (ell = 2^k + 1 puts the bound closest
+    to ell^(n+2)), and the n before it is built and checked exactly."""
+    limit = sys.get_int_max_str_digits()
+    first = -(-4 * limit // (ell.bit_length() - 1)) - 2
+    with pytest.raises(errors.DomainError):
+        intervals.check_printable(density.density_In(ell, first))
+    built = []
+    monkeypatch.setattr(density, "density_In", lambda *args: built.append(args) or Fraction(1))
+    for n, want in ((first - 1, [(ell, first - 1)]), (first, [])):
+        with contextlib.suppress(SystemExit):
+            cli.main(["densities", "--ell", str(ell), "--type", "In", "--n", str(n)])
+        assert built == want and ("cannot be printed" in capsys.readouterr().err) == (not want)
+        built.clear()
+
+
+def test_only_the_cli_opens_files_or_prints():
+    """Every call of open or print in src/ecstats is in cli.py: the CLI owns
+    each output file and stream, and the library writes to handles it is given."""
+    callers = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "ecstats").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("open", "print"):
+                    callers.add(path.name)
+    assert callers == {"cli.py"}
 
 
 def test_tables_compare_subset(capsys):

@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from ecstats import arith, density, verify
+from ecstats import arith, density, localdata, verify
 from ecstats.density import CongruenceDatum
 from ecstats.errors import NotPrimeError, PrimeTooSmallError, TruncationError
 from ecstats.intervals import WORKING_BITS, QInterval, outward
@@ -40,6 +41,21 @@ def test_kodaira_density_guards():
         density.density_good(6)
     with pytest.raises(ValueError):
         density.density_In(5, 0)
+
+
+@pytest.mark.parametrize("ell, m, each", [(5, 1, 40), (5, 2, 200), (7, 1, 126), (7, 2, 882)])
+def test_half_of_the_In_classes_split(ell, m, each):
+    """Of the pairs mod ell^(m+1) of type I_m (ell ∤ a, v_ell(delta) = m),
+    as many split as not: a twist by a non-residue unit u keeps v_ell(delta)
+    and multiplies -2ab by u^5, so it swaps the two.  Together they make
+    density_In(ell, m) of all pairs, so split I_m has half the density that
+    the bounds' weight f(ell) counts, split or not."""
+    mod = ell ** (m + 1)
+    split = Counter(localdata._split_from_residues(a % ell, b % ell, ell)
+                    for a in range(mod) if a % ell for b in range(mod)
+                    if (4 * a**3 + 27 * b * b) % mod and (4 * a**3 + 27 * b * b) % ell**m == 0)
+    assert split == {True: each, False: each}
+    assert Fraction(2 * each, mod * mod) == density.density_In(ell, m)
 
 
 def test_valuation_box_measure():

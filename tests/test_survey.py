@@ -460,17 +460,31 @@ def test_survey_csv_pinned_at_1e7():
         "3eb2fd53cecb1df532c0735d9793d6fe85731da0f18f6d277ec016cdd28a55b0"
 
 
-def test_csv_writers_take_path_objects(tmp_path):
-    """Both writers open a str or os.PathLike file name and write the same
-    bytes as to a handle."""
-    buf = io.StringIO()
-    rows = survey.write_csv(survey.enumerate_curves(10**3, p=7), buf)
-    for path in (tmp_path / "slow.csv", str(tmp_path / "slow_str.csv")):
-        assert survey.write_csv(survey.enumerate_curves(10**3, p=7), path) == rows
-        assert open(path, newline="").read() == buf.getvalue()
-    for path in (tmp_path / "fast.csv", str(tmp_path / "fast_str.csv")):
-        assert survey.write_survey_csv(10**3, 7, path) == rows
-        assert open(path, newline="").read() == buf.getvalue()
+@pytest.mark.parametrize("p, x, misses", [(5, 10**8, 242), (7, 10**8, 16), (5, 10**9, 1510)])
+def test_torsion_misses_have_a_later_certifying_prime(p, x, misses):
+    """The torsion_uncertified pairs, listed by the census's own _in_doubt
+    and _certify, each have a certificate prime q with p ∤ #E(F_q) among the
+    first 12, past the ones the census walked: they miss the certificate, and
+    none has a rational point of order p.  Each has b odd, so v_2(Delta) = 4
+    and v_2(c_4) >= 4, the reduction at 2 is additive, and E(Q)[p] embeds in
+    a group of order at most 2 c_2 <= 8."""
+    win, codes, _ = survey._survey_setup(p, x)
+    classifiable = (codes == ffcurve.PointClass.ORDINARY) | (codes == ffcurve.PointClass.ANOMALOUS)
+    primes = list(itertools.islice(survey._certificate_primes(p), 12))
+    tables = [classifiable, *(survey._certificate_table(q, p) != 2
+                              for q in primes[:survey.TORSION_CERT_PRIMES])]
+    rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
+    columns = range(-win.b_max, win.b_max + 1)[1 - win.b_max % 2::2]
+    doubt = [(a[fail], b[fail]) for a, b in
+             survey._in_doubt(rows[rows % 3 != 0], columns, tables, win.minimality_primes())
+             for fail in [~survey._certify(a, b, p)]]
+    a, b = (np.concatenate(column) for column in zip(*doubt))
+    assert len(a) == misses == survey._growth_census(p, x).counts["torsion_uncertified"]
+    assert (b % 2 == 1).all() and (localdata.discriminant(a, b) % 2 == 1).all()
+    certified = np.zeros(len(a), dtype=bool)
+    for q in primes:
+        certified |= survey._certificate_table(q, p)[a % q, b % q] == 2
+    assert certified.all()
 
 
 def test_row_roots_are_the_singular_columns():
