@@ -10,7 +10,7 @@ from .errors import NotPrimeError, PrimeTooSmallError
 # The primes <= 37: is_prime's trial divisors, and its deterministic
 # Miller-Rabin witnesses for n < 3.3 * 10^24.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# factorize divides by every candidate up to here before Pollard rho
+# factorize divides by every prime up to here before Pollard rho
 _TRIAL_LIMIT = 10**6
 
 
@@ -84,8 +84,6 @@ def integer_nth_root(n: int, k: int) -> int:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 64):
         x = y = 2
         d = 1
@@ -102,31 +100,20 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
 
-    Trial division up to 10^6, then Miller-Rabin plus Pollard rho
-    for whatever survives.
+    Trial division by the sieve's primes up to 10^6 (until q^2 > n), then
+    Miller-Rabin plus Pollard rho for whatever survives.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # wheel over 6k +- 1
-    f = 7
-    step = 4
-    limit = min(_TRIAL_LIMIT, math.isqrt(n))
-    while f <= limit:
-        if n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-            limit = min(_TRIAL_LIMIT, math.isqrt(n))
-        else:
-            f += step
-            step = 6 - step
-    if n == 1:
-        return out
+    # a power-of-two sieve limit above sqrt(n), so that few sieves are cached
+    for q in sieve_primes(min(_TRIAL_LIMIT, 1 << math.isqrt(n).bit_length())):
+        if q * q > n:
+            break
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
     stack = [n]
     while stack:
         m = stack.pop()

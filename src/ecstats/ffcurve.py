@@ -128,17 +128,6 @@ def classify_residue(p: int, a: int, b: int) -> ResidueClass:
     return ResidueClass(kind, n)
 
 
-def _row_traces(p: int, chi, a: int):
-    """Traces p + 1 - #E(F_p) of (a, b) for b = 0..p-1 (the character sum
-    also for singular b), in blocks of about 2^22 character lookups."""
-    import numpy as np
-    xs = np.arange(p, dtype=np.int64)
-    f = (xs * xs * xs + a * xs) % p
-    chunk = max(1, (1 << 22) // p)
-    return -np.concatenate([chi[(f + xs[lo: lo + chunk, None]) % p].sum(axis=1, dtype=np.int64)
-                            for lo in range(0, p, chunk)])
-
-
 def _hurwitz6(n: int) -> int:
     """6 H(n) for n > 0, n = 0 or 3 mod 4: the reduced forms (a, b, c) with
     b^2 - 4ac = -n, |b| <= a <= c and b >= 0 when |b| = a or a = c, each
@@ -188,7 +177,10 @@ def point_count_table(p: int) -> np.ndarray:
     chi = chi_table(p)
     rows = (0, 1, int(np.argmax(chi < 0)))
     bs = np.arange(p, dtype=np.int64)
-    traces = np.array([_row_traces(p, chi, a) for a in rows])
+    # trace p + 1 - #E(F_p) = -sum_x chi(x^3 + a x + b), also for singular b:
+    # one gather of p^2 lookups per row, x along the columns and b down them
+    traces = np.array([-chi[(bs * bs * bs + a * bs + bs[:, None]) % p].sum(axis=1, dtype=np.int64)
+                       for a in rows])
     singular = discriminant_mod(p, np.array(rows)[:, None], bs) == 0
     us = np.arange(1, (p + 1) // 2, dtype=np.int64)
     a = np.array(rows[1:])[:, None, None] * (us * us)[:, None] % p  # rows 1 and g, twisted by u

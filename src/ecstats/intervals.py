@@ -15,6 +15,7 @@ lo rounded down and hi up, which print at any size.
 
 from __future__ import annotations
 
+import math
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
@@ -96,7 +97,11 @@ def round_fraction(q: Fraction, significant: int, up: bool) -> Decimal:
 def check_printable(q: Fraction) -> Fraction:
     """q, or DomainError where str(q) would pass Python's int-to-str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+    size = max(abs(q.numerator), q.denominator)
+    # 10^limit has 1 + floor(limit log2(10)) bits: a size more than two bits
+    # off that float estimate is decided by its bit length, else exactly
+    margin = size.bit_length() - limit * math.log2(10)
+    if limit and (margin > 2 or margin > -2 and size >= 10**limit):
         raise DomainError(f"an exact value cannot be printed: Exceeds the limit ({limit} digits) "
                           "for integer string conversion; PYTHONINTMAXSTRDIGITS raises it")
     return q

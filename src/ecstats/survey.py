@@ -24,7 +24,10 @@ The growth census classifies each minimal nonsingular curve at a prime p of
 good reduction.  Curves bad at 2 or 3 go into a separate bucket (local data
 there is out of scope), as do the curves at p in {5, 7} that miss the torsion
 certificate p ∤ #E(F_q) at one of the first five good primes q >= 5, q != p
-(torsion injects into each; for p >= 11 it is impossible).  These are misses:
+(torsion injects into each; for p >= 11 it is impossible).  The first 19
+such q, all <= 79, hold five good ones for every curve: a nonzero |delta| <
+2^63 has at most 14 prime factors >= 5, as 5 * 7 * ... * 59 > 2^63.  Every
+list of primes here is read off arith.sieve_primes.  These are misses:
 no curve of the sub-grid has a rational point of order p, as b odd gives
 v_2(-16 delta) = 4, v_2(c_4) >= 4 and additive reduction at 2, so E(Q)[p]
 embeds in a group of order at most 2 c_2 <= 8 (Silverman IV.3, VII.2,
@@ -39,7 +42,6 @@ flag at p; and the Euler-term valuation v_p(prod c_ell^(p) * alpha_p^2).
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -52,7 +54,7 @@ import numpy as np
 from . import bounds, density, ffcurve, localdata
 from .ffcurve import PointClass
 from ._version import __version__
-from .arith import check_prime, integer_nth_root, is_prime, sieve_primes
+from .arith import check_prime, integer_nth_root, sieve_primes
 from .errors import DomainError
 from .intervals import QInterval
 
@@ -234,9 +236,11 @@ def _certificate_table(q: int, p: int) -> np.ndarray:
     return table
 
 
-def _certificate_primes(p: int) -> Iterator[int]:
-    """The primes q = 5, 7, 11, ... other than p, in order."""
-    return (q for q in itertools.count(5) if q != p and is_prime(q))
+def _certificate_primes(p: int) -> tuple[int, ...]:
+    """The first 19 primes q >= 5 other than p, in order (all <= 79).  A
+    nonzero |delta| < 2^63 has at most 14 prime factors >= 5, as 5 * 7 * ... *
+    59 > 2^63, so each curve meets TORSION_CERT_PRIMES good primes among them."""
+    return tuple(q for q in sieve_primes(79)[2:] if q != p)[:19]
 
 
 class GrowthCensus(NamedTuple):
@@ -280,17 +284,19 @@ def _minimal(a, b, marks) -> np.ndarray:
 
 def _certify(a, b, p: int) -> np.ndarray:
     """Torsion certificate per pair: walk the _certificate_primes of p until
-    each pair is certified or has met TORSION_CERT_PRIMES good primes."""
+    each pair is certified or has met TORSION_CERT_PRIMES good primes, which
+    every curve does before the tuple ends."""
     certified = np.zeros(len(a), dtype=bool)
     live, seen = np.arange(len(a)), np.zeros(len(a), dtype=np.int64)
     for q in _certificate_primes(p):
         if not live.size:
-            return certified
+            break
         r = _certificate_table(q, p)[a[live] % q, b[live] % q]
         certified[live[r == 2]] = True
         seen += r == 1
         walk = (r == 0) | (r == 1) & (seen < TORSION_CERT_PRIMES)
         live, seen = live[walk], seen[walk]
+    return certified
 
 
 def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
@@ -534,7 +540,7 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     classes, doubt = _class_counts(win, codes), np.zeros(len(PointClass), dtype=np.int64)
     classifiable = (codes == at_p[0]) | (codes == at_p[1])
     if p in (5, 7):  # the first five certificate primes are among any pair's first five good ones
-        first = itertools.islice(_certificate_primes(p), TORSION_CERT_PRIMES)
+        first = _certificate_primes(p)[:TORSION_CERT_PRIMES]
         tables = [classifiable, *(_certificate_table(q, p) != 2 for q in first)]
     base, hists = classes[at_p], (Counter(), Counter(), Counter())  # ordinary, anomalous
     for start in range(-win.a_max, win.a_max + 1, _ROW_BAND):

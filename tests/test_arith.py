@@ -64,7 +64,10 @@ def test_integer_nth_root_at_exact_powers(k):
             assert integer_nth_root(n + 1, k) == r
 
 
-@pytest.mark.parametrize("n", [2, 140, 2**4 * 3**6, 10**6 + 3, 7919 * 7907, 2 * 10**8 - 1])
+# the last three have no prime factor below 10^6, so Pollard rho splits them
+@pytest.mark.parametrize("n", [2, 140, 2**4 * 3**6, 10**6 + 3, 7919 * 7907, 2 * 10**8 - 1,
+                               1_000_003 * 1_000_033, 1_000_003**2,
+                               1_000_003 * 1_000_033 * 1_000_037])
 def test_factorize_roundtrip(n):
     fac = factorize(n)
     prod = 1

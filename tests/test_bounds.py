@@ -94,6 +94,8 @@ def test_zeta_enclosure_against_mpmath():
         val = Fraction(mp.nstr(mp.zeta(s), 30))
         assert iv.lo <= val <= iv.hi
         assert iv.hi - iv.lo < Fraction(1, 10**8)
+    with pytest.raises(DomainError, match="s >= 2"):
+        bounds.zeta_enclosure(1, 200)
 
 
 def test_zeta_reciprocal_properties():

@@ -81,6 +81,19 @@ def test_densities_early_refusal_refuses_no_printable_value(ell, capsys, monkeyp
         built.clear()
 
 
+def test_densities_ignore_a_raised_digit_limit():
+    """check_printable decides by bit length, so a raised int-to-str digit
+    limit costs no power 10^limit: at 10^7 digits, a three-digit density
+    prints in well under a second, start-up included."""
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "10000000",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "ecstats", "densities", "--ell", "5", "--type", "In",
+                           "--n", "1"], env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 0 and done.stdout == "16/125 = 0.128000000000000\n"
+
+
 def test_only_the_cli_opens_files_or_prints():
     """Every call of open or print in src/ecstats is in cli.py: the CLI owns
     each output file and stream, and the library writes to handles it is given."""
@@ -102,6 +115,17 @@ def test_tables_compare_subset(capsys):
     assert lines[0].startswith("p,n_ordinary,n_anomalous")
     assert len(lines) == 1 + 8  # primes 7, 11, ..., 31
     assert lines[1].startswith("7,32,4,0.653061224489796,0.081632653061224")
+
+
+def test_tables_compare_reference_failure_exits_1(capsys, monkeypatch):
+    """A census row off its reference density by more than 1e-12 is counted
+    on stderr, and the command exits 1: verification failed."""
+    from ecstats import reference_tables
+    monkeypatch.setitem(reference_tables.REFERENCE_DENSITIES, 7,
+                        ("0.653061224489796", "0.0816326530712245"))  # 4/49 + 1e-11
+    code, out, err = run_cli(["tables", "--pmin", "7", "--pmax", "31", "--compare-reference"], capsys)
+    assert code == 1 and len(out.strip().splitlines()) == 1 + 8
+    assert err == "1 row(s) off reference by more than 1e-12\n"
 
 
 def test_tables_json_format(capsys):

@@ -41,6 +41,10 @@ def test_kodaira_density_guards():
         density.density_good(6)
     with pytest.raises(ValueError):
         density.density_In(5, 0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        density.density_In_at_least(5, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        density.valuation_box_measure(5, -1, 0)
 
 
 @pytest.mark.parametrize("ell, m, each", [(5, 1, 40), (5, 2, 200), (7, 1, 126), (7, 2, 882)])
@@ -136,6 +140,8 @@ def test_measure_validation():
 def test_truncation_guard():
     with pytest.raises(TruncationError):
         density.minimal_tail(0)
+    with pytest.raises(TruncationError, match="vacuous"):
+        density.minimal_tail(1, 2)  # 1 - 1/9 - 1 <= 0
     ok = density.minimal_tail(2)
     assert 0 < ok.lo < 1 and ok.hi == 1
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -217,17 +218,49 @@ def _record_certificate_tables(monkeypatch):
     return handed
 
 
+def _certified_within_its_primes(a, b, p):
+    """_certify(a, b, p), checking that no pair is live after the last of the
+    _certificate_primes(p): a prime appended to them is never read."""
+    primes = survey._certificate_primes(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(survey, "_certificate_primes", lambda p: primes + (83,))
+        handed = _record_certificate_tables(mp)
+        certified = survey._certify(a, b, p)
+    assert [q for q, _ in handed] == list(primes[:len(handed)])
+    return certified
+
+
 @pytest.mark.parametrize("p, count", [(5, 3000), (7, 12000)])
 def test_certificate_pool_holds_five_good_primes(p, count):
     """Pairs with 8 or 9 bad primes among the first 12 certificate primes
     still meet their first five good primes on the walk, including pairs
-    that no good prime among those 12 certifies."""
+    that no good prime among those 12 certifies, and the walk ends inside
+    the 19 certificate primes: a nonzero |delta| < 2^63 has at most 14
+    prime factors >= 5."""
+    primes = survey._certificate_primes(p)
+    assert len(primes) == 19 and primes[-1] == 79 and p not in primes
+    assert math.prod(arith.sieve_primes(59)[2:]) > 2**63
     pairs, q12, verdicts = _crowded_verdicts(p, count)
     late = [i for i, (q, _) in enumerate(verdicts) if q is None or q > q12]
     assert len(late) >= 5
     sample = late + list(range(300))
     a, b = np.array([pairs[i] for i in sample]).T
-    assert survey._certify(a, b, p).tolist() == [verdicts[i][0] is not None for i in sample]
+    assert _certified_within_its_primes(a, b, p).tolist() == [verdicts[i][0] is not None for i in sample]
+
+
+_BOX_2_62 = HeightWindow.from_height(2**62 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([5, 7]),
+       st.lists(st.tuples(st.integers(-_BOX_2_62.a_max, _BOX_2_62.a_max),
+                          st.integers(-_BOX_2_62.b_max, _BOX_2_62.b_max)), min_size=1, max_size=20))
+def test_certificate_primes_outlast_drawn_walks(p, pairs):
+    """Drawn curves of the box below 2^62 end their walk inside the
+    certificate primes too, with the oracle's verdicts."""
+    pairs = [(a, b) for a, b in pairs if localdata.discriminant(a, b)]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    assert _certified_within_its_primes(a, b, p).tolist() == [_oracle_certified(*pair, p) for pair in pairs]
 
 
 def test_certificate_walk_stops_where_its_pairs_stop(monkeypatch):
@@ -470,7 +503,7 @@ def test_torsion_misses_have_a_later_certifying_prime(p, x, misses):
     a group of order at most 2 c_2 <= 8."""
     win, codes, _ = survey._survey_setup(p, x)
     classifiable = (codes == ffcurve.PointClass.ORDINARY) | (codes == ffcurve.PointClass.ANOMALOUS)
-    primes = list(itertools.islice(survey._certificate_primes(p), 12))
+    primes = survey._certificate_primes(p)[:12]
     tables = [classifiable, *(survey._certificate_table(q, p) != 2
                               for q in primes[:survey.TORSION_CERT_PRIMES])]
     rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
@@ -485,6 +518,29 @@ def test_torsion_misses_have_a_later_certifying_prime(p, x, misses):
     for q in primes:
         certified |= survey._certificate_table(q, p)[a % q, b % q] == 2
     assert certified.all()
+
+
+def test_survey_csv_growth_columns_at_the_first_hit():
+    """At x = 4,876,875 the box first holds a pair of the sub-grid good at 2
+    and 3 (3 ∤ a, b odd) where a prime ell != p = 5 adds to the growth:
+    (-17, +-425), I5 at ell = 7, split for b = 425 only.  Every row whose
+    kodaira field lists an I_m with p | m matches the slow classification."""
+    x, p = 4_876_875, 5
+    buf = io.StringIO()
+    survey.write_survey_csv(x, p, buf)
+    text = buf.getvalue()
+    assert "\r\n-17,425,4876875,1,4857223,7:I5;17:additive,1,1,2,3\r\n" in text
+    assert "\r\n-17,-425,4876875,1,4857223,7:I5;17:additive,1,1,1,2\r\n" in text
+    marks = HeightWindow.from_height(x).minimality_primes()
+    # the rows with a label I_m, m ending in 0 or 5; no field holds a comma
+    hits = [line.split(",") for line in re.findall(r"^[^\r\n]*:I\d*[05][;,][^\r\n]*", text, re.M)]
+    assert len(hits) == 32
+    for row in hits:
+        a, b = int(row[0]), int(row[1])
+        rec = survey.SurveyRecord(a, b, localdata.naive_height(a, b), localdata.discriminant(a, b),
+                                  survey._is_minimal_pair(a, b, marks))
+        assert row == ["" if v is None else str(v)
+                       for v in survey._record_fields(survey._classify_record(rec, p))]
 
 
 def test_row_roots_are_the_singular_columns():
@@ -1076,6 +1132,9 @@ def test_summary_json_roundtrip():
     assert js["counts"]["curves"] == s.counts["curves"]
     assert js["empirical"]["fraction"] == str(s.empirical)
     assert js["version"]
+    # an empty census classifies no curve: no ratio, so no gap to report
+    s = survey.empirical_selmer_growth(survey._growth_census(7, 0), 1)
+    assert s.empirical is None and s.absolute_gap is None and s.to_json()["absolute_gap"] is None
 
 
 def test_kodaira_classes_partition_curves():
