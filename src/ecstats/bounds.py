@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import ffcurve
-from .arith import check_prime, is_prime, sieve_primes
+from .arith import check_prime, integer_nth_root, is_prime, sieve_primes
 from .errors import DomainError, ExcludedPrimeError, TruncationError
 from .intervals import WORKING_BITS, QInterval, outward
 
@@ -162,9 +162,10 @@ def zeta_enclosure(s: int, terms: int) -> QInterval:
         raise DomainError("zeta_enclosure requires s >= 2")
     _check_zeta_terms(terms)
     one = 1 << WORKING_BITS
-    lo, hi = (Fraction(sum(ends), one) for ends in
-              zip(*(outward(1, m**s, one, one) for m in range(1, terms + 1))))
-    return QInterval(lo, hi + Fraction(1, (s - 1) * terms ** (s - 1)))
+    top = min(terms, integer_nth_root(one, s))  # each later term, m^s > one, rounds to [0, 1]
+    lo, hi = (sum(ends) for ends in zip(*(outward(1, m**s, one, one) for m in range(1, top + 1))))
+    return QInterval(Fraction(lo, one),
+                     Fraction(hi + terms - top, one) + Fraction(1, (s - 1) * terms ** (s - 1)))
 
 
 def zeta_reciprocal(s: int, terms: int = DEFAULT_ZETA_TERMS) -> QInterval:

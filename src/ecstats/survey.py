@@ -16,9 +16,9 @@ five tables on tiles of a band (the one pass over pairs), and the pairs
 where a prime ell != p adds to the growth, on progressions lifted to ell^p,
 are listed and moved out of their base histogram bins.  The empirical_*
 views read the census they are given, so a survey runs it once.
-write_survey_csv writes one row per pair from the tiles of the whole box, its
-Kodaira labels from the progressions mod ell of the primes ell >= 5 dividing
-delta.  enumerate_curves, streaming the pairs one by one, is its test oracle.
+write_survey_csv writes one row per pair from the tiles of the box, its
+Kodaira labels and growth columns from the progressions mod ell of the primes
+ell >= 5 dividing delta.  enumerate_curves, pair by pair, is its test oracle.
 
 The growth census classifies each minimal nonsingular curve at a prime p of
 good reduction.  Curves bad at 2 or 3 go into a separate bucket (local data
@@ -470,30 +470,6 @@ def _squarefree(win: HeightWindow) -> Iterator[tuple[int, int, int, int]]:
             yield (-1) ** len(factors), m, win.a_max // m**4, win.b_max // m**6
 
 
-def _box_census(win: HeightWindow, ells: tuple[int, ...]) -> tuple[dict, dict]:
-    """The singular, nonminimal and curves counts of the box and, for each ell
-    in `ells`, its curves not == (0, 0) mod ell by v_ell(delta), in closed
-    form: the same at every p.  A pair is minimal unless q^4 | a and q^6 | b for
-    a prime q, so each count over the curves is a Möbius sum (_squarefree) of
-    the same count over the nonsingular pairs of the sub-box: (a, b) = (m^4 a',
-    m^6 b') multiplies delta by m^12.  An m with ell | m adds nothing to the
-    ell histogram, its pairs being == (0, 0) mod ell.  The singular pairs are
-    (-3t^2, +-2t^3) and (0, 0)."""
-    def singular(a_max: int, b_max: int) -> int:  # the t >= 1 inside the box
-        return min(math.isqrt(a_max // 3), integer_nth_root(b_max // 2, 3))
-
-    curves, hists = 0, {ell: Counter() for ell in ells}
-    for sign, m, a_max, b_max in _squarefree(win):
-        curves += sign * ((2 * a_max + 1) * (2 * b_max + 1) - 1 - 2 * singular(a_max, b_max))
-        for ell in (ell for ell in ells if m % ell):
-            for lo in range(-a_max, a_max + 1, _ROW_BAND):
-                counts = _valuation_counts(np.arange(lo, min(lo + _ROW_BAND, a_max + 1)), b_max, ell)
-                hists[ell].update({v: sign * c for v, c in counts.items()})
-    singular_pairs = 1 + 2 * singular(win.a_max, win.b_max)
-    return ({"singular": singular_pairs, "nonminimal": win.pair_count - singular_pairs - curves,
-             "curves": curves}, {ell: +hist for ell, hist in hists.items()})
-
-
 def _residue_counts(n: int, k: int, scale: int, p: int) -> np.ndarray:
     """#{t : |t| <= n, k ∤ t} by scale * t mod p, from the counts by t mod kp."""
     t = np.arange(k * p, dtype=np.int64)
@@ -501,21 +477,36 @@ def _residue_counts(n: int, k: int, scale: int, p: int) -> np.ndarray:
     return np.bincount(scale % p * t % p, counts, p).astype(np.int64)
 
 
-def _class_counts(win: HeightWindow, codes) -> np.ndarray:
-    """The minimal pairs of the sub-grid good at 2 and 3 by class code at p,
-    indexed by PointClass, on lattices: a Möbius sum over the squarefree m
-    prime to 6 (no pair there is divisible by (2^4, 2^6) or (3^4, 3^6)) of r^T
-    [codes == c] c, r counting the rows a' of the sub-box with 3 ∤ a' by m^4 a'
-    mod p, c its odd columns b' by m^6 b' mod p.  If p | m, every pair lands on
-    codes[0, 0], singular.  The float sums are exact: every one is an integer
-    below the box's pair count < 2^53."""
+def _box_census(win: HeightWindow, ells: tuple[int, ...], codes) -> tuple[dict, dict, np.ndarray]:
+    """The singular, nonminimal and curves counts of the box, for each ell in
+    `ells` its curves not == (0, 0) mod ell by v_ell(delta), and its minimal
+    pairs of the sub-grid good at 2 and 3 by class code at p (`codes`), by
+    PointClass.  A pair is minimal unless q^4 | a and q^6 | b for a prime q,
+    so each count is a Möbius sum (_squarefree) of the same count over the
+    nonsingular pairs of the sub-box: (a, b) = (m^4 a', m^6 b') multiplies
+    delta by m^12.  The singular pairs are (-3t^2, +-2t^3) and (0, 0).  An m
+    with ell | m adds nothing to the ell histogram, nor one with 2 | m or 3 |
+    m to the classes.  On the sub-grid the class at p reads (a mod p, b mod
+    p), so m adds r^T [codes == c] c, r counting the rows a' of the sub-box
+    with 3 ∤ a' by m^4 a' mod p, c its odd columns b' by m^6 b' mod p (if
+    p | m, all on codes[0, 0], singular); the float sums are exact (< 2^53)."""
+    def singular(a_max: int, b_max: int) -> int:  # the t >= 1 inside the box
+        return min(math.isqrt(a_max // 3), integer_nth_root(b_max // 2, 3))
+
+    curves, hists = 0, {ell: Counter() for ell in ells}
     p, classes = len(codes), np.zeros(len(PointClass), dtype=np.int64)
     for sign, m, a_max, b_max in _squarefree(win):
+        curves += sign * ((2 * a_max + 1) * (2 * b_max + 1) - 1 - 2 * singular(a_max, b_max))
+        for ell in (ell for ell in ells if m % ell):
+            for lo in range(-a_max, a_max + 1, _ROW_BAND):
+                counts = _valuation_counts(np.arange(lo, min(lo + _ROW_BAND, a_max + 1)), b_max, ell)
+                hists[ell].update({v: sign * c for v, c in counts.items()})
         if m % 2 and m % 3:
-            rows, columns = _residue_counts(a_max, 3, m**4, p), _residue_counts(b_max, 2, m**6, p)
-            weights = np.outer(rows, columns).ravel()
-            classes += sign * np.bincount(codes.ravel(), weights, len(PointClass)).astype(np.int64)
-    return classes
+            weights = np.outer(_residue_counts(a_max, 3, m**4, p), _residue_counts(b_max, 2, m**6, p))
+            classes += sign * np.bincount(codes.ravel(), weights.ravel(), len(PointClass)).astype(np.int64)
+    singular_pairs = 1 + 2 * singular(win.a_max, win.b_max)
+    return ({"singular": singular_pairs, "nonminimal": win.pair_count - singular_pairs - curves,
+             "curves": curves}, {ell: +hist for ell, hist in hists.items()}, classes)
 
 
 @lru_cache(maxsize=8)
@@ -523,21 +514,21 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     """The census of the height box at the prime p.
 
     Every pair lands in one bucket: singular, nonminimal or curve, and for each
-    ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta);
-    _box_census counts these in closed form.  The curves go on into
-    bad_at_2_or_3, bad_at_p, supersingular_at_p, torsion_uncertified or
-    classified: every curve off the sub-grid good at 2 and 3 is bad there, and
-    _class_counts sorts the others by class at p.  Then one walk over bands
+    ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta).
+    The curves go on into bad_at_2_or_3, bad_at_p, supersingular_at_p,
+    torsion_uncertified or classified: every curve off the sub-grid good at 2
+    and 3 is bad there, and the others are sorted by class at p.  One Möbius
+    sum, _box_census, counts all these in closed form.  Then one walk over bands
     of _ROW_BAND rows hands each band's good rows to _in_doubt, whose pairs
     go to _certify at p in {5, 7}, and to _growth_hits.  The classified curves
     start in the strict, Kodaira-only and Euler histograms at 0, or at 1, 1
     and 2 if anomalous, and each hit curve moves from there by its hits.
     """
     win, codes, candidates = _survey_setup(p, x, ells)
-    box, valuation_hists = _box_census(win, ells)
+    box, valuation_hists, classes = _box_census(win, ells, codes)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0), **box}
     marks, at_p = win.minimality_primes(), [PointClass.ORDINARY, PointClass.ANOMALOUS]
-    classes, doubt = _class_counts(win, codes), np.zeros(len(PointClass), dtype=np.int64)
+    doubt = np.zeros(len(PointClass), dtype=np.int64)
     classifiable = (codes == at_p[0]) | (codes == at_p[1])
     if p in (5, 7):  # the first five certificate primes are among any pair's first five good ones
         first = _certificate_primes(p)[:TORSION_CERT_PRIMES]
@@ -636,14 +627,16 @@ def write_csv(records: Sequence[SurveyRecord] | Iterator[SurveyRecord], handle) 
     return rows
 
 
-def _kodaira_fields(a, b, delta, curve, roots, ells) -> np.ndarray:
+def _kodaira_fields(a, b, delta, curve, roots, ells) -> tuple[np.ndarray, tuple]:
     """The kodaira field of each curve of the tile a x b (b consecutive), one
     str: its labels joined by ";", `ell:I<v>`, or `ell:additive` where ell
-    divides a (and so b), for each prime ell >= 5 dividing delta, in order.
+    divides a (and so b), for each prime ell >= 5 dividing delta, in order;
+    and those hits, as the flat index of each curve, ell and v_ell(delta).
     The hits of ell in row a are the columns b == +-roots[ell, a] mod ell
-    (_row_hits).  Once their ell^v, the 2s and the 3s are out of |delta|, 1
-    or a prime above the ells is left, dividing delta once: I1.  Each label is an integer key, ell << 8 | v with v = 0 for additive, or -q
-    for the cofactor q, formatted once per distinct key in each form."""
+    (_row_hits).  Once their ell^v, the 2s and the 3s are out of
+    |delta|, 1 or a prime above the ells is left, dividing delta once: I1.
+    Each label is an integer key, ell << 8 | v, or -q for the cofactor q,
+    formatted once per distinct key in each form."""
     width = len(b)
     both = np.stack([roots, np.where(roots > 0, ells[:, None] - roots, -1)], axis=-1)
     e, hit = _row_hits(b, both, ells)  # ell-major, so each curve meets its ells in order
@@ -667,7 +660,7 @@ def _kodaira_fields(a, b, delta, curve, roots, ells) -> np.ndarray:
     first = np.flatnonzero(~later)
     fields = np.full(delta.size, "", dtype=object)
     fields[curves[first]] = np.add.reduceat(forms[which + len(values) * later], first)
-    return fields.reshape(delta.shape)
+    return fields.reshape(delta.shape), (hit, ell, v)
 
 
 def _pieces(values) -> np.ndarray:
@@ -692,7 +685,7 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
     once per distinct value and each kodaira label once per distinct label,
     so only delta and each curve's joined labels are built per pair.  (At
     most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
-    win, codes, candidates = _survey_setup(p, x)
+    win, codes, _ = _survey_setup(p, x)
     ells = np.array(sieve_primes(math.isqrt(win.max_abs_discriminant))[2:], dtype=np.int64)
     box_rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
     roots = _row_roots(box_rows, ells)  # one table per ell
@@ -705,20 +698,26 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
         lo = len(b) // 2 if b[0] == -b[-1] else 0
         fold = np.abs(np.arange(len(b)) - lo)
         curve = minimal & (delta != 0)
-        kodaira = _kodaira_fields(a, b[lo:], delta[:, lo:], curve[:, lo:], roots[:, a + win.a_max], ells)
-        rows, columns = a % 3 != 0, b % 2 != 0  # delta == a mod 3 and == b mod 2
-        grid, good = rows[:, None] & columns, b[columns]
-        code = codes[(a[rows] % p)[:, None], good % p].ravel()
-        g_strict = (code == PointClass.ANOMALOUS).astype(np.int64)
-        euler_v = 2 * g_strict
-        for i, hit, v, split in _growth_hits(a[rows], b[0], b[-1], p, candidates):
-            at = i[split] * len(good) + (hit[split] - good[0]) // 2
-            np.add.at(g_strict, at, 1)
-            np.add.at(euler_v, at, _valuations(v[split], p))
-        key = np.full(delta.shape, -1, dtype=np.int64)
-        key[grid] = np.where(curve[grid] & (code != PointClass.SINGULAR), (euler_v << 6 | g_strict) << 2
-                             | (code != PointClass.SUPERSINGULAR) << 1 | (code == PointClass.ANOMALOUS), -1)
-        values, which = np.unique(key.ravel(), return_inverse=True)
+        kodaira, (hit, ell, v) = _kodaira_fields(a, b[lo:], delta[:, lo:], curve[:, lo:],
+                                                 roots[:, a + win.a_max], ells)
+        # ell ∤ a adds to the growth where p | v, so b != 0: in a folded tile
+        # the hit at b stands for -b too, and each column's residue splits it
+        row, column = np.divmod(hit, len(b) - lo)
+        keep = (v % p == 0) & (a[row] % ell != 0)
+        row, column, ell, v = row[keep], b[lo:][column[keep]], ell[keep], v[keep]
+        if lo:
+            row, column, ell, v = np.tile(row, 2), np.r_[column, -column], np.tile(ell, 2), np.tile(v, 2)
+        split = np.array([localdata._split_from_residues(ai % q, bi % q, q) for ai, bi, q in
+                          zip(a[row].tolist(), column.tolist(), ell.tolist())], dtype=bool)
+        at = row[split] * len(b) + column[split] - b[0]
+        code = codes[a[:, None] % p, b % p].ravel()
+        anomalous = code == PointClass.ANOMALOUS
+        g_strict = anomalous + np.bincount(at, minlength=code.size)
+        euler_v = 2 * anomalous + np.bincount(at, _valuations(v[split], p), code.size).astype(np.int64)
+        grid = (a[:, None] % 3 != 0) & (b % 2 != 0)  # delta == a mod 3 and == b mod 2
+        key = np.where((grid & curve).ravel() & (code != PointClass.SINGULAR), (euler_v << 6 | g_strict) << 2
+                       | (code != PointClass.SUPERSINGULAR) << 1 | anomalous, -1)
+        values, which = np.unique(key, return_inverse=True)
         a3, b2 = 4 * np.abs(a) ** 3, 27 * b * b
         pieces = np.stack([np.repeat(_pieces(a), len(b)), np.tile(_pieces(b), len(a)),
                            np.where(a3[:, None] >= b2, _pieces(a3)[:, None], _pieces(b2)).ravel(),

@@ -98,6 +98,19 @@ def test_zeta_enclosure_against_mpmath():
         bounds.zeta_enclosure(1, 200)
 
 
+@pytest.mark.parametrize("s", [2, 3, 7, 13, 127, 128, 129, 255, 256, 257, 1009, 10007])
+def test_zeta_enclosure_equals_the_full_sum(s):
+    """The sum stops at the largest m with m^s <= 2^256 and adds [0, 1] for
+    each later term: the enclosure equals the sum of every term's outward
+    rounding, also where a power is exactly 2^256 (4^128 and 2^256) and for
+    s up to 10007."""
+    one = 1 << WORKING_BITS
+    for terms in (10, 11, 200):
+        lo, hi = (Fraction(sum(ends), one) for ends in
+                  zip(*(outward(1, m**s, one, one) for m in range(1, terms + 1))))
+        assert bounds.zeta_enclosure(s, terms) == QInterval(lo, hi + Fraction(1, (s - 1) * terms ** (s - 1)))
+
+
 def test_zeta_reciprocal_properties():
     iv = bounds.zeta_reciprocal(7, 100)
     val = Fraction(mp.nstr(1 / mp.zeta(7), 30))

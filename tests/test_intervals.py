@@ -23,6 +23,7 @@ def test_arithmetic_exact():
     assert (a + b) == QInterval(Fraction(9, 4), Fraction(7, 2))
     assert (a * b) == QInterval(Fraction(1, 2), Fraction(3, 2))
     assert (a * 2) == QInterval(Fraction(1, 2), Fraction(1))
+    assert a + Fraction(1, 3) == Fraction(1, 3) + a == QInterval(Fraction(7, 12), Fraction(5, 6))
 
 
 def test_mul_with_negative_endpoints():

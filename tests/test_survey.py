@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import io
@@ -7,6 +8,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,27 +522,46 @@ def test_torsion_misses_have_a_later_certifying_prime(p, x, misses):
     assert certified.all()
 
 
-def test_survey_csv_growth_columns_at_the_first_hit():
+def test_survey_csv_growth_columns_at_the_first_hit(monkeypatch):
     """At x = 4,876,875 the box first holds a pair of the sub-grid good at 2
     and 3 (3 ∤ a, b odd) where a prime ell != p = 5 adds to the growth:
     (-17, +-425), I5 at ell = 7, split for b = 425 only.  Every row whose
-    kodaira field lists an I_m with p | m matches the slow classification."""
+    kodaira field lists an I_m with p | m matches the slow classification,
+    with CSV tiles of whole rows, folded to their columns b >= 0, whose hit
+    at 425 is split again at -425, and with tiles of one row's width minus
+    one, parts of rows that list both columns themselves."""
     x, p = 4_876_875, 5
-    buf = io.StringIO()
-    survey.write_survey_csv(x, p, buf)
-    text = buf.getvalue()
-    assert "\r\n-17,425,4876875,1,4857223,7:I5;17:additive,1,1,2,3\r\n" in text
-    assert "\r\n-17,-425,4876875,1,4857223,7:I5;17:additive,1,1,1,2\r\n" in text
-    marks = HeightWindow.from_height(x).minimality_primes()
-    # the rows with a label I_m, m ending in 0 or 5; no field holds a comma
-    hits = [line.split(",") for line in re.findall(r"^[^\r\n]*:I\d*[05][;,][^\r\n]*", text, re.M)]
-    assert len(hits) == 32
-    for row in hits:
-        a, b = int(row[0]), int(row[1])
-        rec = survey.SurveyRecord(a, b, localdata.naive_height(a, b), localdata.discriminant(a, b),
-                                  survey._is_minimal_pair(a, b, marks))
-        assert row == ["" if v is None else str(v)
-                       for v in survey._record_fields(survey._classify_record(rec, p))]
+    win = HeightWindow.from_height(x)
+    marks = win.minimality_primes()
+    for cap in (survey._CSV_BLOCK_ROWS, 2 * win.b_max):
+        monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
+        buf = io.StringIO()
+        survey.write_survey_csv(x, p, buf)
+        text = buf.getvalue()
+        assert "\r\n-17,425,4876875,1,4857223,7:I5;17:additive,1,1,2,3\r\n" in text
+        assert "\r\n-17,-425,4876875,1,4857223,7:I5;17:additive,1,1,1,2\r\n" in text
+        # the rows with a label I_m, m ending in 0 or 5; no field holds a comma
+        hits = [line.split(",") for line in re.findall(r"^[^\r\n]*:I\d*[05][;,][^\r\n]*", text, re.M)]
+        assert len(hits) == 32
+        for row in hits:
+            a, b = int(row[0]), int(row[1])
+            rec = survey.SurveyRecord(a, b, localdata.naive_height(a, b), localdata.discriminant(a, b),
+                                      survey._is_minimal_pair(a, b, marks))
+            assert row == ["" if v is None else str(v)
+                           for v in survey._record_fields(survey._classify_record(rec, p))], cap
+
+
+def test_only_the_census_lists_growth_hits():
+    """_growth_hits, the lister of the pairs where a prime ell != p adds to
+    the growth, is called from _growth_census alone: the CSV reads its growth
+    columns off the hits that _kodaira_fields finds for its labels."""
+    callers = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "ecstats").glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                callers.update(fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_growth_hits")
+    assert callers == {"_growth_census"}
 
 
 def test_row_roots_are_the_singular_columns():
@@ -590,7 +611,8 @@ def test_box_census_matches_enumerate_curves(x):
 @given(st.integers(0, 2 * 10**5))
 def test_box_census_matches_enumerate_curves_drawn(x):
     counts, hists = _slow_box(x, (5, 7, 11, 13))
-    assert survey._box_census(HeightWindow.from_height(x), (5, 7, 11, 13)) == (counts, hists)
+    codes = ffcurve.class_code_table(7)
+    assert survey._box_census(HeightWindow.from_height(x), (5, 7, 11, 13), codes)[:2] == (counts, hists)
 
 
 @pytest.mark.parametrize("x", [10**12, 10**15])
@@ -601,7 +623,7 @@ def test_box_census_totals_past_the_oracles(x):
     ell b), and the buckets partition the pairs."""
     win = HeightWindow.from_height(x)
     assert win.a_max >= 5**4
-    box, hists = survey._box_census(win, (5, 7, 11, 13))
+    box, hists, _ = survey._box_census(win, (5, 7, 11, 13), ffcurve.class_code_table(7))
     assert box["singular"] + box["nonminimal"] + box["curves"] == win.pair_count
     for ell, hist in hists.items():
         zero = 0  # minimal nonsingular (a, b) == (0, 0) mod ell
@@ -683,7 +705,8 @@ def test_kodaira_fields_match_the_slow_path():
     2s and 3s only, and prime cofactors above the largest prime sieved, each
     field equal to the per-curve classification's.  They sit in one tile of
     their rows a and the run of columns b from -15 to 5, where they are the
-    only curves."""
+    only curves.  The hits returned beside the fields are each curve's primes
+    ell >= 5 sieved that divide delta, with v_ell(delta)."""
     a = np.array([ai for ai, _ in KODAIRA_FIELDS], dtype=np.int64)
     b = np.arange(-15, 6, dtype=np.int64)
     delta = 4 * a[:, None] ** 3 + 27 * b * b
@@ -692,9 +715,13 @@ def test_kodaira_fields_match_the_slow_path():
         curve[i, bi + 15] = True
     ells = np.array(arith.sieve_primes(math.isqrt(int(np.abs(delta[curve]).max())))[2:],
                     dtype=np.int64)
-    fields = survey._kodaira_fields(a, b, delta, curve, survey._row_roots(a, ells), ells)
+    fields, (hit, ell, v) = survey._kodaira_fields(a, b, delta, curve, survey._row_roots(a, ells), ells)
     assert fields[curve].tolist() == list(KODAIRA_FIELDS.values())
     assert set(fields[~curve].tolist()) == {""}
+    row, column = np.divmod(hit, len(b))
+    assert sorted(zip(a[row].tolist(), b[column].tolist(), ell.tolist(), v.tolist())) == sorted(
+        (ai, bi, q, localdata.valuation(4 * ai**3 + 27 * bi * bi, q))
+        for ai, bi in KODAIRA_FIELDS for q in ells.tolist() if (4 * ai**3 + 27 * bi * bi) % q == 0)
     for (ai, bi), want in KODAIRA_FIELDS.items():
         rec = survey.SurveyRecord(ai, bi, localdata.naive_height(ai, bi),
                                   4 * ai**3 + 27 * bi * bi, True)

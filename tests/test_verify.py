@@ -27,3 +27,11 @@ def test_hasse_check_is_exact(p, monkeypatch):
         monkeypatch.setattr(ffcurve, "classify_residue", one_off)
         [r] = verify.check_hasse(p)
         assert r.passed == passes, (trace, r.detail)
+
+
+def test_reference_tables_check_only_the_primes_in_range():
+    """check_reference_tables(pmin, pmax) skips the reference primes outside
+    [pmin, pmax] and checks each one inside it."""
+    results = verify.check_reference_tables(11, 17)
+    assert [r.name for r in results] == [f"census p={p} matches reference" for p in (11, 13, 17)]
+    assert all(r.passed for r in results)
