@@ -18,8 +18,8 @@ _PUBLIC = {
     "localdata": ("KodairaType", "ReductionKind", "TamagawaAnomalyCount", "is_globally_minimal",
                   "is_minimal_at", "is_split_multiplicative", "kodaira_type", "naive_height",
                   "tamagawa_anomaly_count", "tamagawa_p_part", "valuation"),
-    "density": ("CongruenceDatum", "congruence_density", "density_good", "density_In",
-                "density_In_at_least", "minimal_density", "valuation_box_measure"),
+    "density": ("congruence_density", "density_good", "density_In", "density_In_at_least",
+                "minimal_density", "valuation_box_measure"),
     "bounds": ("BoundReport", "FamilyDensity", "euler_divisibility_bound",
                "growth_family_density", "kodaira_multiple_weight", "mu_lambda_bound",
                "prime_symmetric_sum", "selmer_growth_bound", "zeta_reciprocal"),

@@ -302,7 +302,7 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
                  * prod_{ell in sigma} sum_{j<=k} (ell-1)^2/ell^(jp+2)
                  * N_class / p^2
 
-    with the infinite product enclosed by density.cofinite_product.
+    with the infinite product enclosed by density.congruence_density.
     `stated_bound` is the simplified strict lower bound (1/zeta(p)) *
     prod_sigma-normalized * p^8 N_class/(p^10-1), where each sigma factor is
     divided by the minimal density 1 - ell^-10; the exact density always
@@ -327,7 +327,7 @@ def growth_family_density(sigma: Sequence[int], k: int, p: int, anomalous: bool 
         mass = sum(density.density_In(ell, j * p) for j in range(1, k + 1))
         explicit *= mass
         stated *= mass / density.minimal_density(ell)
-    product = density.cofinite_product({*sigma, 2, 3, p}, truncation, p)
+    product = density.congruence_density({*sigma, 2, 3, p}, truncation, p)
     exact = zeta_enclosure(10, zeta_terms) * product * explicit
     stated_bound = zeta_reciprocal(p, zeta_terms) * stated
     return FamilyDensity(p, k, sigma, anomalous, exact, stated_bound)

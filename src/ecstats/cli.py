@@ -8,9 +8,8 @@ errors.DomainError, reported in one line, as is an --out or --csv path that
 cannot be opened for writing; other exceptions keep their traceback).  Each
 subcommand imports the modules it runs, so --version, --help and a usage
 error load no math module, and no command loads dataclasses or inspect: the
-records are NamedTuples.  The two that validate do so on construction: a
-QInterval's endpoints are Fractions with 0 <= lo <= hi, and a
-CongruenceDatum checks each prime and each measure, which lies in [0, 1].
+records are NamedTuples.  The one that validates does so on construction: a
+QInterval's endpoints are Fractions with 0 <= lo <= hi.
 """
 
 from __future__ import annotations

@@ -10,18 +10,17 @@ basic congruence-defined sets:
 * v(a) >= v1 and v(b) >= v2:        ell^-(v1+v2)
 
 Global densities of congruence-defined families are products of local
-measures over the primes carrying a condition.  When the product is
-infinite (the cofinite "minimal everywhere" condition), the enclosure
-sweeps the factors up to a truncation point L, rounded outward, and encloses
-the rest with prod_{ell > L} (1 - eps_ell) >= 1 - sum_{n > L} n^-10 >=
-1 - 1/(9 L^9), by comparison with the integral of t^-10.
+measures over the primes carrying a condition: the exact factors at a
+finite set of primes times congruence_density, the cofinite "minimal
+everywhere else" product.  Its enclosure sweeps the factors up to a
+truncation point L, rounded outward, and encloses the rest with
+prod_{ell > L} (1 - eps_ell) >= 1 - sum_{n > L} n^-10 >= 1 - 1/(9 L^9), by
+comparison with the integral of t^-10.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
 from .arith import check_prime, sieve_primes
 from .errors import DomainError, TruncationError
@@ -76,36 +75,6 @@ def valuation_box_measure(ell: int, v1: int, v2: int) -> Fraction:
     return Fraction(1, ell ** (v1 + v2))
 
 
-class CongruenceDatum(NamedTuple("CongruenceDatum", [("measures", dict),
-                                                     ("minimal_elsewhere", bool)])):
-    """A finite set of primes with an exact local measure at each, plus an
-    optional minimality condition at every other prime.
-
-    `measures` maps a prime ell to the exact measure of the congruence set
-    imposed there.  With `minimal_elsewhere` set, every prime not listed
-    carries the minimal-pair condition of measure 1 - ell^-10; otherwise
-    unlisted primes are unconstrained (factor 1).  Construction, and
-    _replace, check that each key is a prime and that each measure, made a
-    Fraction, lies in [0, 1], and store them in a fresh dict.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, measures: Mapping[int, Fraction] = (), minimal_elsewhere: bool = False):
-        clean = {}
-        for ell, mu in dict(measures).items():
-            check_prime(ell)
-            mu = Fraction(mu)
-            if not 0 <= mu <= 1:
-                raise DomainError(f"measure at {ell} outside [0, 1]: {mu}")
-            clean[int(ell)] = mu
-        return tuple.__new__(cls, (clean, minimal_elsewhere))
-
-    @classmethod
-    def _make(cls, iterable) -> "CongruenceDatum":  # _replace builds through here
-        return cls(*iterable)
-
-
 def minimal_tail(truncation: int, p: int | None = None) -> QInterval:
     """Enclosure of prod_{ell > truncation} (1 - eps_ell) over primes, where
     eps_ell = ell^-10, plus density_In_at_least(ell, p) < ell^-p if p is given."""
@@ -119,20 +88,8 @@ def minimal_tail(truncation: int, p: int | None = None) -> QInterval:
     return QInterval(lo, Fraction(1))
 
 
-def congruence_density(datum: CongruenceDatum, truncation: int = DEFAULT_TRUNCATION) -> QInterval:
-    """Enclosure of the height density of pairs satisfying the datum.
-
-    The density equals the product of the local measures.  Explicit factors
-    are exact; the cofinite minimality condition contributes its
-    cofinite_product.
-    """
-    acc = math.prod(datum.measures.values(), start=Fraction(1))
-    if not datum.minimal_elsewhere:
-        return QInterval.point(acc)
-    return cofinite_product(datum.measures, truncation) * acc
-
-
-def cofinite_product(excluded, truncation: int, p: int | None = None) -> QInterval:
+def congruence_density(excluded=(), truncation: int = DEFAULT_TRUNCATION,
+                       p: int | None = None) -> QInterval:
     """Enclosure of the product over the primes ell outside `excluded` of
     minimal_density(ell), less density_In_at_least(ell, p) if p is given (then
     `excluded` must hold 2 and 3): the factors up to the truncation, from

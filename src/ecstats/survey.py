@@ -199,8 +199,7 @@ def empirical_minimal_density(census: GrowthCensus) -> SurveySummary:
     """Fraction of pairs in the census window that are minimal and
     nonsingular, against the enclosure of the everywhere-minimal density."""
     counts = {k: census.counts[k] for k in ("pairs", *_BUCKETS[:3])}
-    theoretical = density.congruence_density(
-        density.CongruenceDatum(minimal_elsewhere=True))
+    theoretical = density.congruence_density()
     return SurveySummary("minimal_density", census.x, counts,
                          Fraction(counts["curves"], counts["pairs"]), theoretical)
 
@@ -301,17 +300,13 @@ def _certify(a, b, p: int) -> np.ndarray:
 
 def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
     """The height box of a survey at p, checked before any pass over it (with
-    the primes in `ells`), the class codes at p, and the primes that can add
-    to the growth, in order: split I_m needs p | m = v_ell(delta), so ell^p <=
-    |delta|."""
+    the primes in `ells`), and the class codes at p."""
     for prime in (p, *ells):
         check_prime(prime, 5)
     if x >= MAX_SURVEY_HEIGHT:
         raise DomainError(f"height bound x = {x} must be below 2^62, so that "
                           "|delta| <= 2x fits in int64")
-    win = HeightWindow.from_height(x)
-    primes = sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
-    return win, ffcurve.class_code_table(p), [ell for ell in primes if ell not in (2, 3, p)]
+    return HeightWindow.from_height(x), ffcurve.class_code_table(p)
 
 
 def _blocks(rows, columns: range, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -524,7 +519,10 @@ def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
     start in the strict, Kodaira-only and Euler histograms at 0, or at 1, 1
     and 2 if anomalous, and each hit curve moves from there by its hits.
     """
-    win, codes, candidates = _survey_setup(p, x, ells)
+    win, codes = _survey_setup(p, x, ells)
+    # the primes that can add to the growth: split I_m needs p | m = v_ell(delta), so ell^p <= |delta|
+    candidates = [ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
+                  if ell not in (2, 3, p)]
     box, valuation_hists, classes = _box_census(win, ells, codes)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0), **box}
     marks, at_p = win.minimality_primes(), [PointClass.ORDINARY, PointClass.ANOMALOUS]
@@ -685,7 +683,7 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
     once per distinct value and each kodaira label once per distinct label,
     so only delta and each curve's joined labels are built per pair.  (At
     most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
-    win, codes, _ = _survey_setup(p, x)
+    win, codes = _survey_setup(p, x)
     ells = np.array(sieve_primes(math.isqrt(win.max_abs_discriminant))[2:], dtype=np.int64)
     box_rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
     roots = _row_roots(box_rows, ells)  # one table per ell

@@ -291,7 +291,7 @@ def check_sweeps_enclose_exact(sums=((3, 13, 400), (2, 7, 1000))) -> list[CheckR
     product = math.prod(density.minimal_density(ell) - density.density_In_at_least(ell, 7)
                         for ell in primes_in(11, 200))
     cases.append(("family product at p=7 outside (5,), L=200",
-                  [density.cofinite_product({5, 2, 3, 7}, 200, 7)],
+                  [density.congruence_density({5, 2, 3, 7}, 200, 7)],
                   [density.minimal_tail(200, 7) * product]))
     return [_result(f"swept {name} encloses exact", all(map(_encloses_within_gap, swept, exact)))
             for name, swept, exact in cases]

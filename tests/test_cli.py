@@ -422,6 +422,25 @@ def test_survey_json_and_csv(tmp_path, capsys):
     assert csv_path.read_text().splitlines()[0].startswith("a,b,height")
 
 
+def test_survey_minimal_block_pinned(capsys):
+    """The minimal block of `survey --x 100000000 --p 7`, and the swept family
+    product at p = 7 outside (5,), keep their pinned bytes: both read
+    density.congruence_density, with the default truncation and at L = 200."""
+    code, out, _ = run_cli(["survey", "--x", "100000000", "--p", "7"], capsys)
+    assert code == 0
+    assert json.loads(out)["blocks"]["minimal"] == {
+        "schema_version": 3, "kind": "minimal_density", "version": ecstats.__version__,
+        "x": 100000000, "p": None, "ell": None, "n": None,
+        "counts": {"pairs": 2251665, "singular": 19, "nonminimal": 2284, "curves": 2249362},
+        "empirical": {"fraction": "2249362/2251665", "decimal": 0.998977201315471},
+        "theoretical": {"lo": "0.9990064130690307817522253179981042804149",
+                        "hi": "0.9990064130690307817522253181091049929783"},
+        "absolute_gap": 2.9211753559785845e-05, "extras": {}}
+    assert density.congruence_density({2, 3, 5, 7}, 200, 7).to_json() == {
+        "lo": "0.9999999348435926148157875393191258003218",
+        "hi": "0.9999999348435952189825015417230909446877"}
+
+
 @pytest.mark.parametrize("argv", [
     ["survey", "--x", "1000", "--p", "7", "--csv", "{tmp}/missing/rows.csv"],
     ["survey", "--x", "1000", "--p", "7", "--csv", "{tmp}"],

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import mpmath as mp
 import pytest
 
 from ecstats import arith, density, localdata, verify
-from ecstats.density import CongruenceDatum
 from ecstats.errors import NotPrimeError, PrimeTooSmallError, TruncationError
 from ecstats.intervals import WORKING_BITS, QInterval, outward
 
@@ -89,14 +89,8 @@ def test_completeness_gap(ell):
     assert gap > 0
 
 
-def test_congruence_density_finite():
-    assert density.congruence_density(CongruenceDatum()) == QInterval.point(1)
-    datum = CongruenceDatum({5: Fraction(16, 125)})
-    assert density.congruence_density(datum) == QInterval.point(Fraction(16, 125))
-
-
 def test_congruence_density_minimal_everywhere():
-    iv = density.congruence_density(CongruenceDatum(minimal_elsewhere=True), 100)
+    iv = density.congruence_density((), 100)
     assert_contains(iv, mp_rational(1 / mp.zeta(10)))
     # zeta(10) = pi^10 / 93555 gives an independent route to the same value
     assert_contains(iv, mp_rational(93555 / mp.pi**10))
@@ -104,17 +98,17 @@ def test_congruence_density_minimal_everywhere():
 
 
 def test_congruence_density_nesting():
-    datum = CongruenceDatum(minimal_elsewhere=True)
-    coarse = density.congruence_density(datum, 50)
-    fine = density.congruence_density(datum, 100)
+    coarse = density.congruence_density((), 50)
+    fine = density.congruence_density((), 100)
     assert coarse.encloses(fine)
     assert fine.lo >= coarse.lo
 
 
 def _prescribed_In(sigma, n, truncation):
-    """Minimal pairs of Kodaira type I_n at every ell in sigma."""
-    datum = CongruenceDatum({ell: density.density_In(ell, n) for ell in sigma}, True)
-    return density.congruence_density(datum, truncation)
+    """Minimal pairs of Kodaira type I_n at every ell in sigma: the exact
+    factors at sigma times the minimal product over every other prime."""
+    explicit = math.prod((density.density_In(ell, n) for ell in sigma), start=Fraction(1))
+    return density.congruence_density(set(sigma), truncation) * explicit
 
 
 def test_prescribed_In_density():
@@ -128,13 +122,6 @@ def test_prescribed_In_density():
         (mp.mpf(16) / 125 * (mp.mpf(36) / 343) / mp.zeta(10))
         / ((1 - mp.mpf(5) ** -10) * (1 - mp.mpf(7) ** -10)))
     assert_contains(two, expected2)
-
-
-def test_measure_validation():
-    with pytest.raises(ValueError):
-        CongruenceDatum({5: Fraction(9, 8)})
-    with pytest.raises(NotPrimeError):
-        CongruenceDatum({6: Fraction(1, 2)})
 
 
 def test_truncation_guard():
@@ -158,7 +145,7 @@ def test_cofinite_product_trusts_the_sieve(monkeypatch):
         return is_prime(n)
 
     monkeypatch.setattr(arith, "is_prime", counted)
-    product = density.cofinite_product({2, 3, 211}, 2210, 211)
+    product = density.congruence_density({2, 3, 211}, 2210, 211)
     assert len(arith.primes_in(5, 2210)) > 300 and not calls, calls
     monkeypatch.undo()
     lo = hi = 1 << WORKING_BITS

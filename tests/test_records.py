@@ -1,13 +1,12 @@
 """The public records are immutable values: equal and hashed by value, closed
-to assignment, and shown as Name(field=value, ...); the two that validate
-their input check it on every construction."""
+to assignment, and shown as Name(field=value, ...); the one that validates
+its input checks it on every construction."""
 
 from fractions import Fraction
 
 import pytest
 
-from ecstats import bounds, density, ffcurve, localdata, survey
-from ecstats.errors import DomainError, NotPrimeError
+from ecstats import bounds, ffcurve, localdata, survey
 from ecstats.intervals import QInterval
 
 _Q = QInterval(Fraction(1, 3), 1)
@@ -23,7 +22,6 @@ RECORDS = {
     "TamagawaAnomalyCount": (localdata.TamagawaAnomalyCount,
                              (0, 1, 1, 2, ((11, _KT),), ffcurve.PointClass.ANOMALOUS),
                              "tamagawa_primes"),
-    "CongruenceDatum": (density.CongruenceDatum, ({5: Fraction(1, 5)}, True), "measures"),
     "BoundReport": (bounds.BoundReport, ("selmer_growth", 7, 1, 170, 200, _Q, _TERMS), "kind"),
     "FamilyDensity": (bounds.FamilyDensity, (7, 1, (5,), False, _Q, _Q), "p"),
     "HeightWindow": (survey.HeightWindow, (1000, 6, 6), "x"),
@@ -33,7 +31,7 @@ RECORDS = {
     "GrowthCensus": (survey.GrowthCensus,
                      (7, 1000, {"pairs": 169}, {0: 1}, {0: 1}, {0: 1}, {5: {0: 1}}), "p"),
 }
-HOLDS_A_DICT = {"CongruenceDatum", "SurveySummary", "GrowthCensus"}
+HOLDS_A_DICT = {"SurveySummary", "GrowthCensus"}
 PINNED_REPR = {
     "QInterval": "QInterval[1, 2]",
     "ClassCounts": "ClassCounts(p=5, ordinary=13, anomalous=3, supersingular=4, singular=5)",
@@ -60,9 +58,8 @@ def test_records_are_frozen_values(name):
 
 
 def test_validating_records_check_every_construction():
-    """QInterval holds Fractions with 0 <= lo <= hi; CongruenceDatum holds a
-    fresh dict of checked measures; mu_lambda_bound differs from
-    selmer_growth_bound in its kind alone."""
+    """QInterval holds Fractions with 0 <= lo <= hi; mu_lambda_bound differs
+    from selmer_growth_bound in its kind alone."""
     iv = QInterval(1, 2)
     assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
     for lo, hi in ((2, 1), (-1, 1), (Fraction(-1, 2), 0)):
@@ -70,18 +67,6 @@ def test_validating_records_check_every_construction():
             QInterval(lo, hi)
         with pytest.raises(ValueError):
             iv._replace(lo=lo, hi=hi)
-    with pytest.raises(NotPrimeError):
-        density.CongruenceDatum({4: Fraction(1, 2)})
-    for mu in (Fraction(3, 2), -1):
-        with pytest.raises(DomainError):
-            density.CongruenceDatum({5: mu})
-        with pytest.raises(DomainError):
-            density.CongruenceDatum()._replace(measures={5: mu})
-    given = {5: 1}
-    first, second = density.CongruenceDatum(given), density.CongruenceDatum()
-    assert first.measures == given and first.measures is not given
-    assert type(first.measures[5]) is Fraction
-    assert second.measures == {} and second.measures is not density.CongruenceDatum().measures
     summary = survey.SurveySummary(*RECORDS["SurveySummary"][1])
     with pytest.raises(TypeError):
         summary.extras["note"] = "a default no caller can change"

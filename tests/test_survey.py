@@ -503,7 +503,7 @@ def test_torsion_misses_have_a_later_certifying_prime(p, x, misses):
     none has a rational point of order p.  Each has b odd, so v_2(Delta) = 4
     and v_2(c_4) >= 4, the reduction at 2 is additive, and E(Q)[p] embeds in
     a group of order at most 2 c_2 <= 8."""
-    win, codes, _ = survey._survey_setup(p, x)
+    win, codes = survey._survey_setup(p, x)
     classifiable = (codes == ffcurve.PointClass.ORDINARY) | (codes == ffcurve.PointClass.ANOMALOUS)
     primes = survey._certificate_primes(p)[:12]
     tables = [classifiable, *(survey._certificate_table(q, p) != 2
@@ -768,6 +768,14 @@ def test_census_walks_the_rows_once_in_bands(p, monkeypatch):
         assert sum(bands, []) == [a for a in range(-a_max, a_max + 1) if a % 3]
 
 
+def _growth_candidates(p, win):
+    """The primes that can add to the growth at p in the box of `win`, in
+    order: split I_m needs p | m = v_ell(delta), so ell^p <= max |delta|, and
+    2, 3 and p are left out."""
+    bound = arith.integer_nth_root(win.max_abs_discriminant, p)
+    return [ell for ell in arith.sieve_primes(bound) if ell not in (2, 3, p)]
+
+
 def test_growth_hits_lift_each_row_once(monkeypatch):
     """At (5, 10^10), the first pinned height where the hits of 7^5 <= 2 b_max
     + 1 come as progressions of several columns, and with groups sized for
@@ -798,7 +806,8 @@ def test_growth_hits_lift_each_row_once(monkeypatch):
     assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
                              **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
-    win, _, candidates = survey._survey_setup(5, x)
+    win = HeightWindow.from_height(x)
+    candidates = _growth_candidates(5, win)
     good = np.array([a for a in range(-win.a_max, win.a_max + 1) if a % 3])
     width = 2 * win.b_max + 1
     per_row = sum(2 * ((width - 1) // (2 * min(ell**5, width + 1)) + 1) for ell in candidates)
@@ -952,13 +961,16 @@ def test_census_at_the_height_limit_at_p_5(monkeypatch):
     7 alone, leaves no room for two rows in _BLOCK_PAIRS hits), its buckets
     still partition the curves and its histograms
     the classified ones, and the listed hits move at most their own pairs.
-    It builds a chi table only for a prime with hits in the band, so far fewer
-    than the 64 character tables that ffcurve caches."""
-    chi_table, asked = ffcurve.chi_table, []
+    The lister is handed those 804 candidates.  It builds a chi table only for
+    a prime with hits in the band, so far fewer than the 64 character tables
+    that ffcurve caches."""
+    chi_table, asked, handed, growth_hits = ffcurve.chi_table, [], [], survey._growth_hits
+    monkeypatch.setattr(survey, "_growth_hits", lambda *args: handed.append(args[-1]) or growth_hits(*args))
     listed, _ = _first_band(monkeypatch)
     monkeypatch.setattr(ffcurve, "chi_table", lambda ell: asked.append(ell) or chi_table(ell))
     census = survey._growth_census.__wrapped__(5, 2**62 - 1)
-    assert len(survey._survey_setup(5, 2**62 - 1)[2]) == 804 and len(asked) < 64
+    candidates = _growth_candidates(5, HeightWindow.from_height(2**62 - 1))
+    assert len(candidates) == 804 and handed[0] == candidates and len(asked) < 64
     assert sum(census.counts[k] for k in survey._BUCKETS[3:]) == census.counts["curves"]
     assert census.counts["torsion_uncertified"] <= survey._BLOCK_PAIRS
     for hist in (census.strict_hist, census.kodaira_hist, census.euler_hist):
@@ -1039,7 +1051,8 @@ def test_growth_hits_match_the_dense_scan(p, x):
     at one column per sign; at 3e9 the hits of 7^5 <= 2 b_max + 1 come as
     progressions, as do those of the ell <= 69 (p = 5) or 19 (p = 7) at 2^62
     - 1, where a progression of 7^5 holds several columns of the tile."""
-    win, codes, candidates = survey._survey_setup(p, x)
+    win, codes = survey._survey_setup(p, x)
+    candidates = _growth_candidates(p, win)
     min_primes, progressions, checked = win.minimality_primes(), 0, 0
     for a, b in _growth_tiles(x):
         delta = localdata.discriminant(a[:, None], b).ravel()
@@ -1070,7 +1083,8 @@ def _dense_census(p, x):
     and 3: the class codes, the minimal flags, the torsion certificate
     (survey._certify) on every curve ordinary or anomalous at p and the
     growth of _dense_growth.  Every other curve is bad at 2 or 3."""
-    win, codes, candidates = survey._survey_setup(p, x)
+    win, codes = survey._survey_setup(p, x)
+    candidates = _growth_candidates(p, win)
     marks = [(ell**4, ell**6) for ell in arith.sieve_primes(60)]
     counts, hists = Counter(), (Counter(), Counter(), Counter())
     for a, b in _good_tiles(x, survey._BLOCK_PAIRS):
