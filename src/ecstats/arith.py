@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import NotPrimeError, PrimeTooSmallError
+from .errors import DomainError
 
 # The primes <= 37: is_prime's trial divisors, and its deterministic
 # Miller-Rabin witnesses for n < 3.3 * 10^24.
@@ -42,11 +42,11 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(n: int, minimum: int = 2) -> None:
-    """Raise NotPrimeError unless n is prime, PrimeTooSmallError if n < minimum."""
+    """Raise DomainError unless n is prime and n >= minimum."""
     if not is_prime(n):
-        raise NotPrimeError(f"{n} is not prime")
+        raise DomainError(f"{n} is not prime")
     if n < minimum:
-        raise PrimeTooSmallError(f"prime {n} is below the supported minimum {minimum}")
+        raise DomainError(f"prime {n} is below the supported minimum {minimum}")
 
 
 @lru_cache(maxsize=64)

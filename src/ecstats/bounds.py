@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from . import ffcurve
 from .arith import check_prime, integer_nth_root, is_prime, sieve_primes
-from .errors import DomainError, ExcludedPrimeError, TruncationError
+from .errors import DomainError
 from .intervals import WORKING_BITS, QInterval, outward
 
 DEFAULT_ZETA_TERMS = 200
@@ -54,7 +54,7 @@ def default_truncation(p: int) -> int:
 def _check_index_prime(ell: int, p: int) -> None:
     """The symmetric sums and families run over the primes ell >= 5, ell != p."""
     if ell == p or ell < 5 or not is_prime(ell):
-        raise ExcludedPrimeError(f"ell = {ell} is not a prime >= 5 other than p = {p}")
+        raise DomainError(f"ell = {ell} is not a prime >= 5 other than p = {p}")
 
 
 def kodaira_multiple_weight(ell: int, p: int) -> Fraction:
@@ -73,9 +73,9 @@ def _check_truncation(truncation: int) -> None:
     """The sums run over the primes up to a truncation >= 11 at every order, the
     tail dividing by a power of it, and no truncation may pass MAX_TRUNCATION."""
     if truncation < 11:
-        raise TruncationError("truncation must be >= 11")
+        raise DomainError("truncation must be >= 11")
     if truncation > MAX_TRUNCATION:
-        raise TruncationError(f"truncation {truncation} exceeds the cap 2^24")
+        raise DomainError(f"truncation {truncation} exceeds the cap 2^24")
 
 
 def _check_order(n: int) -> None:

@@ -5,11 +5,11 @@ JSON), densities (closed-form local densities), survey (height census with
 empirical-vs-theoretical blocks), verify (self-check suites).  Exit codes:
 0 success, 1 verification/compare failure, 2 usage or domain error (any
 errors.DomainError, reported in one line, as is an --out or --csv path that
-cannot be opened for writing; other exceptions keep their traceback).  Each
-subcommand imports the modules it runs, so --version, --help and a usage
-error load no math module, and no command loads dataclasses or inspect: the
-records are NamedTuples.  The one that validates does so on construction: a
-QInterval's endpoints are Fractions with 0 <= lo <= hi.
+cannot be opened for writing, before any pass; other exceptions keep their
+traceback).  Each subcommand imports the modules it runs, so --version, --help
+and a usage error load no math module, and no command loads dataclasses or
+inspect: the records are NamedTuples.  The one that validates does so on
+construction: a QInterval's endpoints are Fractions with 0 <= lo <= hi.
 """
 
 from __future__ import annotations
@@ -34,12 +34,21 @@ def __getattr__(name: str):  # bench/record_reference.py reads cli.bounds: load 
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _open_out(path: str, newline: str | None = None):
+def _open_out(path: str, newline: str | None = None, mode: str = "w"):
     """`path` opened for writing; an unwritable path is a DomainError."""
     try:
-        return open(path, "w", newline=newline)
+        return open(path, mode, newline=newline)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an unwritable output path before the command's first pass.  Appending
+    truncates nothing, and a file made here is removed, so a refusal leaves none."""
+    made = not os.path.lexists(path)
+    _open_out(path, mode="a").close()
+    if made:
+        os.remove(path)
 
 
 def _emit(text, out_path: str | None) -> None:
@@ -210,6 +219,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in filter(None, (vars(args).get("out"), vars(args).get("csv"))):
+            _check_writable(path)
         return args.func(args)
     except DomainError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import check_prime, sieve_primes
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .intervals import WORKING_BITS, QInterval, outward
 
 DEFAULT_TRUNCATION = 1000
@@ -79,12 +79,12 @@ def minimal_tail(truncation: int, p: int | None = None) -> QInterval:
     """Enclosure of prod_{ell > truncation} (1 - eps_ell) over primes, where
     eps_ell = ell^-10, plus density_In_at_least(ell, p) < ell^-p if p is given."""
     if truncation < 1:
-        raise TruncationError("truncation must be >= 1")
+        raise DomainError("truncation must be >= 1")
     lo = 1 - Fraction(1, 9 * truncation**9)
     if p is not None:
         lo -= Fraction(1, (p - 1) * truncation ** (p - 1))
     if lo <= 0:
-        raise TruncationError(f"tail bound vacuous at truncation {truncation}")
+        raise DomainError(f"tail bound vacuous at truncation {truncation}")
     return QInterval(lo, Fraction(1))
 
 

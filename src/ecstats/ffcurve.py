@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import check_prime
-from .errors import PrimeTooLargeError, SingularCurveError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,7 +79,7 @@ def _check_field_prime(p: int, minimum: int) -> None:
     """check_prime(p, minimum), then the cap on p that every table here shares."""
     check_prime(p, minimum)
     if p >= MAX_FIELD_PRIME:
-        raise PrimeTooLargeError(f"p = {p} exceeds the supported cap 2^20")
+        raise DomainError(f"p = {p} exceeds the supported cap 2^20")
 
 
 @lru_cache(maxsize=64)
@@ -108,12 +108,12 @@ def discriminant_mod(p: int, a: int, b: int) -> int:
 def count_points(p: int, a: int, b: int) -> int:
     """#E_(a,b)(F_p) for a nonsingular residue pair.
 
-    Raises SingularCurveError when 4a^3 + 27b^2 == 0 mod p.  The result is
+    Raises DomainError when 4a^3 + 27b^2 == 0 mod p.  The result is
     always in the Hasse interval [p + 1 - 2 sqrt(p), p + 1 + 2 sqrt(p)].
     """
     _check_field_prime(p, 3)
     if discriminant_mod(p, a, b) == 0:
-        raise SingularCurveError(f"discriminant vanishes mod {p} for ({a}, {b})")
+        raise DomainError(f"discriminant vanishes mod {p} for ({a}, {b})")
     chi, a, b = _chi(p), a % p, b % p
     return p + 1 + sum([chi[((x * x + a) * x + b) % p] for x in range(p)])
 
@@ -173,7 +173,7 @@ def point_count_table(p: int) -> np.ndarray:
     import numpy as np
     _check_field_prime(p, 5)
     if p > MAX_TABLE_PRIME:
-        raise PrimeTooLargeError(f"p = {p} exceeds {MAX_TABLE_PRIME}, the cap on per-p tables")
+        raise DomainError(f"p = {p} exceeds {MAX_TABLE_PRIME}, the cap on per-p tables")
     chi = chi_table(p)
     rows = (0, 1, int(np.argmax(chi < 0)))
     bs = np.arange(p, dtype=np.int64)

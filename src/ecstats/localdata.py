@@ -21,14 +21,7 @@ from typing import NamedTuple, Sequence
 
 from . import ffcurve
 from .arith import check_prime, factorize, integer_nth_root, sieve_primes
-from .errors import (
-    BadReductionError,
-    DomainError,
-    NotMinimalError,
-    NotMultiplicativeError,
-    SingularCurveError,
-    SmallBadPrimeError,
-)
+from .errors import DomainError
 
 
 def discriminant(a: int, b: int) -> int:
@@ -72,7 +65,7 @@ def _minimality_candidates(a: int, b: int) -> Sequence[int]:
 def is_globally_minimal(a: int, b: int) -> bool:
     """True when (a, b) is minimal at every prime.  Requires delta != 0."""
     if discriminant(a, b) == 0:
-        raise SingularCurveError(f"({a}, {b}) is singular")
+        raise DomainError(f"({a}, {b}) is singular")
     return all(is_minimal_at(a, b, ell) for ell in _minimality_candidates(a, b))
 
 
@@ -102,7 +95,7 @@ class KodairaType(NamedTuple):
 def _kodaira_type(a: int, b: int, ell: int, v: int) -> KodairaType:
     # ell is a prime >= 5 and v = v_ell(delta) with delta != 0
     if not is_minimal_at(a, b, ell):
-        raise NotMinimalError(f"({a}, {b}) is not minimal at {ell}")
+        raise DomainError(f"({a}, {b}) is not minimal at {ell}")
     if v == 0:
         return KodairaType(ReductionKind.GOOD, ell)
     if a % ell == 0 and b % ell == 0:
@@ -121,7 +114,7 @@ def kodaira_type(a: int, b: int, ell: int) -> KodairaType:
     check_prime(ell, 5)
     delta = discriminant(a, b)
     if delta == 0:
-        raise SingularCurveError(f"({a}, {b}) is singular")
+        raise DomainError(f"({a}, {b}) is singular")
     return _kodaira_type(a, b, ell, int(valuation(delta, ell)))
 
 
@@ -130,7 +123,7 @@ def kodaira_types(a: int, b: int) -> tuple[tuple[int, KodairaType], ...]:
     in increasing order, read off one factorization of delta."""
     delta = discriminant(a, b)
     if delta == 0:
-        raise SingularCurveError(f"({a}, {b}) is singular")
+        raise DomainError(f"({a}, {b}) is singular")
     return tuple((ell, _kodaira_type(a, b, ell, v))
                  for ell, v in sorted(factorize(delta).items()) if ell >= 5)
 
@@ -147,11 +140,11 @@ def is_split_multiplicative(a: int, b: int, ell: int) -> bool:
 
     The slopes are +-sqrt(3e) for the double root e, so the reduction is
     split exactly when 3e is a nonzero quadratic residue mod ell.
-    Raises NotMultiplicativeError unless the reduction type is I_n, n >= 1.
+    Raises DomainError unless the reduction type is I_n, n >= 1.
     """
     kt = kodaira_type(a, b, ell)
     if not kt.is_multiplicative:
-        raise NotMultiplicativeError(f"type at {ell} is {kt}, not I_n with n >= 1")
+        raise DomainError(f"type at {ell} is {kt}, not I_n with n >= 1")
     return _split_from_residues(a % ell, b % ell, ell)
 
 
@@ -200,11 +193,11 @@ def tamagawa_anomaly_count(a: int, b: int, p: int) -> TamagawaAnomalyCount:
     check_prime(p, 5)
     delta = discriminant(a, b)
     if delta == 0:
-        raise SingularCurveError(f"({a}, {b}) is singular")
+        raise DomainError(f"({a}, {b}) is singular")
     if delta % 2 == 0 or delta % 3 == 0:
-        raise SmallBadPrimeError("bad reduction at 2 or 3 is out of scope")
+        raise DomainError("bad reduction at 2 or 3 is out of scope")
     if delta % p == 0:
-        raise BadReductionError(f"p = {p} divides the discriminant")
+        raise DomainError(f"p = {p} divides the discriminant")
     # minimal at 2 and 3; at ell >= 5 non-minimality needs ell | delta, checked there
     kodaira = kodaira_types(a, b)
     kind = ffcurve.classify_residue(p, a % p, b % p).kind

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from ecstats import arith, bounds, ffcurve, verify
-from ecstats.errors import DomainError, ExcludedPrimeError, TruncationError
+from ecstats.errors import DomainError
 from ecstats.intervals import WORKING_BITS, QInterval, outward, round_fraction
 
 mp.mp.dps = 40
@@ -18,9 +18,9 @@ def test_kodaira_multiple_weight_exact():
 
 def test_kodaira_multiple_weight_exclusions():
     for ell in (2, 3, 7):
-        with pytest.raises(ExcludedPrimeError):
+        with pytest.raises(DomainError, match=r"is not a prime >= 5 other than p = 7"):
             bounds.kodaira_multiple_weight(ell, 7)
-    with pytest.raises(ExcludedPrimeError):
+    with pytest.raises(DomainError, match=r"is not a prime >= 5 other than p = 7"):
         bounds.kodaira_multiple_weight(9, 7)
 
 
@@ -65,7 +65,7 @@ def test_symmetric_sum_order_one():
 
 
 def test_symmetric_sum_truncation_guard():
-    with pytest.raises(TruncationError):
+    with pytest.raises(DomainError, match=r"truncation must be >= 11"):
         bounds.prime_symmetric_sum(1, 7, 5)
 
 
@@ -307,9 +307,9 @@ def test_family_density_empty_sigma_matches_euler_n0():
 def test_family_density_guards():
     with pytest.raises(ValueError):
         bounds.growth_family_density((5,), 0, 7)
-    with pytest.raises(ExcludedPrimeError):
+    with pytest.raises(DomainError, match=r"is not a prime >= 5 other than p = 7"):
         bounds.growth_family_density((7,), 1, 7)
-    with pytest.raises(ExcludedPrimeError):
+    with pytest.raises(DomainError, match=r"is not a prime >= 5 other than p = 7"):
         bounds.growth_family_density((3,), 1, 7)
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -105,6 +106,77 @@ def test_only_the_cli_opens_files_or_prints():
                 if name in ("open", "print"):
                     callers.add(path.name)
     assert callers == {"cli.py"}
+
+
+def test_every_refusal_is_a_domain_error():
+    """errors.py defines DomainError alone, and every raise in src/ecstats raises
+    it, except the internal faults below: a caller catches one type, and its
+    message names the fault."""
+    internal = {("intervals.py", "QInterval.__new__", "ValueError"),
+                ("arith.py", "integer_nth_root", "ValueError"),
+                ("arith.py", "factorize", "ValueError"),
+                ("arith.py", "_pollard_rho", "ArithmeticError"),
+                ("intervals.py", "QInterval.reciprocal", "ZeroDivisionError"),
+                ("__init__.py", "__getattr__", "AttributeError"),
+                ("cli.py", "__getattr__", "AttributeError"),
+                ("__main__.py", "", "SystemExit")}
+
+    def raised(node, scope=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from raised(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                yield scope, ast.unparse(exc) if exc else "raise"
+            yield from raised(child, scope)
+
+    src = Path(__file__).resolve().parents[1] / "src" / "ecstats"
+    error_classes = [node.name for node in ast.parse((src / "errors.py").read_text()).body
+                     if isinstance(node, ast.ClassDef)]
+    assert error_classes == ["DomainError"]
+    faults = {(path.name, scope, name) for path in src.glob("*.py")
+              for scope, name in raised(ast.parse(path.read_text(encoding="utf-8")))
+              if name != "DomainError"}
+    assert faults <= internal
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("densities --ell 4 --type I0", "4 is not prime"),
+    ("densities --ell 3 --type In", "prime 3 is below the supported minimum 5"),
+    ("bounds --p 1048583 --n 1", "p = 1048583 exceeds the supported cap 2^20"),
+    ("survey --x 10 --p 1031", "p = 1031 exceeds 1024, the cap on per-p tables"),
+    ("bounds --p 5 --n 1 --trunc 10", "truncation must be >= 11"),
+    ("bounds --p 7 --n 1 --trunc 16777217", "truncation 16777217 exceeds the cap 2^24"),
+])
+def test_refusal_lines_are_pinned(argv, line, capsys):
+    """Each refusal exits 2 with the one stderr line users see, whatever
+    exception type carries it inside the library."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2 and capsys.readouterr().err == f"ecstats: error: {line}\n"
+
+
+def test_documented_commands_parse():
+    """Every command in README's command block, and every inline code span
+    that starts with a subcommand, parses.  A span that names a command or an
+    option without the rest of its arguments is a mention, not a command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#")[0].removeprefix("ecstats ") for line in block.strip().splitlines()]
+    commands += re.findall(r"`(?:ecstats )?((?:tables|bounds|densities|survey|verify)(?:\s[^`]*)?)`",
+                           readme)
+    mention = ("the following arguments are required", "expected one argument")
+    refused = {}
+    for command in commands:
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                cli.build_parser().parse_args(command.split())
+        except SystemExit:
+            if not any(phrase in err.getvalue() for phrase in mention):
+                refused[command] = err.getvalue().strip()
+    assert len(commands) > 50 and refused == {}
 
 
 def test_tables_compare_subset(capsys):
@@ -458,6 +530,33 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"ecstats: error: cannot write {argv[-1]}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", ["--csv", "--out"])
+def test_unwritable_output_is_refused_before_the_census(option, tmp_path, monkeypatch, capsys):
+    """A bad --csv or --out path is reported before the command's first pass,
+    not after the census has run."""
+    def no_census(*args):
+        raise AssertionError("the census ran before the output path was checked")
+
+    monkeypatch.setattr(survey, "_growth_census", no_census)
+    path = str(tmp_path / "missing" / "x")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["survey", "--x", "100000000000", "--p", "5", option, path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"ecstats: error: cannot write {path}: No such file or directory\n"
+
+
+def test_refused_command_leaves_no_file(tmp_path, capsys):
+    """The early path check makes no file that outlives a refusal, and leaves
+    the bytes of a file already there."""
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    for path in (tmp_path / "x.csv", kept):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["survey", "--x", "10", "--p", "4", "--csv", str(path)])
+        assert exc.value.code == 2 and capsys.readouterr().err == "ecstats: error: 4 is not prime\n"
+    assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "kept\n"
 
 
 def test_survey_csv_factors_no_curve_one_by_one(tmp_path, capsys, monkeypatch):

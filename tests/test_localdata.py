@@ -4,15 +4,7 @@ import pytest
 
 from ecstats import ffcurve, localdata, verify
 from ecstats.arith import factorize, is_prime
-from ecstats.errors import (
-    BadReductionError,
-    DomainError,
-    NotMinimalError,
-    NotMultiplicativeError,
-    PrimeTooSmallError,
-    SingularCurveError,
-    SmallBadPrimeError,
-)
+from ecstats.errors import DomainError
 from ecstats.localdata import ReductionKind
 
 
@@ -48,7 +40,7 @@ def test_is_globally_minimal():
     assert localdata.is_globally_minimal(3**4, 2**6) is True
     assert localdata.is_globally_minimal(0, 2**6) is False  # v(0) = inf
     assert localdata.is_globally_minimal(0, 2**6 - 1) is True
-    with pytest.raises(SingularCurveError):
+    with pytest.raises(DomainError, match=r"is singular"):
         localdata.is_globally_minimal(0, 0)
 
 
@@ -75,11 +67,11 @@ def test_kodaira_examples():
 
 
 def test_kodaira_errors():
-    with pytest.raises(PrimeTooSmallError):
+    with pytest.raises(DomainError, match=r"below the supported minimum"):
         localdata.kodaira_type(1, 1, 3)
-    with pytest.raises(SingularCurveError):
+    with pytest.raises(DomainError, match=r"is singular"):
         localdata.kodaira_type(-3, 2, 5)
-    with pytest.raises(NotMinimalError):
+    with pytest.raises(DomainError, match=r"is not minimal at 5"):
         localdata.kodaira_type(5**4, 5**6, 5)
 
 
@@ -103,7 +95,7 @@ def test_split_example_and_error():
     # e = 1, 3e = 3 is a nonresidue mod 5 -> nonsplit
     assert localdata.is_split_multiplicative(2, 2, 5) is False
     assert verify.smooth_point_count(2, 2, 5) == 5 + 1  # ell - a_ell with a_ell = -1
-    with pytest.raises(NotMultiplicativeError):
+    with pytest.raises(DomainError, match=r"not I_n with n >= 1"):
         localdata.is_split_multiplicative(1, 1, 5)  # good reduction at 5
 
 
@@ -125,7 +117,7 @@ def test_tamagawa_p_part():
     assert localdata.is_split_multiplicative(163, 291, 5) is True
     assert localdata.tamagawa_p_part(163, 291, 5, 7) == 7
     assert localdata.tamagawa_p_part(163, 291, 5, 11) == 1
-    with pytest.raises(PrimeTooSmallError):
+    with pytest.raises(DomainError, match=r"below the supported minimum"):
         localdata.tamagawa_p_part(2, 2, 5, 3)
     with pytest.raises(ValueError):
         localdata.tamagawa_p_part(2, 2, 5, 5)
@@ -170,13 +162,13 @@ def test_tamagawa_anomaly_count_constructed_two():
 
 
 def test_tamagawa_anomaly_count_errors():
-    with pytest.raises(BadReductionError):
+    with pytest.raises(DomainError, match=r"divides the discriminant"):
         localdata.tamagawa_anomaly_count(1, 1, 31)
-    with pytest.raises(SmallBadPrimeError):
+    with pytest.raises(DomainError, match=r"bad reduction at 2 or 3"):
         localdata.tamagawa_anomaly_count(1, 2, 5)  # delta = 112
-    with pytest.raises(SingularCurveError):
+    with pytest.raises(DomainError, match=r"is singular"):
         localdata.tamagawa_anomaly_count(0, 0, 5)
-    with pytest.raises(NotMinimalError):
+    with pytest.raises(DomainError, match=r"is not minimal at 5"):
         localdata.tamagawa_anomaly_count(5**4 * 163, 5**6 * 291, 7)
 
 
@@ -201,9 +193,9 @@ def test_kodaira_types_example():
         (5, localdata.KodairaType(ReductionKind.MULTIPLICATIVE, 5, 7)),
         (251, localdata.KodairaType(ReductionKind.MULTIPLICATIVE, 251, 1)))
     assert [ell for ell, _ in localdata.kodaira_types(1, 2)] == [7]
-    with pytest.raises(SingularCurveError):
+    with pytest.raises(DomainError, match=r"is singular"):
         localdata.kodaira_types(-3, 2)
-    with pytest.raises(NotMinimalError):
+    with pytest.raises(DomainError, match=r"is not minimal at 5"):
         localdata.kodaira_types(5**4, 5**6)
 
 

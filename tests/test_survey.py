@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecstats import arith, density, ffcurve, localdata, survey, verify
-from ecstats.errors import DomainError, NotPrimeError, PrimeTooSmallError
+from ecstats.errors import DomainError
 from ecstats.survey import HeightWindow
 
 
@@ -1146,9 +1146,9 @@ def test_growth_census_checks_primes_before_scanning(monkeypatch):
         raise AssertionError("the census scanned before checking its primes")
 
     monkeypatch.setattr(survey.HeightWindow, "from_height", no_scan)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(DomainError, match=r"is not prime"):
         survey._growth_census(7, 100, (4,))
-    with pytest.raises(PrimeTooSmallError):
+    with pytest.raises(DomainError, match=r"below the supported minimum"):
         survey._growth_census(7, 100, (5, 3))
 
 
