@@ -139,8 +139,8 @@ def _symmetric_sums(n: int, p: int, truncation: int) -> tuple[list[QInterval], i
 def _with_tail(e: list[QInterval], m: int, p: int, swept: int) -> QInterval:
     """The enclosure of e_m from the sums e of orders 0..m or more over the
     primes <= swept: the upper endpoint is sum_k e_(m-k).hi * T^k / k!."""
-    if m < 0:
-        return QInterval.point(0)
+    if m <= 0:  # e_0 = 1 and e_m = 0 below it: no tail term
+        return e[0] if m == 0 else QInterval.point(0)
     # f(ell) < ell^(1-p), so the omitted mass T is below the integral of t^(1-p)
     tail = Fraction(1, (p - 2) * swept ** (p - 2))
     return QInterval(e[m].lo, sum(e[m - k].hi * tail**k / math.factorial(k) for k in range(m + 1)))
@@ -155,8 +155,8 @@ def zeta_enclosure(s: int, terms: int) -> QInterval:
     """Enclosure of zeta(s) for integer s >= 2.
 
     zeta(s) lies between the partial sum over m <= terms, rounded down on the
-    scale 2^-WORKING_BITS, and that sum rounded up plus the integral tail
-    terms^(1-s)/(s-1).
+    scale 2^-WORKING_BITS, and that sum plus the integral tail terms^(1-s)/(s-1),
+    each rounded up on it: the tail is one unit once terms^(s-1) >= 2^WORKING_BITS.
     """
     if s < 2:
         raise DomainError("zeta_enclosure requires s >= 2")
@@ -164,8 +164,8 @@ def zeta_enclosure(s: int, terms: int) -> QInterval:
     one = 1 << WORKING_BITS
     top = min(terms, integer_nth_root(one, s))  # each later term, m^s > one, rounds to [0, 1]
     lo, hi = (sum(ends) for ends in zip(*(outward(1, m**s, one, one) for m in range(1, top + 1))))
-    return QInterval(Fraction(lo, one),
-                     Fraction(hi + terms - top, one) + Fraction(1, (s - 1) * terms ** (s - 1)))
+    tail = 1 if (s - 1) * (terms.bit_length() - 1) >= WORKING_BITS else -(-one // ((s - 1) * terms ** (s - 1)))
+    return QInterval(Fraction(lo, one), Fraction(hi + terms - top + tail, one))
 
 
 def zeta_reciprocal(s: int, terms: int = DEFAULT_ZETA_TERMS) -> QInterval:

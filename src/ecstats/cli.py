@@ -137,7 +137,9 @@ def _cmd_survey(args) -> int:
     from . import survey  # survey alone loads numpy; no other command needs it
 
     survey._check_view_n(args.n)  # before the one pass over the height box
-    census = survey._growth_census(args.p, args.x, tuple(ell for ell in (5, 7) if ell != args.p))
+    if args.csv:
+        survey._check_csv_height(args.x)
+    census = survey._growth_census(args.p, args.x)
     blocks = {
         "minimal": survey.empirical_minimal_density(census).to_json(),
         "selmer_growth": survey.empirical_selmer_growth(census, args.n).to_json(),

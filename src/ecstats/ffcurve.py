@@ -159,7 +159,6 @@ def residue_class_counts(p: int) -> ClassCounts:
     return ClassCounts(p, p * p - p - n_anom - n_ss, n_anom, n_ss, p)
 
 
-@lru_cache(maxsize=32)
 def point_count_table(p: int) -> np.ndarray:
     """#E(F_p) for all p^2 residue pairs as a read-only p x p array indexed
     [a, b], -1 for singular pairs.  O(p^2): only the rows a in (0, 1, g) are

@@ -7,18 +7,19 @@ the singular pairs are (-3t^2, +-2t^3), a Möbius sum over squarefree m of the
 sub-boxes (a_max // m^4, b_max // m^6) counts the minimal curves, and along a
 row a with ell not dividing a, ell^k | delta exactly on the columns b ==
 +-r_k mod ell^k, the Hensel lifts of one root b0 mod ell, so the v_ell(delta)
-histograms are sums of progression lengths.  The buckets at p are lattice
-counts too: on the sub-grid good at 2 and 3 (3 does not divide a, b odd) the
-class at p reads (a mod p, b mod p), so each Möbius term is a product of row
-and column counts by residue.  The rest walks the box once, in bands of
-rows: at p in {5, 7} the torsion certificate ANDs the columns of its first
-five tables on tiles of a band (the one pass over pairs), and the pairs
-where a prime ell != p adds to the growth, on progressions lifted to ell^p,
-are listed and moved out of their base histogram bins.  The empirical_*
-views read the census they are given, so a survey runs it once.
-write_survey_csv writes one row per pair from the tiles of the box, its
-Kodaira labels and growth columns from the progressions mod ell of the primes
-ell >= 5 dividing delta.  enumerate_curves, pair by pair, is its test oracle.
+histograms of the Kodaira ells, 5 and 7 other than p, sum progression
+lengths.  The buckets at p are lattice counts too: on the sub-grid good at 2
+and 3 (3 ∤ a, b odd) the class at p reads (a mod p, b mod p), so each Möbius
+term is a product of row and column counts by residue.  The rest walks the
+box once, in bands of rows: at p in {5, 7} the torsion certificate ANDs the
+columns of its first five tables on tiles of a band (the one pass over
+pairs), and the pairs where a prime ell != p adds to the growth, on
+progressions lifted to ell^p, are listed and moved out of their base
+histogram bins.  The census is not cached: the empirical_* views read the
+one they are given, so a survey builds it once.  write_survey_csv writes one
+row per pair from the tiles of the box, its Kodaira labels and growth
+columns from the progressions mod ell of the primes ell >= 5 dividing delta.
+enumerate_curves, pair by pair, is its test oracle.
 
 The growth census classifies each minimal nonsingular curve at a prime p of
 good reduction.  Curves bad at 2 or 3 go into a separate bucket (local data
@@ -62,6 +63,7 @@ TORSION_CERT_PRIMES = 5  # good reductions examined by the torsion certificate
 MAX_SURVEY_HEIGHT = 1 << 62  # |delta| <= 2x stays inside int64 below this
 _BLOCK_PAIRS = 1 << 16  # pairs per tile of the certificate pass, growth hits per group of rows
 _CSV_BLOCK_ROWS = 1 << 12  # pairs per tile of CSV rows, joined into one string
+MAX_CSV_HEIGHT = 10**10  # the CSV's int64 root table, rows x primes <= sqrt(2x), is 272 MiB here
 _ROW_BAND = 1 << 13  # rows the census walks at once: certificate tiles, root lifts, growth hits
 _MINIMAL = np.array(["0,", "1,"], dtype=object)
 _BUCKETS = ("singular", "nonminimal", "curves", "bad_at_2_or_3", "bad_at_p",
@@ -211,8 +213,8 @@ def _check_view_n(n: int) -> None:
 
 def empirical_kodaira_density(census: GrowthCensus, ell: int, n: int) -> SurveySummary:
     """Fraction of minimal nonsingular curves with type I_n at ell, against
-    the exact prediction density_In(ell, n) / minimal_density(ell).  The
-    census must have been built with ell among its `ells`."""
+    the exact prediction density_In(ell, n) / minimal_density(ell), for one
+    of the census's Kodaira ells (5 and 7, other than p)."""
     _check_view_n(n)
     if ell not in census.valuation_hists:
         raise DomainError(f"ell = {ell} is not in the census ells {tuple(census.valuation_hists)}")
@@ -273,9 +275,9 @@ def _valuations(values, ell):
 
 
 def _minimal(a, b, marks) -> np.ndarray:
-    """The pairs (a, b), arrays broadcast together, that no (q^4, q^6) of
-    `marks` divides."""
-    minimal = np.ones(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=bool)
+    """The pairs (a, b) != (0, 0), arrays broadcast together, that no (q^4, q^6)
+    of `marks` divides."""
+    minimal = (a != 0) | (b != 0)
     for p4, p6 in marks:
         minimal &= (a % p4 != 0) | (b % p6 != 0)
     return minimal
@@ -298,11 +300,10 @@ def _certify(a, b, p: int) -> np.ndarray:
     return certified
 
 
-def _survey_setup(p: int, x: int, ells: tuple[int, ...] = ()):
-    """The height box of a survey at p, checked before any pass over it (with
-    the primes in `ells`), and the class codes at p."""
-    for prime in (p, *ells):
-        check_prime(prime, 5)
+def _survey_setup(p: int, x: int):
+    """The height box of a survey at p, checked before any pass over it, and
+    the class codes at p."""
+    check_prime(p, 5)
     if x >= MAX_SURVEY_HEIGHT:
         raise DomainError(f"height bound x = {x} must be below 2^62, so that "
                           "|delta| <= 2x fits in int64")
@@ -504,26 +505,26 @@ def _box_census(win: HeightWindow, ells: tuple[int, ...], codes) -> tuple[dict, 
              "curves": curves}, {ell: +hist for ell, hist in hists.items()}, classes)
 
 
-@lru_cache(maxsize=8)
-def _growth_census(p: int, x: int, ells: tuple[int, ...] = ()) -> GrowthCensus:
-    """The census of the height box at the prime p.
+def _growth_census(p: int, x: int) -> GrowthCensus:
+    """The census of the height box at the prime p, not cached: a fresh value.
 
     Every pair lands in one bucket: singular, nonminimal or curve, and for each
-    ell in `ells` the curves not == (0, 0) mod ell are tallied by v_ell(delta).
-    The curves go on into bad_at_2_or_3, bad_at_p, supersingular_at_p,
-    torsion_uncertified or classified: every curve off the sub-grid good at 2
-    and 3 is bad there, and the others are sorted by class at p.  One Möbius
-    sum, _box_census, counts all these in closed form.  Then one walk over bands
-    of _ROW_BAND rows hands each band's good rows to _in_doubt, whose pairs
-    go to _certify at p in {5, 7}, and to _growth_hits.  The classified curves
-    start in the strict, Kodaira-only and Euler histograms at 0, or at 1, 1
-    and 2 if anomalous, and each hit curve moves from there by its hits.
+    Kodaira ell, 5 and 7 other than p, the curves not == (0, 0) mod ell are
+    tallied by v_ell(delta).  The curves go on into bad_at_2_or_3, bad_at_p,
+    supersingular_at_p, torsion_uncertified or classified: every curve off the
+    sub-grid good at 2 and 3 is bad there, and the others are sorted by class
+    at p.  One Möbius sum, _box_census, counts all these in closed form.  Then
+    one walk over bands of _ROW_BAND rows hands each band's good rows to
+    _in_doubt, whose pairs go to _certify at p in {5, 7}, and to _growth_hits.
+    The classified curves start in the strict, Kodaira-only and Euler
+    histograms at 0, or at 1, 1 and 2 if anomalous, and each hit curve moves
+    from there by its hits.
     """
-    win, codes = _survey_setup(p, x, ells)
+    win, codes = _survey_setup(p, x)
     # the primes that can add to the growth: split I_m needs p | m = v_ell(delta), so ell^p <= |delta|
     candidates = [ell for ell in sieve_primes(integer_nth_root(win.max_abs_discriminant, p))
                   if ell not in (2, 3, p)]
-    box, valuation_hists, classes = _box_census(win, ells, codes)
+    box, valuation_hists, classes = _box_census(win, tuple(ell for ell in (5, 7) if ell != p), codes)
     counts = {"pairs": win.pair_count, **dict.fromkeys(_BUCKETS, 0), **box}
     marks, at_p = win.minimality_primes(), [PointClass.ORDINARY, PointClass.ANOMALOUS]
     doubt = np.zeros(len(PointClass), dtype=np.int64)
@@ -667,7 +668,7 @@ def _pieces(values) -> np.ndarray:
 
 
 def _tail(key: int) -> str:
-    """The fields after kodaira for a _survey_rows key: empty for -1, else
+    """The fields after kodaira for a write_survey_csv key: empty for -1, else
     ordinary, anomalous, growth_count and euler_valuation from key =
     (euler << 6 | growth) << 2 | ordinary << 1 | anomalous."""
     if key < 0:
@@ -675,19 +676,27 @@ def _tail(key: int) -> str:
     return f",{key >> 1 & 1},{key & 1},{key >> 2 & 63},{key >> 8}\r\n"
 
 
-def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
-    """The rows write_csv writes for enumerate_curves(x, p), as one string and
-    its number of rows per tile of the height box, read row-major.  A tile's
-    text is one join over its pairs x 7 pieces: "a," and "4|a|^3," are
-    formatted once per row, "b," and "27b^2," once per column, the fields at p
-    once per distinct value and each kodaira label once per distinct label,
-    so only delta and each curve's joined labels are built per pair.  (At
-    most 16 primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
+def _check_csv_height(x: int) -> None:
+    """Refuse a survey CSV past MAX_CSV_HEIGHT, before any file or pass."""
+    if x > MAX_CSV_HEIGHT:
+        raise DomainError(f"height bound x = {x} exceeds 10^10, the cap on the survey CSV")
+
+
+def write_survey_csv(x: int, p: int, handle) -> int:
+    """Write the bytes of write_csv(enumerate_curves(x, p), handle) to `handle`,
+    a text handle opened with newline="", one string per tile of the height
+    box, read row-major; returns the number of rows written.  A tile's text
+    is one join over its pairs x 7 pieces: "a," and "4|a|^3," are formatted
+    once per row, "b," and "27b^2," once per column, the fields at p once per
+    distinct value and each kodaira label once per distinct label, so only
+    delta and each curve's joined labels are built per pair.  (At most 16
+    primes divide |delta| < 2^63, so growth_count < 64 fits its key.)"""
+    _check_csv_height(x)
     win, codes = _survey_setup(p, x)
     ells = np.array(sieve_primes(math.isqrt(win.max_abs_discriminant))[2:], dtype=np.int64)
     box_rows = np.arange(-win.a_max, win.a_max + 1, dtype=np.int64)
-    roots = _row_roots(box_rows, ells)  # one table per ell
-    marks = ((MAX_SURVEY_HEIGHT,) * 2, *win.minimality_primes())  # the first marks (0, 0)
+    roots, marks = _row_roots(box_rows, ells), win.minimality_primes()  # one root table per ell
+    handle.write(",".join(CSV_COLUMNS) + "\r\n")
     for a, b in _blocks(box_rows, range(-win.b_max, win.b_max + 1), _CSV_BLOCK_ROWS):
         delta, minimal = localdata.discriminant(a[:, None], b), _minimal(a[:, None], b, marks)
         # (a, b) and (a, -b) share delta and the kodaira field, so a tile of
@@ -722,16 +731,5 @@ def _survey_rows(x: int, p: int) -> Iterator[tuple[str, int]]:
                            _MINIMAL[minimal.ravel().astype(np.intp)],
                            _pieces(delta[:, lo:])[:, fold].ravel(), kodaira[:, fold].ravel(),
                            np.array([_tail(k) for k in values.tolist()], dtype=object)[which]], 1)
-        yield "".join(pieces.ravel().tolist()), delta.size
-
-
-def write_survey_csv(x: int, p: int, handle) -> int:
-    """Write the bytes of write_csv(enumerate_curves(x, p), handle) to `handle`,
-    a text handle opened with newline="", one string per tile of the height
-    box; returns the number of rows written."""
-    handle.write(",".join(CSV_COLUMNS) + "\r\n")
-    rows = 0
-    for text, count in _survey_rows(x, p):
-        handle.write(text)
-        rows += count
-    return rows
+        handle.write("".join(pieces.ravel().tolist()))
+    return win.pair_count

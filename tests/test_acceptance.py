@@ -30,10 +30,12 @@ def report(criterion: str, passed: bool, detail: str = ""):
     assert passed, line
 
 
+@pytest.fixture(scope="module")
 def census_1e8():
-    """The x = 1e8 census at p = 7 with the ell = 5, 7 valuation histograms;
-    it is cached, so criteria 3, 4 and 8 read one pass over the box."""
-    return survey._growth_census(7, 10**8, (5, 7))
+    """The x = 1e8 censuses at p = 7 and p = 11, built once for criteria 3, 4
+    and 8.  Only p = 11 tallies ell = 7, and v_ell histograms and the curve
+    count do not depend on p, so criterion 4 reads both ells there."""
+    return {p: survey._growth_census(p, 10**8) for p in (7, 11)}
 
 
 GRID_P = (5, 7, 11, 13)
@@ -61,9 +63,9 @@ def test_criterion_02_singular_count_identity():
     report("2 singular-count identity (5 <= ell <= 200)", not bad, f"failures: {bad}")
 
 
-def test_criterion_03_minimality_density():
+def test_criterion_03_minimality_density(census_1e8):
     """|minimal fraction at x = 1e8  -  1/zeta(10)| < 1e-3."""
-    s = survey.empirical_minimal_density(census_1e8())
+    s = survey.empirical_minimal_density(census_1e8[7])
     tol = Fraction(1, 1000)
     ok = (s.empirical + tol >= s.theoretical.lo) and (s.empirical - tol <= s.theoretical.hi)
     # the singular locus is thin at this height
@@ -74,9 +76,9 @@ def test_criterion_03_minimality_density():
 
 
 @pytest.mark.parametrize("ell", [5, 7])
-def test_criterion_04_kodaira_density(ell):
+def test_criterion_04_kodaira_density(census_1e8, ell):
     """I_1 fraction at x = 1e8 within 5e-3 of the exact local prediction."""
-    s = survey.empirical_kodaira_density(census_1e8(), ell, 1)
+    s = survey.empirical_kodaira_density(census_1e8[11], ell, 1)
     midpoint = (s.theoretical.lo + s.theoretical.hi) / 2
     gap = abs(s.empirical - midpoint)
     report(f"4 Kodaira I_1 density at ell={ell}, x=1e8 (tol 5e-3)",
@@ -167,11 +169,11 @@ def test_criterion_07e_interval_nesting(bound_laws):
     report("7e value intervals nest under truncation refinement", r.passed, r.detail)
 
 
-def test_criterion_08_bound_vs_survey(bound_laws):
+def test_criterion_08_bound_vs_survey(bound_laws, census_1e8):
     """At x = 1e8, p = 7, n = 1: strict empirical growth fraction exceeds
     the certified bound minus the documented 0.01 slack, and the exact
     family density for (sigma={5}, k=1) exceeds its simplified bound."""
-    g = survey.empirical_selmer_growth(census_1e8(), 1)
+    g = survey.empirical_selmer_growth(census_1e8[7], 1)
     slack = Fraction(1, 100)
     ok_growth = g.empirical >= g.theoretical.lo - slack
     family = bound_laws["family density exceeds its stated bound"]

@@ -1,4 +1,11 @@
+import json
+import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -103,12 +110,36 @@ def test_zeta_enclosure_equals_the_full_sum(s):
     """The sum stops at the largest m with m^s <= 2^256 and adds [0, 1] for
     each later term: the enclosure equals the sum of every term's outward
     rounding, also where a power is exactly 2^256 (4^128 and 2^256) and for
-    s up to 10007."""
+    s up to 10007, plus the integral tail rounded up to whole units of
+    2^-256, which lies at or above the exact tail and within one unit of it."""
     one = 1 << WORKING_BITS
     for terms in (10, 11, 200):
         lo, hi = (Fraction(sum(ends), one) for ends in
                   zip(*(outward(1, m**s, one, one) for m in range(1, terms + 1))))
-        assert bounds.zeta_enclosure(s, terms) == QInterval(lo, hi + Fraction(1, (s - 1) * terms ** (s - 1)))
+        exact_tail = Fraction(1, (s - 1) * terms ** (s - 1))
+        enclosure = bounds.zeta_enclosure(s, terms)
+        assert enclosure == QInterval(lo, hi + Fraction(math.ceil(exact_tail * one), one))
+        assert 0 <= enclosure.hi - (hi + exact_tail) < Fraction(1, one)
+
+
+def test_largest_p_euler_report_at_n_0_finishes():
+    """README's bounds command at p = 1048573 and n = 0 exits 0 within 5 s,
+    start-up included: the zeta tail is one unit of 2^-256 there, and at
+    n = 0 no tail power of the truncation is formed.  Its lo is at most
+    W_ord / zeta(p) and within 1e-30 of it, relative."""
+    p = 1048573
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "ecstats", "bounds", "--p", str(p), "--n", "0",
+                           "--kind", "euler", "--trunc", "11", "--zeta-terms", "10"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 0
+    ordinary = ffcurve.residue_class_counts(p).ordinary
+    with mp.workdps(80):
+        lo = mp.mpf(json.loads(done.stdout)["lower_bound_rational_lo"])
+        exact = mp.mpf(p**8 * ordinary) / (p**10 - 1) / mp.zeta(p)
+        assert lo <= exact and exact - lo < mp.mpf("1e-30") * exact
 
 
 def test_zeta_reciprocal_properties():

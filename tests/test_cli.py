@@ -108,6 +108,25 @@ def test_only_the_cli_opens_files_or_prints():
     assert callers == {"cli.py"}
 
 
+def test_only_functions_read_twice_in_one_command_are_cached():
+    """functools caches sit on exactly these five functions in src/ecstats,
+    each read more than once within one command: the sieve by every list of
+    primes, _chi by count_points for each curve, residue_class_counts by both
+    bound reports of a survey, class_code_table by the census and the CSV of
+    survey --csv, and _certificate_table by every _certify call.  A cache
+    that no command reads twice only holds memory and shared values."""
+    cached = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "ecstats").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
+                        cached.add(f"{path.stem}.{node.name}")
+    assert cached == {"arith.sieve_primes", "ffcurve._chi", "ffcurve.residue_class_counts",
+                      "ffcurve.class_code_table", "survey._certificate_table"}
+
+
 def test_every_refusal_is_a_domain_error():
     """errors.py defines DomainError alone, and every raise in src/ecstats raises
     it, except the internal faults below: a caller catches one type, and its
@@ -319,13 +338,15 @@ def test_internal_value_error_keeps_traceback(monkeypatch):
         cli.main(["densities", "--ell", "5", "--type", "In"])
 
 
-def test_survey_runs_one_pass(capsys):
-    survey._growth_census.cache_clear()
+def test_survey_runs_one_pass(capsys, monkeypatch):
+    calls = []
+    census = survey._growth_census
+    monkeypatch.setattr(survey, "_growth_census", lambda *args: calls.append(args) or census(*args))
     code, out, _ = run_cli(["survey", "--x", "10000", "--p", "11"], capsys)
     assert code == 0
     assert set(json.loads(out)["blocks"]) == {"minimal", "selmer_growth", "euler_divisibility",
                                               "kodaira_I1_at_5", "kodaira_I1_at_7"}
-    assert survey._growth_census.cache_info().misses == 1
+    assert calls == [(11, 10000)]
 
 
 _INTS = st.integers(min_value=-3, max_value=50)
@@ -545,6 +566,24 @@ def test_unwritable_output_is_refused_before_the_census(option, tmp_path, monkey
         cli.main(["survey", "--x", "100000000000", "--p", "5", option, path])
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"ecstats: error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("x", ["100000000000", "1000000000000"])
+def test_csv_past_its_cap_is_refused_before_the_census(x, tmp_path, monkeypatch, capsys):
+    """survey --csv above x = 10^10, whose root table alone would take
+    gigabytes, exits 2 with one line in well under a second: before the
+    census, and leaving no file."""
+    def no_census(*args):
+        raise AssertionError("the census ran before the CSV cap was checked")
+
+    monkeypatch.setattr(survey, "_growth_census", no_census)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["survey", "--x", x, "--p", "7", "--csv", str(tmp_path / "big.csv")])
+    assert time.perf_counter() - start < 1 and exc.value.code == 2
+    assert capsys.readouterr().err == \
+        f"ecstats: error: height bound x = {x} exceeds 10^10, the cap on the survey CSV\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_refused_command_leaves_no_file(tmp_path, capsys):

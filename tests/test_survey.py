@@ -1,10 +1,12 @@
 import ast
+import copy
 import functools
 import hashlib
 import io
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -87,7 +89,7 @@ def test_minimal_density_summary_small():
 
 def test_kodaira_summary_matches_slow_records():
     x, ell, n = 10**4, 5, 1
-    s = survey.empirical_kodaira_density(survey._growth_census(7, x, (ell,)), ell, n)
+    s = survey.empirical_kodaira_density(survey._growth_census(7, x), ell, n)
     slow_hits = 0
     slow_curves = 0
     for rec in survey.enumerate_curves(x, p=7):
@@ -167,7 +169,9 @@ def test_growth_census_matches_slow_records(p, x):
     census = survey._growth_census(p, x)
     assert census.counts == buckets
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
-    assert survey._growth_census(7, x, (5, 7)).valuation_hists == valuations
+    assert census.valuation_hists == {ell: valuations[ell] for ell in (5, 7) if ell != p}
+    codes = ffcurve.class_code_table(7)
+    assert survey._box_census(HeightWindow.from_height(x), (5, 7), codes)[1] == valuations
     if (p, x) == (5, 10**6):
         assert buckets["torsion_uncertified"] == 5
 
@@ -270,7 +274,7 @@ def test_certificate_walk_stops_where_its_pairs_stop(monkeypatch):
     pool sized for the box's largest |delta| built 12.  On the crowded pairs
     the walk reads up to the last prime that any pair needs and no further."""
     handed = _record_certificate_tables(monkeypatch)
-    survey._growth_census.__wrapped__(7, 10**8)
+    survey._growth_census(7, 10**8)
     assert len({q for q, _ in handed}) <= 9
     for p, count in ((5, 3000), (7, 12000)):
         pairs, _, verdicts = _crowded_verdicts(p, count)
@@ -406,7 +410,12 @@ def test_growth_census_pinned_histograms(p, x):
 
 @pytest.mark.parametrize("p", [7, 11])
 def test_growth_census_pinned_valuations(p):
-    assert survey._growth_census(p, 10**8, (5, 7)).valuation_hists == PINNED_VALUATIONS
+    """The census at p tallies ell = 5 and 7 other than p, and the box census
+    asked for both at p gives both pinned histograms."""
+    census = survey._growth_census(p, 10**8)
+    assert census.valuation_hists == {ell: PINNED_VALUATIONS[ell] for ell in (5, 7) if ell != p}
+    win, codes = survey._survey_setup(p, 10**8)
+    assert survey._box_census(win, (5, 7), codes)[1] == PINNED_VALUATIONS
 
 
 def test_census_divides_only_where_ell_divides_delta(monkeypatch):
@@ -423,7 +432,7 @@ def test_census_divides_only_where_ell_divides_delta(monkeypatch):
         return valuations(values, ell)
 
     monkeypatch.setattr(survey, "_valuations", counted)
-    census = survey._growth_census.__wrapped__(11, 10**8, (5, 7))
+    census = survey._growth_census(11, 10**8)
     assert census.valuation_hists == PINNED_VALUATIONS
     assert sum(entries) <= 2 * (2 * HeightWindow.from_height(10**8).a_max + 1)
 
@@ -447,7 +456,7 @@ def test_tile_boundaries(p, monkeypatch):
         monkeypatch.setattr(survey, "_BLOCK_PAIRS", cap)
         monkeypatch.setattr(survey, "_CSV_BLOCK_ROWS", cap)
         monkeypatch.setattr(survey, "_ROW_BAND", cap)
-        census = survey._growth_census.__wrapped__(p, x, ells)
+        census = survey._growth_census(p, x)
         assert census.counts == buckets
         assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
         assert census.valuation_hists == {ell: valuations[ell] for ell in ells}
@@ -601,10 +610,12 @@ def test_box_census_matches_enumerate_curves(x):
     """The closed-form counts and v_ell histograms equal the per-pair ones."""
     ells = (5, 7, 11, 13)
     counts, hists = _slow_box(x, ells)
-    census = survey._growth_census.__wrapped__(7, x, ells)
+    win = HeightWindow.from_height(x)
+    assert survey._box_census(win, ells, ffcurve.class_code_table(7))[:2] == (counts, hists)
+    census = survey._growth_census(7, x)
     assert {k: census.counts[k] for k in counts} == counts
-    assert census.counts["pairs"] == HeightWindow.from_height(x).pair_count
-    assert census.valuation_hists == hists
+    assert census.counts["pairs"] == win.pair_count
+    assert census.valuation_hists == {5: hists[5]}
 
 
 @settings(max_examples=8, deadline=None)
@@ -738,7 +749,7 @@ def test_split_rows_keep_the_pinned_census(monkeypatch):
     monkeypatch.setattr(survey, "_BLOCK_PAIRS", b_max + b_max % 2 - 1)
     monkeypatch.setattr(survey, "_ROW_BAND", 64)
     buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
-    census = survey._growth_census.__wrapped__(5, x)
+    census = survey._growth_census(5, x)
     assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
                              **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
@@ -758,7 +769,7 @@ def test_census_walks_the_rows_once_in_bands(p, monkeypatch):
         monkeypatch.setattr(survey, name, recorded)
     monkeypatch.setattr(survey, "_ROW_BAND", 64)
     buckets, strict, kodaira, euler = PINNED_CENSUS[p, x]
-    census = survey._growth_census.__wrapped__(p, x)
+    census = survey._growth_census(p, x)
     assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
                              **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
@@ -790,7 +801,8 @@ def test_growth_hits_lift_each_row_once(monkeypatch):
     lifts, growth_hits = survey._lifts, survey._growth_hits
 
     def recorded_lifts(a, b0, ell, width):
-        lifted.append((ell, a.tolist()))
+        if sys._getframe(1).f_code.co_name == "_growth_hits":  # not the v_7 counts of the box census
+            lifted.append((ell, a.tolist()))
         return lifts(a, b0, ell, width)
 
     def recorded_hits(rows, *args):
@@ -802,7 +814,7 @@ def test_growth_hits_lift_each_row_once(monkeypatch):
     monkeypatch.setattr(survey, "_growth_hits", recorded_hits)
     monkeypatch.setattr(survey, "_BLOCK_PAIRS", 4096)
     buckets, strict, kodaira, euler = PINNED_CENSUS[5, x]
-    census = survey._growth_census.__wrapped__(5, x)
+    census = survey._growth_census(5, x)
     assert census.counts == {"pairs": HeightWindow.from_height(x).pair_count,
                              **dict(zip(survey._BUCKETS, buckets))}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == (strict, kodaira, euler)
@@ -866,14 +878,14 @@ def test_column_tables_are_bounded(monkeypatch):
     histogram is counted along the rows, nor for the growth candidates, whose
     hits are listed along them, nor at p = 11, where nothing is in doubt."""
     passes, tiles = _record_doubt_passes(monkeypatch)
-    census, peak = _peak_bytes(survey._growth_census.__wrapped__, 7, 10**8, (5,))
+    census, peak = _peak_bytes(survey._growth_census, 7, 10**8)
     odd = HeightWindow.from_height(10**8).b_max
     assert census.counts["torsion_uncertified"] == PINNED_CENSUS[7, 10**8][0][6]
     assert len(passes) == 1 and len(passes[0]) == 1 + 5
     assert {(first, width) for _, first, width in tiles} == {(1 - odd, odd)}
     assert max(rows * width for rows, _, width in tiles) <= survey._BLOCK_PAIRS
     assert sum(len(table) for table in passes[0]) * odd <= 2**18 and peak <= 2**20
-    survey._growth_census.__wrapped__(11, 10**8, (5,))
+    survey._growth_census(11, 10**8)
     assert len(passes) == 1
 
 
@@ -885,7 +897,7 @@ def test_census_memory_at_1e15():
     allocates peaks under 1 MB (0.82 MB measured; 2.05 MB when the census
     built the box's rows at once), where the odd columns alone would take
     6.1e6 x 8 bytes."""
-    census, peak = _peak_bytes(survey._growth_census.__wrapped__, 11, 10**15, (5, 7))
+    census, peak = _peak_bytes(survey._growth_census, 11, 10**15)
     assert sum(census.counts[k] for k in survey._BUCKETS[3:]) == census.counts["curves"]
     assert census.counts["classified"] == sum(census.strict_hist.values()) > 0
     assert peak <= 2**20
@@ -938,7 +950,7 @@ def test_tile_memory_at_the_height_limit(monkeypatch):
     passes, tiles = _record_doubt_passes(monkeypatch)
     (listed, calls), bands = _first_band(monkeypatch), []
     monkeypatch.setattr(survey, "_valuation_counts", lambda a, b_max, ell: bands.append(len(a)) or Counter())
-    census, peak = _peak_bytes(survey._growth_census.__wrapped__, 7, 2**62 - 1, (5,))
+    census, peak = _peak_bytes(survey._growth_census, 7, 2**62 - 1)
     assert tiles == [(1, -win.b_max + 1 - win.b_max % 2, survey._BLOCK_PAIRS)]
     assert census.counts["torsion_uncertified"] <= survey._BLOCK_PAIRS
     assert sum(bands) > 2 * win.a_max and max(bands) <= survey._ROW_BAND
@@ -968,7 +980,7 @@ def test_census_at_the_height_limit_at_p_5(monkeypatch):
     monkeypatch.setattr(survey, "_growth_hits", lambda *args: handed.append(args[-1]) or growth_hits(*args))
     listed, _ = _first_band(monkeypatch)
     monkeypatch.setattr(ffcurve, "chi_table", lambda ell: asked.append(ell) or chi_table(ell))
-    census = survey._growth_census.__wrapped__(5, 2**62 - 1)
+    census = survey._growth_census(5, 2**62 - 1)
     candidates = _growth_candidates(5, HeightWindow.from_height(2**62 - 1))
     assert len(candidates) == 804 and handed[0] == candidates and len(asked) < 64
     assert sum(census.counts[k] for k in survey._BUCKETS[3:]) == census.counts["curves"]
@@ -979,7 +991,7 @@ def test_census_at_the_height_limit_at_p_5(monkeypatch):
 
 
 def test_kodaira_view_needs_its_ell():
-    census = survey._growth_census(7, 10**4, (5,))
+    census = survey._growth_census(7, 10**4)
     with pytest.raises(DomainError, match=r"ell = 11 .*\(5,\)"):
         survey.empirical_kodaira_density(census, 11, 1)
 
@@ -1109,7 +1121,7 @@ def _dense_census(p, x):
 
 def _assert_dense_census(p, x):
     counts, hists = _dense_census(p, x)
-    census = survey._growth_census.__wrapped__(p, x)
+    census = survey._growth_census(p, x)
     assert {k: census.counts[k] for k in survey._BUCKETS[4:]} == {k: counts[k] for k in survey._BUCKETS[4:]}
     assert (census.strict_hist, census.kodaira_hist, census.euler_hist) == hists
 
@@ -1147,13 +1159,13 @@ def test_growth_census_checks_primes_before_scanning(monkeypatch):
 
     monkeypatch.setattr(survey.HeightWindow, "from_height", no_scan)
     with pytest.raises(DomainError, match=r"is not prime"):
-        survey._growth_census(7, 100, (4,))
+        survey._growth_census(4, 100)
     with pytest.raises(DomainError, match=r"below the supported minimum"):
-        survey._growth_census(7, 100, (5, 3))
+        survey._growth_census(3, 100)
 
 
 def test_views_share_one_n_check():
-    census = survey._growth_census(7, 100, (5,))
+    census = survey._growth_census(7, 100)
     for view in (survey.empirical_selmer_growth, survey.empirical_euler_divisibility,
                  lambda c, n: survey.empirical_kodaira_density(c, 5, n)):
         with pytest.raises(DomainError, match="n must be >= 1"):
@@ -1166,8 +1178,40 @@ def test_growth_census_determinism():
     assert a.counts == b.counts and a.empirical == b.empirical
 
 
+def test_census_is_a_fresh_value():
+    """Each call builds its own census: changing one census's counts and one
+    of its valuation Counters moves neither the next census of the same
+    (p, x) nor the views built on it."""
+    def views(census):
+        return [summary.to_json() for summary in (
+            survey.empirical_minimal_density(census), survey.empirical_kodaira_density(census, 5, 1),
+            survey.empirical_selmer_growth(census, 1), survey.empirical_euler_divisibility(census, 1))]
+
+    census = survey._growth_census(7, 10**4)
+    expected, shown = copy.deepcopy(census), views(census)
+    census.counts["classified"] = 0
+    census.valuation_hists[5][1] += 1
+    again = survey._growth_census(7, 10**4)
+    assert again == expected and views(again) == shown
+
+
+def test_csv_height_cap(monkeypatch):
+    """write_survey_csv refuses x past 10^10 before it writes its header or
+    builds its root table (which would take 1.6 GiB here), and x = 10^10
+    itself passes the check."""
+    def no_roots(*args):
+        raise AssertionError("the root table was built past the cap")
+
+    monkeypatch.setattr(survey, "_row_roots", no_roots)
+    handle = io.StringIO()
+    with pytest.raises(DomainError, match=r"x = 100000000000 exceeds 10\^10, the cap on the survey CSV"):
+        survey.write_survey_csv(10**11, 7, handle)
+    assert handle.getvalue() == ""
+    survey._check_csv_height(10**10)
+
+
 def test_summary_json_roundtrip():
-    s = survey.empirical_kodaira_density(survey._growth_census(7, 10**4, (5,)), 5, 1)
+    s = survey.empirical_kodaira_density(survey._growth_census(7, 10**4), 5, 1)
     js = s.to_json()
     assert js["kind"] == "kodaira_density"
     assert js["counts"]["curves"] == s.counts["curves"]
@@ -1197,7 +1241,7 @@ def test_kodaira_classes_partition_curves():
         else:
             additive += 1
     assert good + additive + sum(mult.values()) == total
-    s = survey.empirical_kodaira_density(survey._growth_census(7, x, (ell,)), ell, 1)
+    s = survey.empirical_kodaira_density(survey._growth_census(7, x), ell, 1)
     assert mult.get(1, 0) == s.counts["type_In_at_ell"]
 
 
